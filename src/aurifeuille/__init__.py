@@ -12,6 +12,7 @@ from .errors import (
     BadResidueClass,
     InexactDivision,
     InternalInconsistency,
+    NegativeTarget,
     NonIntegerCoefficient,
     NonIntegerStep,
     NonIntegralOracle,
@@ -19,7 +20,6 @@ from .errors import (
     NotOddSquareFree,
     NotSquareFree,
     NTooSmall,
-    PrecisionTooLow,
     RoundingFailed,
     SearchCapExceeded,
 )
@@ -32,7 +32,6 @@ from .numthy import (
     fundamental_unit,
     is_squarefree,
     jacobi,
-    kronecker,
     make_context,
     moebius,
 )

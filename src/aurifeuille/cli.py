@@ -12,17 +12,17 @@ Subcommands:
                 for one n or a range
   classnum N    the class-number/unit data attached to N
 
+Each command computes every pair once: the identity check, the split
+evaluation and the oracle comparison all read the pair the command holds.
 Exit status is 0 only when every requested check passed.  ``--json``
 output is deterministic (sorted keys) and all big integers are rendered
-as decimal strings.  The environment variable AURIF_PRECISION_BITS
-overrides the default working precision of the rounding route.
+as decimal strings, whatever their number of digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,13 +31,15 @@ import mpmath
 from . import factorizer, numthy, series_oracle
 from .cyclotomic import f_poly, phi_moebius
 from .errors import AurifeuilleError, InternalInconsistency
-from .gauss import algorithm_d, verify_gauss
-from .lucas import algorithm_l, aurifeuillian_polys_eval, verify_lucas
-
-PRECISION_ENV = "AURIF_PRECISION_BITS"
+from .gauss import algorithm_d
+from .lucas import algorithm_l
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Targets and split factors can have any number of digits; Python
+    # 3.11+ caps int <-> str conversion at 4300 digits by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -88,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use a rational M = P/Q (polynomial route only)",
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--precision", type=int, metavar="BITS", default=None)
     p.add_argument(
         "--trial-limit", type=int, default=factorizer.TRIAL_LIMIT
     )
@@ -129,7 +130,7 @@ def _cmd_phi(args) -> int:
 
 def _cmd_gauss(args) -> int:
     pair = algorithm_d(args.n)
-    ok = verify_gauss(args.n)
+    ok = pair.identity_holds()
     if args.json:
         _emit_json(
             {
@@ -148,11 +149,11 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_lucas(args) -> int:
     pair = algorithm_l(args.n)
-    ok = verify_lucas(args.n)
+    ok = pair.identity_holds()
     eval_data = None
     if args.eval_m is not None:
         m = _parse_rational(args.eval_m)
-        lo, hi = aurifeuillian_polys_eval(args.n, m * m * args.n)
+        lo, hi = pair.evaluate_split(m * m * args.n)
         eval_data = (m, lo, hi)
     if args.json:
         data = {
@@ -187,17 +188,12 @@ def _cmd_factor(args) -> int:
         m = _parse_rational(args.rational)
     else:
         m = Fraction(1 if args.m is None else args.m)
-    precision = args.precision
-    if precision is None and os.environ.get(PRECISION_ENV):
-        precision = int(os.environ[PRECISION_ENV])
     split, factors = factorizer.full_factorization(
         args.n, m, trial_limit=args.trial_limit
     )
     hat = None
     if m.denominator == 1:
-        rounded = factorizer.factor_by_rounding(
-            args.n, int(m), precision_bits=precision
-        )
+        rounded = factorizer.factor_by_rounding(args.n, int(m))
         hat = rounded.hat_F
         if (rounded.int_minus, rounded.int_plus) != (
             split.int_minus,
@@ -244,17 +240,19 @@ def _cmd_verify(args) -> int:
     for n in range(max(2, lo), hi + 1):
         if not numthy.is_squarefree(n):
             continue
-        failed += not _report(f"n={n} lucas", verify_lucas(n))
+        lucas_pair = algorithm_l(n)
+        failed += not _report(f"n={n} lucas", lucas_pair.identity_holds())
         checked += 1
         if n % 2 and n >= 3:
-            failed += not _report(f"n={n} gauss", verify_gauss(n))
+            gauss_pair = algorithm_d(n)
+            failed += not _report(f"n={n} gauss", gauss_pair.identity_holds())
             checked += 1
         if args.oracle:
             if n % 2 and n > 3:
-                same = series_oracle.gauss_via_series(n) == algorithm_d(n)
+                same = series_oracle.gauss_via_series(n) == gauss_pair
                 failed += not _report(f"n={n} gauss-oracle", same)
                 checked += 1
-            same = series_oracle.lucas_via_series(n) == algorithm_l(n)
+            same = series_oracle.lucas_via_series(n) == lucas_pair
             failed += not _report(f"n={n} lucas-oracle", same)
             checked += 1
     print(f"{checked - failed} of {checked} checks passed")

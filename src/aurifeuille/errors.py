@@ -66,10 +66,10 @@ class NotAurifeuillianPoint(AurifeuilleError):
     """The evaluation point is not of the form m^2 * n with rational m > 0."""
 
 
-class PrecisionTooLow(AurifeuilleError):
-    """The requested working precision cannot separate the candidate factor
-    from its neighbours."""
-
-
 class RoundingFailed(AurifeuilleError):
     """Rounding the floating-point factor estimate did not yield a divisor."""
+
+
+class NegativeTarget(AurifeuilleError):
+    """The number to factor, p^(2n) * n^n - q^(2n), is not positive:
+    x = m^2 * n < 1 with n = 1 (mod 4)."""

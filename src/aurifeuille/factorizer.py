@@ -20,11 +20,13 @@ The estimate is
     F^ = sqrt(F_n(x)) * exp( -(1/m) * sum_{j=0}^{lambda-1} (n|2j+1) / ((2j+1) x^j) ),
 
 with lambda = phi(2n)/2, computed with mpmath at a working precision of
-at least bitlength(F_n(x))/2 + 64 bits (`PrecisionTooLow` below that).
+bitlength(F_n(x))/2 + 64 bits, derived from the one evaluation of F_n(x)
+that also serves the exact division.
 
-`full_factorization` assembles the whole integer: every cyclotomic piece,
-the Aurifeuillian split of the top one, then trial division of each piece
-with probable-prime flagging of whatever survives.
+`full_factorization` assembles the whole integer: every cyclotomic piece
+below the top one, the Aurifeuillian split in place of the top one, then
+trial division of each piece with probable-prime flagging of whatever
+survives.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import exp
 
 import mpmath
 
-from .errors import InternalInconsistency, PrecisionTooLow, RoundingFailed
+from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
 from .numthy import _require_squarefree, divisors, euler_phi, jacobi
 from .cyclotomic import f_poly, phi_moebius
 from .lucas import aurifeuillian_polys_eval
@@ -90,48 +92,21 @@ class FactorList:
         return out
 
 
-def required_precision(n: int, m: int) -> int:
-    """The minimum working precision for `hat_f`: bitlength(F_n(x))/2 + 64."""
-    f_val = _f_value_int(n, m)
-    return f_val.bit_length() // 2 + 64
-
-
-def hat_f(n: int, m: int, precision_bits: int | None = None):
+def hat_f(n: int, m: int):
     """Floating estimate of the smaller Aurifeuillian factor at x = m^2 * n.
 
-    Returns an mpmath float.  `precision_bits` defaults to the minimum
-    sound value from `required_precision`; anything below that raises
-    `PrecisionTooLow`.
+    Returns an mpmath float, computed at bitlength(F_n(x))/2 + 64 bits.
     """
-    f_val = _f_value_int(n, m)
-    need = f_val.bit_length() // 2 + 64
-    if precision_bits is None:
-        precision_bits = need
-    elif precision_bits < need:
-        raise PrecisionTooLow(
-            f"need at least {need} bits for n={n}, m={m}, got {precision_bits}"
-        )
-    x = m * m * n
-    lam = euler_phi(2 * n) // 2
-    arg = -Fraction(1, m) * sum(
-        Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j) for j in range(lam)
-    )
-    with mpmath.workprec(precision_bits):
-        root = mpmath.sqrt(mpmath.mpf(f_val))
-        expo = mpmath.exp(
-            mpmath.mpf(arg.numerator) / mpmath.mpf(arg.denominator)
-        )
-        return root * expo
+    return _estimate(n, m, _f_value_int(n, m))[0]
 
 
-def factor_by_rounding(
-    n: int, m: int, precision_bits: int | None = None
-) -> AurifeuilleResult:
+def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
     """Recover F- by rounding `hat_f` and F+ by exact division.
 
-    Integer m only.  Raises `RoundingFailed` when the rounded value does
-    not divide F_n(x) — which the underlying bound rules out for sound
-    inputs, so it signals a precision or input problem.
+    Integer m only.  F_n(x) is evaluated once and serves the estimate,
+    its working precision and the division.  Raises `RoundingFailed` when
+    the rounded value does not divide F_n(x), which the underlying bound
+    rules out for sound inputs.
     """
     if not isinstance(m, int):
         raise TypeError(
@@ -139,17 +114,10 @@ def factor_by_rounding(
             "use factor_by_polynomials for rational m"
         )
     f_val = _f_value_int(n, m)
-    need = f_val.bit_length() // 2 + 64
-    if precision_bits is None:
-        precision_bits = need
-    elif precision_bits < need:
-        raise PrecisionTooLow(
-            f"need at least {need} bits for n={n}, m={m}, got {precision_bits}"
-        )
-    hat = hat_f(n, m, precision_bits)
+    hat, bits = _estimate(n, m, f_val)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(bits):
         f_minus = int(mpmath.floor(hat + mpmath.mpf(1) / 2))
         if f_minus < 1 or f_val % f_minus:
             raise RoundingFailed(
@@ -218,12 +186,19 @@ def target_value(n: int, m: Fraction | int) -> tuple[int, str]:
 
     The sign is minus exactly when n = 1 (mod 4); then x^n - 1 is the
     number that factors through the cyclotomic pieces, else x^n + 1.
+    A minus-sign target below 1, which happens when x = m^2 * n < 1,
+    raises `NegativeTarget`.
     """
     m = Fraction(m)
     _require_squarefree(n)
     sign = "-" if n % 4 == 1 else "+"
     p, q = m.numerator, m.denominator
     value = p ** (2 * n) * n**n + (-1 if sign == "-" else 1) * q ** (2 * n)
+    if value < 1:
+        raise NegativeTarget(
+            f"p^(2n)*n^n - q^(2n) = {value} at n={n}, m={m}: "
+            "x = m^2 * n must exceed 1 when n = 1 (mod 4)"
+        )
     return value, sign
 
 
@@ -245,19 +220,17 @@ def full_factorization(
     x = m * m * n
     q = m.denominator
     pieces = []
-    for e in _cyclotomic_indices(n):
+    for e in _cyclotomic_indices(n)[:-1]:
         val = phi_moebius(e).evaluate(x) * q ** (2 * euler_phi(e))
         if val.denominator != 1:
             raise InternalInconsistency(
                 f"piece Phi_{e} did not clear denominators at n={n}, m={m}"
             )
         pieces.append(int(val))
+    # The top piece F_n(x) is the product of the split; since
+    # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
+    # split that does not multiply to it.
     split = factor_by_polynomials(n, m)
-    top = pieces.pop()
-    if top != split.int_minus * split.int_plus:
-        raise InternalInconsistency(
-            f"top piece {top} != Aurifeuillian product at n={n}, m={m}"
-        )
     pieces.extend([split.int_minus, split.int_plus])
     check = 1
     for piece in pieces:
@@ -350,6 +323,22 @@ def _accumulate_factors(value: int, trial_limit: int, counts: dict) -> bool:
     return False
 
 
+def _estimate(n: int, m: int, f_val: int):
+    """`hat_f` from F_n(x) = f_val, and the working precision it used."""
+    bits = f_val.bit_length() // 2 + 64
+    x = m * m * n
+    lam = euler_phi(2 * n) // 2
+    arg = -Fraction(1, m) * sum(
+        Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j) for j in range(lam)
+    )
+    with mpmath.workprec(bits):
+        root = mpmath.sqrt(mpmath.mpf(f_val))
+        expo = mpmath.exp(
+            mpmath.mpf(arg.numerator) / mpmath.mpf(arg.denominator)
+        )
+        return root * expo, bits
+
+
 def _f_value_int(n: int, m: int) -> int:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need a positive integer m, got {m!r}")
@@ -371,6 +360,5 @@ __all__ = [
     "hat_f",
     "is_probable_prime",
     "ratio_estimate",
-    "required_precision",
     "target_value",
 ]

@@ -29,14 +29,19 @@ alpha_{d-k} (n > 3), and beta_k = -beta_{d-k} when n is composite with
 n = 3 (mod 4), beta_k = beta_{d-k} otherwise.  Passing
 ``use_symmetry=False`` runs the recurrence all the way to k = d, which is
 how the mirror rule itself is tested.
+
+The primes of n are found once per pair, by `make_context`, and feed
+every q_k.  The identity check is the pair's own
+`GaussPair.identity_holds`, so a caller holding the pair never recomputes
+it; `verify_gauss(n)` applies it to `algorithm_d(n)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegerStep, NotOddSquareFree
-from .numthy import euler_phi, factorize, gcd, is_squarefree, jacobi, moebius
+from .errors import NonIntegerStep, NotOddSquareFree, NotSquareFree
+from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
 from .poly import IntPolynomial
 from .cyclotomic import phi_moebius
 
@@ -61,6 +66,12 @@ class GaussPair:
     def poly_b(self) -> IntPolynomial:
         return IntPolynomial.from_descending(self.beta)
 
+    def identity_holds(self) -> bool:
+        """Exact check of 4*Phi_n = A_n^2 - s*n*B_n^2 on this pair."""
+        a = self.poly_a()
+        b = self.poly_b()
+        return 4 * phi_moebius(self.n) == a * a - (self.s * self.n) * (b * b)
+
 
 def gauss_power_parts(n: int, k: int) -> tuple[int, int]:
     """The split power-sum parts (q_k, r_k) for odd square-free n.
@@ -68,24 +79,23 @@ def gauss_power_parts(n: int, k: int) -> tuple[int, int]:
     q_k = mu(n/g)*phi(g) with g = gcd(k, n), and r_k = (k|n); the k-th
     power sum of the roots of Phi_n(s*x) is (q_k + r_k*sqrt(s*n)) / 2.
     """
-    _require_odd_squarefree(n)
+    ctx = _odd_context(n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    g = gcd(k, n)
-    return moebius(n // g) * euler_phi(g), jacobi(k, n)
+    return _moebius_phi(ctx.primes, k), jacobi(k, n)
 
 
 def algorithm_d(n: int, use_symmetry: bool = True) -> GaussPair:
     """Compute the Gauss pair (A_n, B_n) for odd square-free n >= 3."""
-    _require_odd_squarefree(n)
-    d = euler_phi(n) // 2
-    s = 1 if n % 4 == 1 else -1
+    ctx = _odd_context(n)
+    d = ctx.d_gauss
+    s = ctx.s
     sn = s * n
     direct = max(1, d // 2) if use_symmetry else d
     q = [0] * (direct + 1)
     r = [0] * (direct + 1)
     for k in range(1, direct + 1):
-        q[k], r[k] = gauss_power_parts(n, k)
+        q[k], r[k] = _moebius_phi(ctx.primes, k), jacobi(k, n)
     alpha = [2]
     beta = [0]
     for k in range(1, direct + 1):
@@ -102,7 +112,7 @@ def algorithm_d(n: int, use_symmetry: bool = True) -> GaussPair:
         beta.append(acc_b // (2 * k))
     if use_symmetry and direct < d:
         sign_a = -1 if d % 2 else 1
-        sign_b = -1 if (n % 4 == 3 and len(factorize(n)) > 1) else 1
+        sign_b = -1 if (n % 4 == 3 and len(ctx.primes) > 1) else 1
         for k in range(direct + 1, d + 1):
             alpha.append(sign_a * alpha[d - k])
             beta.append(sign_b * beta[d - k])
@@ -111,17 +121,17 @@ def algorithm_d(n: int, use_symmetry: bool = True) -> GaussPair:
 
 def verify_gauss(n: int) -> bool:
     """Exact check of 4*Phi_n = A_n^2 - s*n*B_n^2 for odd square-free n."""
-    pair = algorithm_d(n)
-    a = pair.poly_a()
-    b = pair.poly_b()
-    return 4 * phi_moebius(n) == a * a - (pair.s * n) * (b * b)
+    return algorithm_d(n).identity_holds()
 
 
-def _require_odd_squarefree(n: int) -> None:
-    if n < 3 or n % 2 == 0 or not is_squarefree(n):
-        raise NotOddSquareFree(
-            f"need odd square-free n >= 3, got {n}"
-        )
+def _odd_context(n: int) -> NumTheoryContext:
+    """The context of odd square-free n >= 3, from one factorization of n."""
+    if n >= 3 and n % 2:
+        try:
+            return make_context(n)
+        except NotSquareFree:
+            pass
+    raise NotOddSquareFree(f"need odd square-free n >= 3, got {n}")
 
 
 __all__ = ["GaussPair", "algorithm_d", "gauss_power_parts", "verify_gauss"]

@@ -27,6 +27,12 @@ otherwise).  Both polynomials are palindromic, so by default only the
 first halves are recurred (gamma up to floor(d/2), delta up to
 floor((d-1)/2)) and the rest mirrored; ``use_symmetry=False`` recurs
 everything directly.
+
+The primes of n are found once per pair, by `make_context`, and feed every
+q_k.  The identity check and the split evaluation are the pair's own
+`LucasPair.identity_holds` and `LucasPair.evaluate_split`, so a caller
+holding the pair never recomputes it; `verify_lucas(n)` and
+`aurifeuillian_polys_eval(n, x)` apply them to `algorithm_l(n)`.
 """
 
 from __future__ import annotations
@@ -36,14 +42,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import NonIntegerStep, NotAurifeuillianPoint
-from .numthy import (
-    _require_squarefree,
-    euler_phi,
-    gcd,
-    jacobi,
-    make_context,
-    moebius,
-)
+from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
 from .poly import IntPolynomial
 from .cyclotomic import f_poly
 
@@ -71,20 +70,48 @@ class LucasPair:
     def poly_d(self) -> IntPolynomial:
         return IntPolynomial.from_descending(self.delta)
 
+    def identity_holds(self) -> bool:
+        """Exact check of F_n = C_n^2 - n*x*D_n^2 on this pair."""
+        c = self.poly_c()
+        dd = self.poly_d()
+        shift = IntPolynomial([0, 1])  # x
+        return f_poly(self.n) == c * c - self.n * (shift * dd * dd)
+
+    def evaluate_split(self, x: Fraction | int) -> tuple[Fraction, Fraction]:
+        """The split F_n(x) = (C_n - sqrt(n*x) D_n)(C_n + sqrt(n*x) D_n).
+
+        The point must make n*x a perfect rational square, i.e.
+        x = (p/q)^2 * n with p, q positive integers; then sqrt(n*x) = p*n/q
+        is rational and the two exact rational factors are returned,
+        smaller first.  Any other x raises `NotAurifeuillianPoint`.
+        """
+        n = self.n
+        x = Fraction(x)
+        if x <= 0:
+            raise NotAurifeuillianPoint(f"need x > 0, got {x}")
+        msq = x / n
+        p = isqrt(msq.numerator)
+        q = isqrt(msq.denominator)
+        if p * p != msq.numerator or q * q != msq.denominator:
+            raise NotAurifeuillianPoint(
+                f"x = {x} is not m^2 * {n} for rational m"
+            )
+        c_val = self.poly_c().evaluate(x)
+        d_val = self.poly_d().evaluate(x)
+        root = Fraction(p * n, q)  # sqrt(n*x)
+        lo = c_val - root * d_val
+        hi = c_val + root * d_val
+        if lo > hi:
+            lo, hi = hi, lo
+        return lo, hi
+
 
 def lucas_q(n: int, k: int) -> int:
     """The k-th power sum q_k driving the C_n/D_n recurrence."""
-    _require_squarefree(n)
+    ctx = make_context(n)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k % 2:
-        return jacobi(n, k)
-    n_prime = n if n % 4 == 1 else 2 * n
-    c = _COS_QUARTER[((n - 1) * (k // 2)) % 4]
-    if c == 0:
-        return 0
-    g = gcd(k, n_prime)
-    return moebius(n_prime // g) * euler_phi(g) * c
+    return _q(ctx, k)
 
 
 def algorithm_l(n: int, use_symmetry: bool = True) -> LucasPair:
@@ -95,7 +122,7 @@ def algorithm_l(n: int, use_symmetry: bool = True) -> LucasPair:
     delta_direct = (d - 1) // 2 if use_symmetry else d - 1
     q = [0] * (2 * max(gamma_direct, delta_direct) + 2)
     for k in range(1, len(q)):
-        q[k] = lucas_q(n, k)
+        q[k] = _q(ctx, k)
     gamma = [1]
     delta = [1]
     for k in range(1, max(gamma_direct, delta_direct) + 1):
@@ -134,11 +161,7 @@ def algorithm_l(n: int, use_symmetry: bool = True) -> LucasPair:
 
 def verify_lucas(n: int) -> bool:
     """Exact check of F_n = C_n^2 - n*x*D_n^2 for square-free n >= 2."""
-    pair = algorithm_l(n)
-    c = pair.poly_c()
-    dd = pair.poly_d()
-    shift = IntPolynomial([0, 1])  # x
-    return f_poly(n) == c * c - n * (shift * dd * dd)
+    return algorithm_l(n).identity_holds()
 
 
 def aurifeuillian_polys_eval(
@@ -146,30 +169,22 @@ def aurifeuillian_polys_eval(
 ) -> tuple[Fraction, Fraction]:
     """Evaluate the split F_n(x) = (C_n -+ sqrt(n*x) D_n) at x = m^2 * n.
 
-    The point must make n*x a perfect rational square, i.e. x = (p/q)^2 * n
-    with p, q positive integers; then sqrt(n*x) = p*n/q is rational and the
-    two exact rational factors are returned, smaller first.  Any other x
-    raises `NotAurifeuillianPoint`.
+    The same as `LucasPair.evaluate_split` on `algorithm_l(n)`.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise NotAurifeuillianPoint(f"need x > 0, got {x}")
-    msq = x / n
-    p = isqrt(msq.numerator)
-    q = isqrt(msq.denominator)
-    if p * p != msq.numerator or q * q != msq.denominator:
-        raise NotAurifeuillianPoint(
-            f"x = {x} is not m^2 * {n} for rational m"
-        )
-    pair = algorithm_l(n)
-    c_val = pair.poly_c().evaluate(x)
-    d_val = pair.poly_d().evaluate(x)
-    root = Fraction(p * n, q)  # sqrt(n*x)
-    lo = c_val - root * d_val
-    hi = c_val + root * d_val
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo, hi
+    return algorithm_l(n).evaluate_split(x)
+
+
+def _q(ctx: NumTheoryContext, k: int) -> int:
+    n = ctx.n
+    if k % 2:
+        return jacobi(n, k)
+    c = _COS_QUARTER[((n - 1) * (k // 2)) % 4]
+    if c == 0:
+        return 0
+    # mu(n'/g) * phi(g) with g = gcd(k, n').  For odd n the factor 2 of
+    # n' = 2n divides the even k and contributes phi(2) = 1.  For even n,
+    # c != 0 forces 4 | k, and 4 | n' contributes phi(4) = 2.
+    return _moebius_phi(ctx.primes, k) * c * (1 if n % 2 else 2)
 
 
 __all__ = [

@@ -1,5 +1,5 @@
-"""Elementary number theory: multiplicative functions, Jacobi/Kronecker
-symbols, and the small derived quantities the factor-pair algorithms need.
+"""Elementary number theory: multiplicative functions, the Jacobi
+symbol, and the small derived quantities the factor-pair algorithms need.
 
 Everything is exact integer arithmetic.  Factoring is plain trial division,
 which is ample for the desk-scale n this library targets (a few hundred).
@@ -10,17 +10,18 @@ n >= 2 by `make_context`:
     n'  = n when n = 1 (mod 4), else 2n
     s   = -1 when n = 3 (mod 4), else +1
     s'  = -1 when n = 5 (mod 8), else +1
-    D   = s*n  (odd n only; D = 1 mod 4)
 
 The Gauss pair (A_n, B_n) has degree d_gauss = phi(n)/2 (odd n); the Lucas
 pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
-lambda = phi(2n)/2 for every square-free n.
+lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
+n, found once by `make_context`, as do the power sums mu(N/g) * phi(g)
+that drive both recurrences (`_moebius_phi`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import (
     BadResidueClass,
@@ -113,82 +114,61 @@ def jacobi(m: int, k: int) -> int:
     return t if k == 1 else 0
 
 
-def kronecker(m: int, k: int) -> int:
-    """The symbol (m|k) for k >= 1: Jacobi for odd k, extended to even k.
+def _require_squarefree(n: int, minimum: int = 2) -> tuple[int, ...]:
+    """The primes of square-free n >= minimum, ascending.
 
-    For even k the first argument must be odd, and the factor of two in k
-    contributes (m|2) = +1 for m = +-1 (mod 8) and -1 for m = +-3 (mod 8).
-    Both arguments even is rejected: the symbol would be identically zero
-    and asking for it is always a caller bug in this library.
+    Validating n factors it, so a caller that needs the primes takes them
+    from here instead of factoring n again.
     """
-    if k < 1:
-        raise ValueError(f"kronecker needs k >= 1, got k={k}")
-    if k % 2:
-        return jacobi(m, k)
-    if m % 2 == 0:
-        raise ValueError(
-            f"kronecker({m}, {k}): both arguments even is not supported"
-        )
-    e = 0
-    while k % 2 == 0:
-        k //= 2
-        e += 1
-    sym2 = 1 if m % 8 in (1, 7) else -1
-    return (sym2**e) * jacobi(m, k)
-
-
-def _require_squarefree(n: int, minimum: int = 2) -> None:
     if n < minimum:
         raise NTooSmall(f"n must be at least {minimum}, got {n}")
-    if not is_squarefree(n):
+    factors = factorize(n)
+    if any(e > 1 for _, e in factors):
         raise NotSquareFree(f"n must be square-free, got {n}")
+    return tuple(p for p, _ in factors)
+
+
+def _moebius_phi(primes: tuple[int, ...], k: int) -> int:
+    """mu(N/g) * phi(g) with g = gcd(k, N), for the square-free N whose
+    primes are given: each prime p of N contributes p - 1 when it divides
+    k and -1 when it does not."""
+    out = 1
+    for p in primes:
+        out *= p - 1 if k % p == 0 else -1
+    return out
 
 
 @dataclass(frozen=True)
 class NumTheoryContext:
     """The bundle of derived quantities attached to a square-free n >= 2.
 
-    `d_gauss` and `discriminant` only make sense for odd n and are None
-    otherwise.  `lam` is phi(2n)/2, which always equals `d_lucas`.
+    `primes` are the primes of n, ascending.  `d_gauss` only makes sense
+    for odd n and is None otherwise.
     """
 
     n: int
+    primes: tuple[int, ...]
     n_prime: int
     s: int
     s_prime: int
     d_gauss: int | None
     d_lucas: int
-    lam: int
-    discriminant: int | None
 
 
 def make_context(n: int) -> NumTheoryContext:
     """Build the `NumTheoryContext` for square-free n >= 2."""
-    _require_squarefree(n)
-    n_prime = n if n % 4 == 1 else 2 * n
-    s = -1 if n % 4 == 3 else 1
-    s_prime = -1 if n % 8 == 5 else 1
-    d_lucas = euler_phi(n_prime) // 2
-    lam = euler_phi(2 * n) // 2
-    if lam != d_lucas:
-        raise InternalInconsistency(
-            f"phi(2n)/2 = {lam} disagrees with phi(n')/2 = {d_lucas} for n={n}"
-        )
-    if n % 2:
-        d_gauss = euler_phi(n) // 2
-        discriminant = s * n
-    else:
-        d_gauss = None
-        discriminant = None
+    primes = _require_squarefree(n)
+    phi_n = prod(p - 1 for p in primes)
+    # phi(n') = phi(n) for odd n; for even n, n' = 4 * (n/2) and
+    # phi(n') = 2 * phi(n/2) = 2 * phi(n).
     return NumTheoryContext(
         n=n,
-        n_prime=n_prime,
-        s=s,
-        s_prime=s_prime,
-        d_gauss=d_gauss,
-        d_lucas=d_lucas,
-        lam=lam,
-        discriminant=discriminant,
+        primes=primes,
+        n_prime=n if n % 4 == 1 else 2 * n,
+        s=-1 if n % 4 == 3 else 1,
+        s_prime=-1 if n % 8 == 5 else 1,
+        d_gauss=phi_n // 2 if n % 2 else None,
+        d_lucas=phi_n // 2 if n % 2 else phi_n,
     )
 
 
@@ -277,7 +257,6 @@ __all__ = [
     "gcd",
     "is_squarefree",
     "jacobi",
-    "kronecker",
     "make_context",
     "moebius",
 ]

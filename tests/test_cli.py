@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from aurifeuille.cli import PRECISION_ENV, main
+from aurifeuille import gauss, lucas
+from aurifeuille.cli import main
+
+from _counting import count_calls
 
 
 def run(capsys, *argv):
@@ -136,18 +139,39 @@ def test_factor_default_m_is_one(capsys):
     assert "factors: 2^2 * 11 * 71" in out
 
 
-def test_factor_precision_flag_and_env(capsys, monkeypatch):
-    code, _, err = run(capsys, "factor", "15", "--precision", "16")
-    assert code == 2
-    assert "PrecisionTooLow" in err
-    monkeypatch.setenv(PRECISION_ENV, "16")
-    code, _, err = run(capsys, "factor", "15")
-    assert code == 2
-    assert "PrecisionTooLow" in err
-    monkeypatch.setenv(PRECISION_ENV, "4096")
-    code, out, _ = run(capsys, "factor", "15")
+def test_factor_negative_target_is_refused(capsys):
+    code, out, err = run(capsys, "factor", "5", "--rational", "2/5")
+    assert code == 2 and out == ""
+    assert "error: NegativeTarget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["gauss", "15"], (1, 0)),
+        (["lucas", "15", "--eval", "1"], (0, 1)),
+        (["verify", "15", "--oracle"], (1, 1)),
+    ],
+)
+def test_each_recurrence_runs_once_per_command(capsys, monkeypatch, argv, runs):
+    d_calls = count_calls(monkeypatch, gauss, "algorithm_d")
+    l_calls = count_calls(monkeypatch, lucas, "algorithm_l")
+    code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert "F_minus = 19231" in out
+    assert (len(d_calls), len(l_calls)) == runs
+
+
+def test_lucas_eval_prints_integers_past_4300_digits(capsys):
+    code, out, err = run(
+        capsys, "lucas", "401", "--eval", "10000000000", "--json"
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    lo, hi = data["eval"]["F_minus"], data["eval"]["F_plus"]
+    assert len(lo) > 4300 and len(hi) > 4300
+    # 401 is a prime = 1 (mod 4), so F_401 = Phi_401 = (x^401 - 1)/(x - 1).
+    x = 10**20 * 401
+    assert int(lo) * int(hi) == (x**401 - 1) // (x - 1)
 
 
 def test_verify_single_and_range(capsys):

@@ -1,14 +1,17 @@
 """Aurifeuillian factorization: estimates, rounding, assembly, ratios."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+import aurifeuille.cyclotomic as cyclotomic
 import aurifeuille.factorizer as factorizer
 from aurifeuille.errors import (
+    InternalInconsistency,
+    NegativeTarget,
     NotSquareFree,
-    PrecisionTooLow,
     RoundingFailed,
 )
 from aurifeuille.factorizer import (
@@ -19,10 +22,10 @@ from aurifeuille.factorizer import (
     hat_f,
     is_probable_prime,
     ratio_estimate,
-    required_precision,
     target_value,
 )
 
+from _counting import count_calls
 from _oracles import squarefree_range
 
 
@@ -55,17 +58,6 @@ def test_hat_degenerate_small_points():
         assert res.F_plus == res.F_value
 
 
-def test_precision_floor_enforced():
-    need = required_precision(15, 1)
-    assert need >= 64
-    with pytest.raises(PrecisionTooLow):
-        hat_f(15, 1, precision_bits=need - 1)
-    with pytest.raises(PrecisionTooLow):
-        factor_by_rounding(15, 1, precision_bits=need - 1)
-    # Extra precision is allowed and does not change the rounded result.
-    assert factor_by_rounding(15, 1, precision_bits=need + 128).F_minus == 19231
-
-
 def test_hat_input_validation():
     with pytest.raises(NotSquareFree):
         hat_f(12, 1)
@@ -91,6 +83,7 @@ def test_rounding_reproduces_classical_splits():
         assert res.residual is not None and res.residual < 0.5
         assert res.int_minus == lo and res.int_plus == hi
         assert res.m_den == 1 and res.x == m * m * n
+        assert res.hat_F == hat_f(n, m)
 
 
 def test_rounding_rejects_rational_m():
@@ -99,10 +92,23 @@ def test_rounding_rejects_rational_m():
 
 
 def test_rounding_guard_detects_corrupted_estimate(monkeypatch):
-    true_hat = hat_f(15, 1)
-    monkeypatch.setattr(factorizer, "hat_f", lambda *a, **k: true_hat + 10)
+    # factor_by_rounding computes the estimate through the helper that
+    # hat_f wraps, from the F_n(x) it already holds.
+    true_estimate = factorizer._estimate
+
+    def corrupted(n, m, f_val):
+        hat, bits = true_estimate(n, m, f_val)
+        return hat + 10, bits
+
+    monkeypatch.setattr(factorizer, "_estimate", corrupted)
     with pytest.raises(RoundingFailed):
         factorizer.factor_by_rounding(15, 1)
+
+
+def test_rounding_builds_f_poly_once(monkeypatch):
+    calls = count_calls(monkeypatch, cyclotomic, "f_poly")
+    assert factor_by_rounding(15, 1).F_minus == 19231
+    assert len(calls) == 1
 
 
 # --- exact polynomial route ---------------------------------------------
@@ -205,6 +211,32 @@ def test_full_factorization_incomplete_is_flagged():
     assert not flist.complete
     assert (47461, 1) in flist.factors
     assert flist.product() == flist.target
+
+
+def test_full_factorization_rejects_a_split_off_by_one(monkeypatch):
+    # The top piece comes from the split; the product check against the
+    # target still catches a split that does not multiply to F_n(x).
+    true_split = factorizer.factor_by_polynomials
+
+    def corrupted(n, m):
+        split = true_split(n, m)
+        return dataclasses.replace(split, int_minus=split.int_minus + 1)
+
+    monkeypatch.setattr(factorizer, "factor_by_polynomials", corrupted)
+    with pytest.raises(InternalInconsistency):
+        full_factorization(15, 1)
+
+
+def test_negative_target_refused_before_any_piece(monkeypatch):
+    # n = 1 (mod 4) with m^2 * n < 1 makes p^(2n) * n^n - q^(2n) negative.
+    pieces = count_calls(monkeypatch, cyclotomic, "phi_moebius")
+    with pytest.raises(NegativeTarget):
+        full_factorization(5, Fraction(2, 5))
+    with pytest.raises(NegativeTarget):
+        target_value(13, Fraction(1, 4))
+    assert pieces == []
+    # The plus-sign targets stay positive for every m.
+    assert target_value(7, Fraction(1, 9))[0] > 0
 
 
 def test_full_factorization_input_validation():

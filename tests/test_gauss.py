@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from aurifeuille import numthy
 from aurifeuille.cyclotomic import phi_moebius
 from aurifeuille.errors import NotOddSquareFree
 from aurifeuille.gauss import algorithm_d, gauss_power_parts, verify_gauss
 from aurifeuille.numthy import euler_phi, factorize, jacobi
 from aurifeuille.poly import IntPolynomial
 
+from _counting import count_calls
 from _oracles import squarefree_range
 
 
@@ -102,6 +104,13 @@ def test_evaluation_identity_at_integers():
         phi = phi_moebius(n)
         for x in (-3, -1, 0, 1, 2, 10, 1000):
             assert 4 * phi(x) == a(x) ** 2 - pair.s * n * b(x) ** 2
+
+
+def test_one_factorization_per_pair(monkeypatch):
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    pair = algorithm_d(15)
+    assert len(calls) <= 2
+    assert pair.identity_holds()
 
 
 def test_rejections():

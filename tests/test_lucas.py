@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from aurifeuille import numthy
 from aurifeuille.cyclotomic import f_poly
 from aurifeuille.errors import (
     NotAurifeuillianPoint,
@@ -20,6 +21,7 @@ from aurifeuille.lucas import (
 from aurifeuille.numthy import divisors, euler_phi, jacobi, moebius
 from aurifeuille.poly import IntPolynomial, symmetry_class
 
+from _counting import count_calls
 from _oracles import squarefree_range
 
 
@@ -127,6 +129,14 @@ def test_rejections():
         algorithm_l(12)
     with pytest.raises(ValueError):
         lucas_q(5, 0)
+
+
+def test_one_factorization_per_pair(monkeypatch):
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    pair = algorithm_l(15)
+    assert len(calls) <= 2
+    assert pair.identity_holds()
+    assert pair.evaluate_split(15) == (19231, 142111)
 
 
 def test_context_fields_carried():

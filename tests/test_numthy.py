@@ -18,7 +18,6 @@ from aurifeuille.numthy import (
     fundamental_unit,
     is_squarefree,
     jacobi,
-    kronecker,
     make_context,
     moebius,
 )
@@ -98,60 +97,39 @@ def test_jacobi_rejects_even_modulus():
         jacobi(3, 0)
 
 
-def test_kronecker_odd_modulus_agrees_with_jacobi():
-    for m in range(-10, 11):
-        for k in (1, 3, 9, 15):
-            assert kronecker(m, k) == jacobi(m, k)
-
-
-def test_kronecker_even_modulus():
-    assert kronecker(7, 2) == 1 and kronecker(17, 2) == 1
-    assert kronecker(3, 2) == -1 and kronecker(5, 2) == -1
-    assert kronecker(1, 1) == 1 and kronecker(12, 1) == 1
-    # multiplicative in the modulus when defined
-    for m in (1, 3, 5, 7, 9, 11, 13, 15):
-        for k1 in (2, 4, 8):
-            for k2 in (1, 3, 5, 15):
-                assert kronecker(m, k1 * k2) == kronecker(m, k1) * kronecker(m, k2)
-
-
-def test_kronecker_rejects_even_even():
-    with pytest.raises(ValueError):
-        kronecker(6, 4)
-    with pytest.raises(ValueError):
-        kronecker(0, 2)
-
-
 def test_context_15():
     ctx = make_context(15)
     assert ctx.n_prime == 30
     assert ctx.s == -1 and ctx.s_prime == 1
-    assert ctx.d_gauss == 4 and ctx.d_lucas == 4 and ctx.lam == 4
-    assert ctx.discriminant == -15
+    assert ctx.primes == (3, 5)
+    assert ctx.d_gauss == 4 and ctx.d_lucas == 4
 
 
 def test_context_5():
     ctx = make_context(5)
     assert ctx.n_prime == 5
     assert ctx.s == 1 and ctx.s_prime == -1
+    assert ctx.primes == (5,)
     assert ctx.d_gauss == 2 and ctx.d_lucas == 2
-    assert ctx.discriminant == 5
 
 
 def test_context_2():
     ctx = make_context(2)
     assert ctx.n_prime == 4
     assert ctx.s == 1 and ctx.s_prime == 1
-    assert ctx.d_gauss is None and ctx.discriminant is None
-    assert ctx.d_lucas == 1 and ctx.lam == 1
+    assert ctx.primes == (2,)
+    assert ctx.d_gauss is None
+    assert ctx.d_lucas == 1
 
 
 def test_context_degree_identity():
     for n in squarefree_range(2, 150):
         ctx = make_context(n)
-        assert ctx.d_lucas == ctx.lam == euler_phi(2 * n) // 2
+        assert ctx.d_lucas == euler_phi(ctx.n_prime) // 2 == euler_phi(2 * n) // 2
+        assert [p for p, _ in factorize(n)] == list(ctx.primes)
         if n % 2:
-            assert ctx.discriminant % 4 == 1  # s*n is a fundamental discriminant
+            assert ctx.d_gauss == euler_phi(n) // 2
+            assert (ctx.s * n) % 4 == 1  # s*n is a fundamental discriminant
 
 
 def test_context_rejections():
