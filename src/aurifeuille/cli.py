@@ -211,6 +211,7 @@ def _cmd_factor(args) -> int:
             },
             "factors": [[str(p), e] for p, e in factors.factors],
             "complete": factors.complete,
+            "probable": [str(p) for p in factors.probable],
         }
         _emit_json(data)
     else:
@@ -225,6 +226,8 @@ def _cmd_factor(args) -> int:
         )
         print(f"factors: {rendered}")
         print(f"complete: {'yes' if factors.complete else 'no'}")
+        probable = ", ".join(str(p) for p in factors.probable)
+        print(f"probable primes: {probable or 'none'}")
     return 0 if factors.complete else 1
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aurifeuille import gauss, lucas
+from aurifeuille import factorizer, gauss, lucas
 from aurifeuille.cli import main
 
 from _counting import count_calls
@@ -91,6 +91,7 @@ def test_factor_json_classical_example(capsys):
         "aurifeuillian": {"F_minus": "1985", "F_plus": "2113"},
         "complete": True,
         "factors": [["5", 1], ["397", 1], ["2113", 1]],
+        "probable": [],
         "target": "4194305",
     }
 
@@ -126,10 +127,30 @@ def test_factor_rational_excludes_positional_m(capsys):
     assert "error: ValueError" in err
 
 
-def test_factor_incomplete_sets_exit_code(capsys):
+def test_factor_incomplete_sets_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 0)
     code, out, _ = run(capsys, "factor", "15", "--trial-limit", "10")
     assert code == 1
     assert "complete: no" in out
+
+
+def test_factor_completes_past_the_trial_limit(capsys):
+    code, out, _ = run(capsys, "factor", "23")
+    assert code == 0
+    lines = out.splitlines()
+    assert "complete: yes" in lines
+    assert "probable primes: none" in lines
+    factors = next(line for line in lines if line.startswith("factors: "))
+    assert {"1641281", "1522029233"} <= set(factors[9:].split(" * "))
+
+
+def test_factor_lists_probable_primes(capsys):
+    code, out, _ = run(capsys, "factor", "23", "--rational", "3/2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["complete"] is True
+    assert data["probable"] == ["15271241147628528180233497"]
+    assert ["15271241147628528180233497", 1] in data["factors"]
 
 
 def test_factor_default_m_is_one(capsys):

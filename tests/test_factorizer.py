@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aurifeuille.cyclotomic as cyclotomic
 import aurifeuille.factorizer as factorizer
@@ -204,13 +205,64 @@ def test_full_factorization_product_checks_hold_broadly():
             assert flist.target == tgt
 
 
-def test_full_factorization_incomplete_is_flagged():
-    # With a tiny trial budget the composite piece Phi_10(15) = 31 * 1531
-    # survives undivided and fails the probable-prime test.
+def test_full_factorization_incomplete_is_flagged(monkeypatch):
+    # With a tiny trial budget and no rho steps the composite piece
+    # Phi_10(15) = 31 * 1531 survives undivided and fails the
+    # probable-prime test.
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 0)
     _split, flist = full_factorization(15, 1, trial_limit=10)
     assert not flist.complete
     assert (47461, 1) in flist.factors
     assert flist.product() == flist.target
+
+
+def test_full_factorization_rho_finishes_past_the_trial_limit():
+    # F- of 23^46 + 1 holds 1641281 * 1522029233, both past 10^6; the
+    # same piece is split by rho alone when trial division stops at 10.
+    for limit in (factorizer.TRIAL_LIMIT, 10):
+        _split, flist = full_factorization(23, 1, trial_limit=limit)
+        assert flist.complete and flist.product() == flist.target
+        assert (1641281, 1) in flist.factors
+        assert (1522029233, 1) in flist.factors
+
+
+def test_full_factorization_strips_common_primes_of_rational_m():
+    # At m = 2/3, X = p^2 * n = 60 and Y = q^2 = 9 share the prime 3, so
+    # Phi_10(X, Y) holds 3^4 although 3 does not divide 10.
+    target = 2**30 * 15**15 + 3**30
+    power = 0
+    while target % 3 ** (power + 1) == 0:
+        power += 1
+    _split, flist = full_factorization(15, Fraction(2, 3))
+    assert flist.complete and flist.product() == flist.target
+    assert (3, power) in flist.factors
+    assert all(_prime_by_trial(base) for base, _e in flist.factors)
+
+
+def test_full_factorization_separates_probable_primes():
+    # The 29 3 leftover lies between psi_12 and psi_13: proven prime.
+    _split, flist = full_factorization(29, 3)
+    assert flist.complete and flist.probable == ()
+    assert (405878031619175205677519, 1) in flist.factors
+    # Past 3.3 * 10^24 a base is only a probable prime.
+    _split, flist = full_factorization(23, Fraction(3, 2))
+    assert flist.complete
+    assert flist.probable == (15271241147628528180233497,)
+    assert (15271241147628528180233497, 1) in flist.factors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from(squarefree_range(2, 30)),
+    m=st.sampled_from([1, 2, 3, Fraction(2, 3), Fraction(3, 2)]),
+)
+def test_full_factorization_bases_pass_trial_division(n, m):
+    _split, flist = full_factorization(n, m)
+    assert flist.complete
+    assert flist.product() == flist.target == target_value(n, m)[0]
+    for base, _e in flist.factors:
+        if base < 10**12:
+            assert _prime_by_trial(base), (n, m, base)
 
 
 def test_full_factorization_rejects_a_split_off_by_one(monkeypatch):
@@ -291,15 +343,33 @@ def test_probable_prime_known_cases():
     for p in primes:
         assert is_probable_prime(p)
     composites = [0, 1, 4, 9, 91, 561, 3215031751, 2**61 + 1, 19231 * 142111]
+    # psi_12, the smallest strong pseudoprime to the twelve primes up to
+    # 37, is caught by the witness 41.
+    composites.append(318665857834031151167461)
     for c in composites:
         assert not is_probable_prime(c)
 
 
 def test_probable_prime_agrees_with_trial_division_small():
-    def naive(k):
-        if k < 2:
-            return False
-        return all(k % d for d in range(2, int(math.isqrt(k)) + 1))
-
     for k in range(0, 2000):
-        assert is_probable_prime(k) == naive(k)
+        assert is_probable_prime(k) == _prime_by_trial(k)
+
+
+# --- Brent's rho --------------------------------------------------------
+
+
+def test_rho_splits_primes_one_mod_62():
+    p, q = 1000001969, 3000000077
+    assert p % 62 == q % 62 == 1
+    assert _prime_by_trial(p) and _prime_by_trial(q)
+    budget = 1 << 16
+    divisor, steps = factorizer._brent_rho(p * q, 62, budget)
+    assert divisor in (p, q)
+    assert 0 < steps <= budget
+    assert factorizer._brent_rho(p * q, 62, 0) == (None, 0)
+
+
+def _prime_by_trial(k):
+    if k < 2:
+        return False
+    return all(k % d for d in range(2, math.isqrt(k) + 1))
