@@ -181,15 +181,15 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     m = Fraction(m)
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
-    _require_squarefree(n)
     x = m * m * n
     f_minus, f_plus = aurifeuillian_polys_eval(n, x)
-    f_val = f_poly(n).evaluate(x)
+    fn = f_poly(n)
+    f_val = fn.evaluate(x)
     if f_minus * f_plus != f_val:
         raise InternalInconsistency(
             f"split product mismatch at n={n}, m={m}"
         )
-    d = euler_phi(2 * n) // 2
+    d = fn.degree // 2
     scale = m.denominator ** (2 * d)
     int_minus = f_minus * scale
     int_plus = f_plus * scale

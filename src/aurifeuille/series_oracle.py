@@ -20,8 +20,14 @@ with the Dirichlet-series-like logarithms
     f_n(x) = sum_{j>=1} (j|n) x^j / j        (odd square-free n),
     g_n(x) = sum_{j>=0} (n|2j+1) x^(2j+1) / (2j+1).
 
-Expanded in even/odd powers of the hyperbolic argument, every coefficient
-is rational — the square roots never materialize — so the whole
+Both hyperbolic factors come from one pass: with exp(sqrt(t)*f/2) =
+U + sqrt(t)*V, differentiating gives the linear system
+
+    U' = (t/2) f' V,      V' = (1/2) f' U,      U(0) = 1, V(0) = 0,
+
+so U = cosh(sqrt(t)*f/2) and V = sinh(sqrt(t)*f/2)/sqrt(t) are built
+coefficient by coefficient in O(K^2) operations for order K.  Only t
+enters, never sqrt(t), so every coefficient is rational and the whole
 computation runs in exact `Fraction` arithmetic.  The half-integer powers
 of the C_n/D_n case are handled by working in y = sqrt(x): all series
 there are built to order 2K in y and the x-coefficients read off the even
@@ -38,9 +44,9 @@ from math import exp, sqrt
 from typing import Iterable, Union
 
 from .errors import BadConstantTerm, NonIntegralOracle, NotOddSquareFree
-from .numthy import _require_squarefree, is_squarefree, jacobi, make_context
+from .numthy import _require_squarefree, jacobi, make_context
 from .cyclotomic import f_poly, phi_moebius
-from .gauss import GaussPair
+from .gauss import GaussPair, _odd_context
 from .lucas import LucasPair, algorithm_l
 
 _Coeff = Union[int, Fraction]
@@ -142,10 +148,6 @@ class RationalSeries:
 
     __rmul__ = __mul__
 
-    def valuation_at_least(self, v: int) -> bool:
-        """True when the first v coefficients (x^0 .. x^(v-1)) vanish."""
-        return not any(self._coeffs[: min(v, self.order + 1)])
-
 
 def f_series(n: int, order: int) -> RationalSeries:
     """f_n truncated at `order`: coefficient of x^j is (j|n)/j, j >= 1."""
@@ -166,64 +168,56 @@ def g_series(n: int, order: int) -> RationalSeries:
     return RationalSeries(coeffs)
 
 
-def series_sqrt(series: RationalSeries, order: int | None = None) -> RationalSeries:
+def series_sqrt(series: RationalSeries) -> RationalSeries:
     """The square root with constant term 1, by the standard recurrence.
 
     Requires the input's constant term to be exactly 1
     (`BadConstantTerm` otherwise).
     """
-    if order is None:
-        order = series.order
-    c = series.truncate(order).coeffs
+    c = series.coeffs
     if c[0] != 1:
         raise BadConstantTerm(
             f"series sqrt needs constant term 1, got {c[0]}"
         )
     b = [Fraction(1)]
-    for k in range(1, order + 1):
-        acc = c[k] - sum(b[j] * b[k - j] for j in range(1, k))
+    for k in range(1, series.order + 1):
+        acc = c[k] - sum(
+            b[j] * b[k - j] for j in range(1, k) if b[j] and b[k - j]
+        )
         b.append(acc / 2)
     return RationalSeries(b)
 
 
 def series_exp_like(
-    f: RationalSeries,
-    t: _Coeff,
-    mode: str,
-    order: int | None = None,
-) -> RationalSeries:
-    """Hyperbolic series in a root scalar, kept rational.
+    f: RationalSeries, t: _Coeff
+) -> tuple[RationalSeries, RationalSeries]:
+    """The pair (U, V) with exp(sqrt(t)*f/2) = U + sqrt(t)*V.
 
-    With t the squared scalar (t = s*n or t = n; any sign), returns
+    U = cosh(sqrt(t)*f/2) and V = sinh(sqrt(t)*f/2)/sqrt(t) for any sign
+    of t (V = f/2 at t = 0).  Both are rational: they come from
+    U' = (t/2) f' V and V' = (1/2) f' U, coefficient by coefficient,
 
-      mode "cosh":           cosh(sqrt(t)*f/2)          = sum_k t^k f^(2k) / (4^k (2k)!)
-      mode "sinh_over_root": sinh(sqrt(t)*f/2)/sqrt(t)  = sum_k t^k f^(2k+1) / (2^(4k+?)...)
+        k U_k = t * sum_i i (f_i/2) V_(k-i),   k V_k = sum_i i (f_i/2) U_(k-i),
 
-    concretely sum_k t^k f^(2k+1) / (2^(2k+1) (2k+1)!).  Since only even
-    powers of sqrt(t) survive, every coefficient is rational.  `f` must
-    have zero constant term.
+    skipping the zero terms.  `f` must have zero constant term.
     """
-    if order is None:
-        order = f.order
-    f = f.truncate(order)
     if f[0] != 0:
         raise ValueError("series_exp_like needs a zero constant term")
-    tf2 = (f * f) * Fraction(t)
-    if mode == "cosh":
-        term = RationalSeries.one(order)
-        ratio = lambda k: Fraction(1, 4 * (2 * k - 1) * (2 * k))
-    elif mode == "sinh_over_root":
-        term = f * Fraction(1, 2)
-        ratio = lambda k: Fraction(1, 4 * (2 * k) * (2 * k + 1))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    acc = term
-    k = 0
-    while not term.is_zero():
-        k += 1
-        term = term * tf2 * ratio(k)
-        acc = acc + term
-    return acc
+    half_df = [(i, i * c / 2) for i, c in enumerate(f.coeffs) if c]
+    u = [Fraction(1)]
+    v = [Fraction(0)]
+    for k in range(1, f.order + 1):
+        su = sv = Fraction(0)
+        for i, h in half_df:
+            if i > k:
+                break
+            if v[k - i]:
+                su += h * v[k - i]
+            if u[k - i]:
+                sv += h * u[k - i]
+        u.append(t * su / k)
+        v.append(sv / k)
+    return RationalSeries(u), RationalSeries(v)
 
 
 def gauss_via_series(n: int) -> GaussPair:
@@ -235,19 +229,16 @@ def gauss_via_series(n: int) -> GaussPair:
     as-is; likewise for B.  All of them must be integers
     (`NonIntegralOracle` otherwise).
     """
-    if n <= 3 or n % 2 == 0 or not is_squarefree(n):
+    if n <= 3:
         raise NotOddSquareFree(
             f"gauss_via_series needs odd square-free n > 3, got {n}"
         )
-    ctx = make_context(n)
+    ctx = _odd_context(n)
     d = ctx.d_gauss
-    t = ctx.s * n
     root = series_sqrt(RationalSeries(phi_moebius(n).coeffs, order=d))
-    f = f_series(n, d)
-    a_series = 2 * (root * series_exp_like(f, t, "cosh"))
-    b_series = 2 * (root * series_exp_like(f, t, "sinh_over_root"))
-    alpha = _integer_coeffs(a_series, d, "A", n)
-    beta = _integer_coeffs(b_series, d, "B", n)
+    cosh, sinh_over_root = series_exp_like(f_series(n, d), ctx.s * n)
+    alpha = _integer_coeffs(2 * (root * cosh), 0, 1, "A", n)
+    beta = _integer_coeffs(2 * (root * sinh_over_root), 0, 1, "B", n)
     return GaussPair(n=n, s=ctx.s, alpha=alpha, beta=beta, d=d)
 
 
@@ -268,11 +259,9 @@ def lucas_via_series(n: int) -> LucasPair:
     for i in range(d + 1):
         spread[2 * i] = Fraction(fn.coefficient(i))
     root_f = series_sqrt(RationalSeries(spread))
-    two_g = 2 * g_series(n, order)
-    c_y = root_f * series_exp_like(two_g, n, "cosh")
-    d_y = root_f * series_exp_like(two_g, n, "sinh_over_root")
-    c_asc = _even_ints(c_y, d, odd_must_vanish=True, label="C", n=n)
-    d_asc = _odd_ints(d_y, d - 1, even_must_vanish=True, label="D", n=n)
+    cosh, sinh_over_root = series_exp_like(2 * g_series(n, order), n)
+    c_asc = _integer_coeffs(root_f * cosh, 0, 2, "C", n)
+    d_asc = _integer_coeffs(root_f * sinh_over_root, 1, 2, "D", n)
     return LucasPair(
         n=n,
         n_prime=ctx.n_prime,
@@ -316,52 +305,26 @@ def check_ratio_identity(
     return abs(lhs - rhs) <= tol * scale
 
 
-def _integer_coeffs(series, d, label, n):
+def _integer_coeffs(series, first, step, label, n):
+    """The coefficients at positions first, first + step, ... up to the
+    series order, as ints; every other position must vanish (a stray
+    parity in y)."""
+    kept = range(first, series.order + 1, step)
+    for j, c in enumerate(series.coeffs):
+        if c and j not in kept:
+            parity = "odd" if j % 2 else "even"
+            raise NonIntegralOracle(
+                f"{label}_{n}: stray {parity} power y^{j} = {c}"
+            )
     out = []
-    for j in range(d + 1):
+    for i, j in enumerate(kept):
         c = series[j]
         if c.denominator != 1:
             raise NonIntegralOracle(
-                f"{label}_{n}: coefficient of x^{j} is non-integer {c}"
+                f"{label}_{n}: coefficient of x^{i} is non-integer {c}"
             )
         out.append(int(c))
     return tuple(out)
-
-
-def _even_ints(series, top, odd_must_vanish, label, n):
-    if odd_must_vanish:
-        for j in range(1, series.order + 1, 2):
-            if series[j]:
-                raise NonIntegralOracle(
-                    f"{label}_{n}: stray odd power y^{j} = {series[j]}"
-                )
-    out = []
-    for i in range(top + 1):
-        c = series[2 * i]
-        if c.denominator != 1:
-            raise NonIntegralOracle(
-                f"{label}_{n}: coefficient of x^{i} is non-integer {c}"
-            )
-        out.append(int(c))
-    return out
-
-
-def _odd_ints(series, top, even_must_vanish, label, n):
-    if even_must_vanish:
-        for j in range(0, series.order + 1, 2):
-            if series[j]:
-                raise NonIntegralOracle(
-                    f"{label}_{n}: stray even power y^{j} = {series[j]}"
-                )
-    out = []
-    for i in range(top + 1):
-        c = series[2 * i + 1]
-        if c.denominator != 1:
-            raise NonIntegralOracle(
-                f"{label}_{n}: coefficient of x^{i} is non-integer {c}"
-            )
-        out.append(int(c))
-    return out
 
 
 __all__ = [

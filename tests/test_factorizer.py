@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import aurifeuille.cyclotomic as cyclotomic
 import aurifeuille.factorizer as factorizer
+import aurifeuille.numthy as numthy
 from aurifeuille.errors import (
     InternalInconsistency,
     NegativeTarget,
@@ -113,6 +114,14 @@ def test_rounding_builds_f_poly_once(monkeypatch):
 
 
 # --- exact polynomial route ---------------------------------------------
+
+
+def test_polynomials_factor_n_once_per_use(monkeypatch):
+    # algorithm_l and f_poly factor n once each; f_poly's phi_moebius
+    # factors n and its divisors 5, 3 and 1.
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    assert factor_by_polynomials(15, 1).F_minus == 19231
+    assert len(calls) == 6
 
 
 def test_polynomials_integer_points():
@@ -251,7 +260,7 @@ def test_full_factorization_separates_probable_primes():
     assert (15271241147628528180233497, 1) in flist.factors
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     n=st.sampled_from(squarefree_range(2, 30)),
     m=st.sampled_from([1, 2, 3, Fraction(2, 3), Fraction(3, 2)]),

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import aurifeuille.numthy as numthy
+import aurifeuille.series_oracle as series_oracle
 from aurifeuille.cyclotomic import cyclotomic_power_sums, phi_moebius
 from aurifeuille.errors import (
     BadConstantTerm,
+    NonIntegralOracle,
     NotOddSquareFree,
     NotSquareFree,
 )
@@ -25,6 +29,7 @@ from aurifeuille.series_oracle import (
     series_sqrt,
 )
 
+from _counting import count_calls
 from _oracles import squarefree_range
 
 
@@ -92,13 +97,6 @@ def test_arithmetic_takes_min_order():
     assert (b * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
 
 
-def test_valuation():
-    s = RationalSeries([0, 0, 5, 1])
-    assert s.valuation_at_least(2)
-    assert not s.valuation_at_least(3)
-    assert RationalSeries.zero(4).valuation_at_least(99)
-
-
 # --- sqrt and hyperbolic expansions -------------------------------------
 
 
@@ -129,39 +127,34 @@ def test_sqrt_rejects_bad_constant():
 
 
 def test_exp_like_matches_plain_exponential():
-    # With t = 1 the two modes are cosh(f/2) and sinh(f/2) literally;
-    # with t = 4 they are cosh(f) and sinh(f)/2.  Compare against an
-    # independent term-by-term exponential.
+    # With t = 1 the pair is (cosh(f/2), sinh(f/2)) literally; with t = 4
+    # it is (cosh(f), sinh(f)/2).  Compare against an independent
+    # term-by-term exponential.
     rng = random.Random(2718)
     for _ in range(10):
         f = rand_series(rng, rng.randrange(2, 10), zero_constant=True)
         half = f * Fraction(1, 2)
         ch = (series_exp(half) + series_exp(-half)) * Fraction(1, 2)
         sh = (series_exp(half) - series_exp(-half)) * Fraction(1, 2)
-        assert series_exp_like(f, 1, "cosh") == ch
-        assert series_exp_like(f, 1, "sinh_over_root") == sh
+        assert series_exp_like(f, 1) == (ch, sh)
         full_ch = (series_exp(f) + series_exp(-f)) * Fraction(1, 2)
         full_sh = (series_exp(f) - series_exp(-f)) * Fraction(1, 2)
-        assert series_exp_like(f, 4, "cosh") == full_ch
-        assert series_exp_like(f, 4, "sinh_over_root") == full_sh * Fraction(1, 2)
+        assert series_exp_like(f, 4) == (full_ch, full_sh * Fraction(1, 2))
 
 
 def test_exp_like_hyperbolic_pythagoras():
-    # cosh(u)^2 - sinh(u)^2 = 1 with u = sqrt(t)*f/2, so
-    # cosh^2 - t * sinh_over_root^2 = 1 for every sign of t.
+    # cosh(u)^2 - sinh(u)^2 = 1 with u = sqrt(t)*f/2, so U^2 - t*V^2 = 1
+    # for the pair (U, V) = (cosh(u), sinh(u)/sqrt(t)) and every sign of t.
     rng = random.Random(577)
     for t in (1, 4, -3, 15, Fraction(2, 3), -7):
         f = rand_series(rng, 8, zero_constant=True)
-        ch = series_exp_like(f, t, "cosh")
-        sr = series_exp_like(f, t, "sinh_over_root")
+        ch, sr = series_exp_like(f, t)
         assert ch * ch - Fraction(t) * (sr * sr) == RationalSeries.one(8)
 
 
 def test_exp_like_rejections():
     with pytest.raises(ValueError):
-        series_exp_like(RationalSeries([1, 1]), 1, "cosh")
-    with pytest.raises(ValueError):
-        series_exp_like(RationalSeries([0, 1]), 1, "tanh")
+        series_exp_like(RationalSeries([1, 1]), 1)
 
 
 def test_generating_identity_for_cyclotomics():
@@ -237,15 +230,51 @@ def test_series_inputs_validated():
 
 
 def test_gauss_series_route_equals_recurrence():
-    for n in squarefree_range(5, 62):
+    for n in squarefree_range(5, 120):
         if n % 2 == 0:
             continue
         assert gauss_via_series(n) == algorithm_d(n)
 
 
 def test_lucas_series_route_equals_recurrence():
-    for n in squarefree_range(2, 62):
+    for n in squarefree_range(2, 120):
         assert lucas_via_series(n) == algorithm_l(n)
+
+
+@settings(max_examples=10)
+@given(n=st.sampled_from(squarefree_range(2, 301)))
+def test_series_routes_equal_recurrences_up_to_301(n):
+    assert lucas_via_series(n) == algorithm_l(n)
+    if n % 2 and n > 3:
+        assert gauss_via_series(n) == algorithm_d(n)
+
+
+def test_gauss_series_route_factorization_count(monkeypatch):
+    # make_context and f_series factor n once each; phi_moebius factors
+    # n and its divisors 5, 3 and 1.
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    gauss_via_series(15)
+    assert len(calls) == 6
+
+
+def test_series_route_rejects_stray_and_fractional_coefficients(monkeypatch):
+    true_exp_like = series_oracle.series_exp_like
+
+    def stray_constant(f, t):
+        u, v = true_exp_like(f, t)
+        return u, v + RationalSeries([1], order=v.order)
+
+    monkeypatch.setattr(series_oracle, "series_exp_like", stray_constant)
+    with pytest.raises(NonIntegralOracle, match=r"D_15: stray even power y\^0"):
+        lucas_via_series(15)
+
+    def quarter_at_x2(f, t):
+        u, v = true_exp_like(f, t)
+        return u + RationalSeries([0, 0, Fraction(1, 4)], order=u.order), v
+
+    monkeypatch.setattr(series_oracle, "series_exp_like", quarter_at_x2)
+    with pytest.raises(NonIntegralOracle, match=r"A_15: coefficient of x\^2 "):
+        gauss_via_series(15)
 
 
 def test_series_route_rejections():
