@@ -10,10 +10,8 @@ from .errors import (
     BadConstantTerm,
     BadRadius,
     BadResidueClass,
-    InexactDivision,
     InternalInconsistency,
     NegativeTarget,
-    NonIntegerCoefficient,
     NonIntegerStep,
     NonIntegralOracle,
     NotAurifeuillianPoint,
@@ -35,17 +33,8 @@ from .numthy import (
     make_context,
     moebius,
 )
-from .poly import IntPolynomial, symmetry_class
-from .cyclotomic import (
-    f_poly,
-    fn_bound,
-    newton_from_power_sums,
-    phi_bound,
-    phi_moebius,
-    phi_newton,
-    phi_recursive,
-    ramanujan_sum,
-)
+from .poly import IntPolynomial
+from .cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
 from .gauss import GaussPair, algorithm_d, gauss_power_parts, verify_gauss
 from .lucas import (
     LucasPair,

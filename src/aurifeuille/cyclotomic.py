@@ -1,16 +1,18 @@
-"""Cyclotomic polynomials Phi_n and the closely related F_n, by several
-independent routes, plus the growth bounds used to justify rounding.
+"""Cyclotomic polynomials Phi_n and the closely related F_n, plus the
+growth bounds used to justify rounding.
 
-Routes to Phi_n:
+`phi_moebius` builds Phi_n in place from the primes of n, after Arnold &
+Monagan, *Calculating cyclotomic polynomials* (Math. Comp. 2011).  For
+n > 1,
 
-  * `phi_moebius`  — Moebius inversion of prod_{d|n} Phi_d = x^n - 1,
-    i.e. Phi_n = prod_{d|n} (x^d - 1)^{mu(n/d)}, done as one numerator
-    product, one denominator product, and a single exact division.
-  * `phi_recursive` — for square-free n, repeated use of
-    Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x) starting from Phi_1 = x - 1.
-  * Newton's identities — `newton_from_power_sums` rebuilds the monic
-    polynomial whose root power sums are given; for Phi_n those power sums
-    are the Ramanujan sums `ramanujan_sum(n, k)`.
+    Phi_n(x) = prod_{e | rad n} (1 - x^(n/e))^mu(e),
+
+and since Phi_n has degree phi(n) the product can be taken modulo
+x^(phi(n)+1), on one list of phi(n)+1 integers.  Multiplying by
+1 - x^k is one descending pass of running differences, a[i] -= a[i-k];
+dividing by it, i.e. multiplying by 1 + x^k + x^(2k) + ..., is one
+ascending pass of running sums, a[i] += a[i-k].  There are no
+polynomial products and no division, and n is factored once.
 
 F_n is the "reciprocal-root twin" whose factor pair C_n, D_n exists for
 every square-free n:
@@ -19,134 +21,53 @@ every square-free n:
     F_n(x) = (-1)^phi(n/2) * Phi_{n/2}(-x^2)   for even n,
 
 with s = -1 for n = 3 (mod 4) and +1 otherwise.  For square-free n this
-equals Phi_{n'}.
+equals Phi_{n'}, with n' = n for n = 1 (mod 4) and 2n otherwise, and
+that is how `f_poly` builds it.
 """
 
 from __future__ import annotations
 
 from math import exp
-from typing import Sequence
 
-from .errors import BadRadius, NonIntegerCoefficient
-from .numthy import (
-    _require_squarefree,
-    divisors,
-    euler_phi,
-    factorize,
-    gcd,
-    moebius,
-)
+from .errors import BadRadius
+from .numthy import _require_squarefree, euler_phi, factorize
 from .poly import IntPolynomial
 
 
 def phi_moebius(n: int) -> IntPolynomial:
-    """Phi_n via the Moebius product over divisors; works for every n >= 1.
+    """Phi_n for every n >= 1, built in place from the primes of n.
 
-    Builds prod (x^d - 1) over divisors with mu(n/d) = +1, the same with
-    mu(n/d) = -1, and performs one exact division at the end.
+    Starts from 1 and applies each factor (1 - x^(n/e))^mu(e), e | rad n,
+    modulo x^(phi(n)+1).  The multiplications come first, so every
+    intermediate list is a truncated polynomial Phi_n * prod (1 - x^k)
+    with small coefficients, never a power series like 1 / (1 - x^k).
     """
     if n < 1:
         raise ValueError(f"phi_moebius needs n >= 1, got {n}")
-    num = IntPolynomial([1])
-    den = IntPolynomial([1])
-    for d in divisors(n):
-        mu = moebius(n // d)
-        if mu == 0:
-            continue
-        factor = IntPolynomial([-1] + [0] * (d - 1) + [1])  # x^d - 1
-        if mu > 0:
-            num = num * factor
-        else:
-            den = den * factor
-    return num.exact_div(den)
-
-
-def phi_recursive(n: int) -> IntPolynomial:
-    """Phi_n for square-free n >= 1 by prime-at-a-time recursion."""
-    if n < 1:
-        raise ValueError(f"phi_recursive needs n >= 1, got {n}")
-    if n > 1:
-        _require_squarefree(n)
-    poly = IntPolynomial([-1, 1])  # x - 1
-    for p, _ in factorize(n):
-        poly = poly.compose_power(p).exact_div(poly)
-    return poly
-
-
-def ramanujan_sum(n: int, k: int) -> int:
-    """Ramanujan's sum c_n(k): the sum of k-th powers of the primitive n-th
-    roots of unity, evaluated in closed form.
-
-    With g = gcd(k, n): c_n(k) = mu(n/g) * phi(n) / phi(n/g).  These are
-    exactly the power sums of the roots of Phi_n.
-    """
-    if n < 1:
-        raise ValueError(f"ramanujan_sum needs n >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"ramanujan_sum needs k >= 1, got {k}")
-    g = gcd(k, n)
-    mu = moebius(n // g)
-    if mu == 0:
-        return 0
-    return mu * euler_phi(n) // euler_phi(n // g)
-
-
-def cyclotomic_power_sums(n: int, count: int | None = None) -> list[int]:
-    """The first `count` power sums of the roots of Phi_n (default phi(n))."""
-    if count is None:
-        count = euler_phi(n)
-    return [ramanujan_sum(n, k) for k in range(1, count + 1)]
-
-
-def newton_from_power_sums(power_sums: Sequence[int], d: int) -> IntPolynomial:
-    """Monic degree-d integer polynomial from the power sums of its roots.
-
-    Writing P = sum_{j=0..d} a_j x^(d-j) with a_0 = 1, Newton's identities
-    give k*a_k = -sum_{j=0}^{k-1} p_{k-j} * a_j, where p_i is the i-th
-    power sum (``power_sums[i-1]``).  Every division by k must be exact;
-    otherwise no such integer polynomial exists and
-    `NonIntegerCoefficient` is raised.
-    """
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
-    if len(power_sums) < d:
-        raise ValueError(
-            f"need at least {d} power sums, got {len(power_sums)}"
-        )
-    a = [1]
-    for k in range(1, d + 1):
-        acc = sum(power_sums[k - j - 1] * a[j] for j in range(k))
-        if acc % k:
-            raise NonIntegerCoefficient(
-                f"step k={k}: sum {acc} not divisible by k"
-            )
-        a.append(-(acc // k))
-    return IntPolynomial(reversed(a))
-
-
-def phi_newton(n: int) -> IntPolynomial:
-    """Phi_n rebuilt from its Ramanujan-sum power sums via Newton's identities."""
-    d = euler_phi(n) if n > 1 else 1
     if n == 1:
         return IntPolynomial([-1, 1])
-    return newton_from_power_sums(cyclotomic_power_sums(n, d), d)
+    degree = n
+    squarefree_divisors = [(1, 1)]  # (e, mu(e)) over e | rad n
+    for p, _ in factorize(n):
+        degree -= degree // p
+        squarefree_divisors += [(e * p, -mu) for e, mu in squarefree_divisors]
+    a = [1] + [0] * degree
+    for e, mu in sorted(squarefree_divisors, key=lambda pair: -pair[1]):
+        k = n // e
+        if mu > 0:  # times 1 - x^k
+            for i in range(degree, k - 1, -1):
+                a[i] -= a[i - k]
+        else:  # divided by 1 - x^k
+            for i in range(k, degree + 1):
+                a[i] += a[i - k]
+    return IntPolynomial(a)
 
 
 def f_poly(n: int) -> IntPolynomial:
-    """The degree-phi(2n) polynomial F_n for square-free n >= 2.
-
-    F_n(x) = Phi_n(s*x) for odd n and (-1)^phi(n/2) * Phi_{n/2}(-x^2) for
-    even n; the sign makes F_n monic (it only bites for n = 2, where
-    F_2 = x^2 + 1).
-    """
+    """The degree-phi(2n) polynomial F_n for square-free n >= 2, as
+    Phi_{n'} with n' = n for n = 1 (mod 4) and 2n otherwise."""
     _require_squarefree(n)
-    if n % 2:
-        phi = phi_moebius(n)
-        return phi if n % 4 == 1 else phi.negate_arg()
-    half = phi_moebius(n // 2).negate_arg().compose_power(2)  # Phi_{n/2}(-x^2)
-    if euler_phi(n // 2) % 2:
-        half = -half
-    return half
+    return phi_moebius(n if n % 4 == 1 else 2 * n)
 
 
 def phi_bound(n: int, radius: float) -> float:
@@ -167,13 +88,8 @@ def fn_bound(n: int, radius: float) -> float:
 
 
 __all__ = [
-    "cyclotomic_power_sums",
     "f_poly",
     "fn_bound",
-    "newton_from_power_sums",
     "phi_bound",
     "phi_moebius",
-    "phi_newton",
-    "phi_recursive",
-    "ramanujan_sum",
 ]

@@ -34,16 +34,6 @@ class InternalInconsistency(AurifeuilleError):
     """A cross-check that should hold by construction failed; likely a bug."""
 
 
-class InexactDivision(AurifeuilleError):
-    """Polynomial division left a remainder (or needed fractional coefficients)."""
-
-
-class NonIntegerCoefficient(AurifeuilleError):
-    """A Newton-identity step did not divide exactly, so the coefficients
-    are not integers; the supplied power sums cannot come from a monic
-    integer polynomial."""
-
-
 class NonIntegerStep(AurifeuilleError):
     """A recurrence step whose exact divisibility is guaranteed by theory
     failed to divide; indicates corrupted inputs or an implementation bug."""

@@ -251,7 +251,8 @@ def full_factorization(
     indices = _cyclotomic_indices(n)
     pieces = []
     for e in indices[:-1]:
-        val = phi_moebius(e).evaluate(x) * q ** (2 * euler_phi(e))
+        phi = phi_moebius(e)
+        val = phi.evaluate(x) * q ** (2 * phi.degree)
         if val.denominator != 1:
             raise InternalInconsistency(
                 f"piece Phi_{e} did not clear denominators at n={n}, m={m}"

@@ -2,7 +2,9 @@
 symbol, and the small derived quantities the factor-pair algorithms need.
 
 Everything is exact integer arithmetic.  Factoring is plain trial division,
-which is ample for the desk-scale n this library targets (a few hundred).
+which is ample: any n this library handles is small enough to list the
+phi(n) + 1 coefficients of Phi_n (tens of thousands, e.g. n = 30030), so
+its sqrt(n) trial divisors cost nothing beside them.
 
 Conventions used throughout the package, all attached to a square-free
 n >= 2 by `make_context`:

@@ -5,19 +5,17 @@ normalized so the last stored coefficient is nonzero; the zero polynomial
 stores an empty tuple.  Printing follows the usual descending convention,
 e.g. ``x^4 + 8*x^3 + 13*x^2 + 8*x + 1``.
 
-All arithmetic is exact.  Division is available only as `exact_div`, which
-insists the quotient exist over the integers and raises `InexactDivision`
-otherwise — nothing in this library ever wants a remainder.  Evaluation is
-plain Horner and is exact for int and `fractions.Fraction` arguments (and
-works fine with floats or complex numbers when approximation is wanted).
+All arithmetic is exact: addition, subtraction and multiplication, with
+no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
+identity checks only multiply.  Evaluation is plain Horner and is exact
+for int and `fractions.Fraction` arguments (and works fine with floats or
+complex numbers when approximation is wanted).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
-
-from .errors import InexactDivision
 
 Scalar = Union[int, Fraction, float, complex]
 
@@ -40,13 +38,6 @@ class IntPolynomial:
     def from_descending(cls, coeffs: Iterable[int]) -> "IntPolynomial":
         """Build from leading-first coefficients, as formulas are written."""
         return cls(reversed(list(coeffs)))
-
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "IntPolynomial":
-        """The polynomial c * x^k."""
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * k + [c])
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -128,61 +119,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient self / other over the integers.
-
-        Classical long division; raises `InexactDivision` if any step
-        needs a fractional coefficient or a nonzero remainder survives.
-        """
-        if not isinstance(other, IntPolynomial):
-            raise TypeError("exact_div expects an IntPolynomial divisor")
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return IntPolynomial()
-        if self.degree < other.degree:
-            raise InexactDivision(
-                f"degree {self.degree} < divisor degree {other.degree}"
-            )
-        rem = list(self._coeffs)
-        lead = other.leading
-        dq = self.degree - other.degree
-        quot = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree]
-            if c == 0:
-                continue
-            if c % lead:
-                raise InexactDivision(
-                    f"coefficient {c} not divisible by leading {lead}"
-                )
-            t = c // lead
-            quot[i] = t
-            for j, oc in enumerate(other._coeffs):
-                rem[i + j] -= t * oc
-        if any(rem):
-            raise InexactDivision("nonzero remainder")
-        return IntPolynomial(quot)
-
-    __floordiv__ = exact_div
-
-    def compose_power(self, k: int) -> "IntPolynomial":
-        """P(x^k) for k >= 1."""
-        if k < 1:
-            raise ValueError(f"compose_power needs k >= 1, got {k}")
-        if k == 1 or not self:
-            return self
-        out = [0] * (k * self.degree + 1)
-        for j, c in enumerate(self._coeffs):
-            out[k * j] = c
-        return IntPolynomial(out)
-
-    def negate_arg(self) -> "IntPolynomial":
-        """P(-x)."""
-        return IntPolynomial(
-            -c if j % 2 else c for j, c in enumerate(self._coeffs)
-        )
-
     def evaluate(self, x: Scalar) -> Scalar:
         """Horner evaluation; exact for int and Fraction arguments."""
         acc = x * 0
@@ -226,12 +162,6 @@ class IntPolynomial:
             "coeffs": [str(c) for c in self._coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IntPolynomial":
-        if data.get("order") != "ascending":
-            raise ValueError("polynomial JSON must declare ascending order")
-        return cls(int(c) for c in data["coeffs"])
-
 
 def _coerce(value) -> IntPolynomial | None:
     if isinstance(value, IntPolynomial):
@@ -241,20 +171,4 @@ def _coerce(value) -> IntPolynomial | None:
     return None
 
 
-def symmetry_class(p: IntPolynomial) -> str:
-    """Classify coefficient reversal: how P relates to x^deg * P(1/x).
-
-    Returns ``"palindromic"`` when the ascending coefficient tuple is its
-    own reverse, ``"antipalindromic"`` when it is the negated reverse, and
-    ``"neither"`` otherwise.  The zero polynomial counts as palindromic.
-    """
-    cs = p.coeffs
-    rev = cs[::-1]
-    if cs == rev:
-        return "palindromic"
-    if all(a == -b for a, b in zip(cs, rev)):
-        return "antipalindromic"
-    return "neither"
-
-
-__all__ = ["Fraction", "IntPolynomial", "Scalar", "symmetry_class"]
+__all__ = ["Fraction", "IntPolynomial", "Scalar"]

@@ -55,10 +55,10 @@ _Coeff = Union[int, Fraction]
 class RationalSeries:
     """A power series over Q truncated at a fixed order K.
 
-    Stores exactly K+1 coefficients (constant term first).  Arithmetic
-    keeps track of truncation: the result of combining two series has the
-    smaller of the two orders, and nothing ever extends an order
-    implicitly.
+    Stores exactly K+1 coefficients (constant term first).  The only
+    arithmetic is the product, which keeps track of truncation: the
+    product of two series has the smaller of the two orders, and nothing
+    ever extends an order implicitly.
     """
 
     __slots__ = ("_coeffs",)
@@ -73,14 +73,6 @@ class RationalSeries:
         elif not cs:
             raise ValueError("empty series needs an explicit order")
         object.__setattr__(self, "_coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "RationalSeries":
-        return cls([], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "RationalSeries":
-        return cls([1], order=order)
 
     @property
     def order(self) -> int:
@@ -103,32 +95,6 @@ class RationalSeries:
 
     def __repr__(self) -> str:
         return f"RationalSeries({list(self._coeffs)!r})"
-
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
-    def truncate(self, order: int) -> "RationalSeries":
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend a series of order {self.order} to {order}"
-            )
-        return RationalSeries(self._coeffs[: order + 1])
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries([-c for c in self._coeffs])
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        k = min(self.order, other.order)
-        return RationalSeries(
-            [self._coeffs[j] + other._coeffs[j] for j in range(k + 1)]
-        )
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "RationalSeries | int | Fraction"):
         if isinstance(other, (int, Fraction)):

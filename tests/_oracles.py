@@ -2,15 +2,24 @@
 
 These deliberately avoid the library's own closed forms: roots of unity
 are multiplied out in complex floating point, characters are checked
-against quadratic residues, and so on.  They are only trusted at small
-sizes where float error cannot reach 0.5.
+against quadratic residues, and so on.  The floating-point ones are only
+trusted at small sizes where float error cannot reach 0.5.
+
+The reference routes to Phi_n live here too, each independent of the
+library's in-place build: prime-at-a-time recursion through exact long
+division, Newton's identities on the Ramanujan sums, the defining
+substitution for F_n, and the Moebius product of x^d - 1 evaluated
+modulo a prime.  They raise `ArithmeticError` where an exact step fails.
 """
 
 import cmath
 from math import gcd
 
-from aurifeuille.numthy import is_squarefree
+from aurifeuille.errors import NotSquareFree
+from aurifeuille.numthy import euler_phi, factorize, is_squarefree, moebius
 from aurifeuille.poly import IntPolynomial
+
+MERSENNE_61 = 2**61 - 1
 
 
 def squarefree_range(lo, hi, parity=None):
@@ -62,3 +71,170 @@ def ramanujan_by_roots(n, k):
 def quadratic_residues(p):
     """The set of nonzero quadratic residues modulo p."""
     return {(a * a) % p for a in range(1, p)} - {0}
+
+
+# --- polynomial helpers the library does not need ---------------------
+
+
+def monomial(k, c=1):
+    """The polynomial c * x^k."""
+    if k < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    return IntPolynomial([0] * k + [c])
+
+
+def compose_power(p, k):
+    """P(x^k) for k >= 1."""
+    if k < 1:
+        raise ValueError(f"compose_power needs k >= 1, got {k}")
+    if k == 1 or not p:
+        return p
+    out = [0] * (k * p.degree + 1)
+    for j, c in enumerate(p.coeffs):
+        out[k * j] = c
+    return IntPolynomial(out)
+
+
+def negate_arg(p):
+    """P(-x)."""
+    return IntPolynomial(-c if j % 2 else c for j, c in enumerate(p.coeffs))
+
+
+def exact_div(num, den):
+    """num / den over the integers by classical long division; raises
+    `ArithmeticError` on a fractional step or a nonzero remainder."""
+    if not isinstance(den, IntPolynomial):
+        raise TypeError("exact_div expects an IntPolynomial divisor")
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not num:
+        return IntPolynomial()
+    if num.degree < den.degree:
+        raise ArithmeticError(f"degree {num.degree} < divisor degree {den.degree}")
+    rem = list(num.coeffs)
+    lead = den.leading
+    quot = [0] * (num.degree - den.degree + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + den.degree]
+        if c == 0:
+            continue
+        if c % lead:
+            raise ArithmeticError(f"coefficient {c} not divisible by leading {lead}")
+        quot[i] = c // lead
+        for j, dc in enumerate(den.coeffs):
+            rem[i + j] -= quot[i] * dc
+    if any(rem):
+        raise ArithmeticError("nonzero remainder")
+    return IntPolynomial(quot)
+
+
+def symmetry_class(p):
+    """"palindromic" when the coefficients read the same reversed,
+    "antipalindromic" when reversal negates them, else "neither"; the
+    zero polynomial counts as palindromic."""
+    cs = p.coeffs
+    rev = cs[::-1]
+    if cs == rev:
+        return "palindromic"
+    if all(a == -b for a, b in zip(cs, rev)):
+        return "antipalindromic"
+    return "neither"
+
+
+# --- reference routes to Phi_n and F_n --------------------------------
+
+
+def phi_recursive(n):
+    """Phi_n for square-free n >= 1 by Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x),
+    starting from Phi_1 = x - 1."""
+    if n < 1:
+        raise ValueError(f"phi_recursive needs n >= 1, got {n}")
+    if not is_squarefree(n):
+        raise NotSquareFree(f"n must be square-free, got {n}")
+    poly = IntPolynomial([-1, 1])
+    for p, _ in factorize(n):
+        poly = exact_div(compose_power(poly, p), poly)
+    return poly
+
+
+def ramanujan_sum(n, k):
+    """Ramanujan's sum c_n(k) = mu(n/g) * phi(n) / phi(n/g), g = gcd(k, n):
+    the sum of k-th powers of the primitive n-th roots of unity."""
+    if n < 1:
+        raise ValueError(f"ramanujan_sum needs n >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"ramanujan_sum needs k >= 1, got {k}")
+    g = gcd(k, n)
+    return moebius(n // g) * euler_phi(n) // euler_phi(n // g)
+
+
+def cyclotomic_power_sums(n, count=None):
+    """The first `count` power sums of the roots of Phi_n (default phi(n))."""
+    if count is None:
+        count = euler_phi(n)
+    return [ramanujan_sum(n, k) for k in range(1, count + 1)]
+
+
+def newton_from_power_sums(power_sums, d):
+    """Monic degree-d integer polynomial from the power sums of its roots.
+
+    With P = sum_j a_j x^(d-j), a_0 = 1, Newton's identities give
+    k*a_k = -sum_{j<k} p_{k-j} * a_j; a division by k that is not exact
+    raises `ArithmeticError`.
+    """
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    if len(power_sums) < d:
+        raise ValueError(f"need at least {d} power sums, got {len(power_sums)}")
+    a = [1]
+    for k in range(1, d + 1):
+        acc = sum(power_sums[k - j - 1] * a[j] for j in range(k))
+        if acc % k:
+            raise ArithmeticError(f"step k={k}: sum {acc} not divisible by k")
+        a.append(-(acc // k))
+    return IntPolynomial(reversed(a))
+
+
+def phi_newton(n):
+    """Phi_n rebuilt from its Ramanujan-sum power sums by Newton's identities."""
+    if n == 1:
+        return IntPolynomial([-1, 1])
+    d = euler_phi(n)
+    return newton_from_power_sums(cyclotomic_power_sums(n, d), d)
+
+
+def f_by_substitution(n):
+    """F_n for square-free n from its definition on `phi_recursive`:
+    Phi_n(s*x) for odd n (s = -1 when n = 3 mod 4), and
+    (-1)^phi(n/2) * Phi_{n/2}(-x^2) for even n."""
+    if n % 2:
+        p = phi_recursive(n)
+        return p if n % 4 == 1 else negate_arg(p)
+    half = compose_power(negate_arg(phi_recursive(n // 2)), 2)
+    return -half if euler_phi(n // 2) % 2 else half
+
+
+def phi_value_mod(n, x, modulus=MERSENNE_61):
+    """Phi_n(x) mod a prime from prod_{d | n} (x^d - 1)^mu(n/d), the
+    divisors found by trial division; None when some x^d = 1."""
+    value = 1
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = moebius(n // d)
+        if mu == 0:
+            continue
+        term = (pow(x, d, modulus) - 1) % modulus
+        if term == 0:
+            return None
+        value = value * (term if mu > 0 else pow(term, -1, modulus)) % modulus
+    return value
+
+
+def value_mod(p, x, modulus=MERSENNE_61):
+    """P(x) mod `modulus` by Horner."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
+

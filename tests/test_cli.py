@@ -34,6 +34,12 @@ def test_phi_json(capsys):
     }
 
 
+def test_phi_json_many_primes(capsys):
+    code, out, _ = run(capsys, "phi", "15015", "--json")
+    assert code == 0
+    assert len(json.loads(out)["phi"]["coeffs"]) == 5761  # phi(15015) + 1
+
+
 def test_gauss_text(capsys):
     code, out, _ = run(capsys, "gauss", "15")
     assert code == 0

@@ -1,27 +1,40 @@
-"""Cyclotomic polynomials, Ramanujan sums, F_n and the growth bounds."""
+"""Cyclotomic polynomials, Ramanujan sums, F_n and the growth bounds.
+
+`phi_moebius` is checked against the reference routes in `_oracles`:
+complex roots, prime-at-a-time recursion, Newton's identities, and the
+Moebius product of x^d - 1 evaluated modulo 2^61 - 1.
+"""
 
 import cmath
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aurifeuille.cyclotomic import (
-    cyclotomic_power_sums,
-    f_poly,
-    fn_bound,
-    newton_from_power_sums,
-    phi_bound,
-    phi_moebius,
-    phi_newton,
-    phi_recursive,
-    ramanujan_sum,
-)
-from aurifeuille.errors import BadRadius, NonIntegerCoefficient, NotSquareFree
+import aurifeuille.numthy as numthy
+from aurifeuille.cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
+from aurifeuille.errors import BadRadius, NotSquareFree
 from aurifeuille.numthy import euler_phi
 from aurifeuille.poly import IntPolynomial
 
-from _oracles import cyclotomic_by_roots, ramanujan_by_roots, squarefree_range
+from _counting import count_calls
+from _oracles import (
+    MERSENNE_61,
+    cyclotomic_by_roots,
+    cyclotomic_power_sums,
+    f_by_substitution,
+    monomial,
+    newton_from_power_sums,
+    phi_newton,
+    phi_recursive,
+    phi_value_mod,
+    ramanujan_by_roots,
+    ramanujan_sum,
+    squarefree_range,
+    symmetry_class,
+    value_mod,
+)
 
 
 KNOWN_PHI = {
@@ -61,7 +74,7 @@ def test_phi_divisor_product_is_x_pow_n_minus_1():
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * phi_moebius(d)
-        assert prod == IntPolynomial([-1] + [0] * (n - 1) + [1])
+        assert prod == monomial(n) - 1
 
 
 def test_phi_recursive_matches_moebius():
@@ -75,6 +88,50 @@ def test_phi_newton_matches_moebius():
     # phi_newton works for all n, not just square-free ones.
     for n in range(1, 90):
         assert phi_newton(n) == phi_moebius(n)
+
+
+def _assert_matches_divisor_product(n, p, seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        x = rng.randrange(2, MERSENNE_61 - 1)
+        expected = phi_value_mod(n, x)
+        if expected is not None:
+            assert value_mod(p, x) == expected, (n, x)
+
+
+@pytest.mark.parametrize("n", [15015, 30030])
+def test_phi_in_place_at_many_primes(n):
+    p = phi_moebius(n)
+    assert p.degree == euler_phi(n)
+    assert p.is_monic()
+    assert symmetry_class(p) == "palindromic"
+    _assert_matches_divisor_product(n, p, seed=n)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(min_value=1, max_value=3000))
+def test_phi_matches_divisor_product_mod_prime(n):
+    # Every n, square-free or not: the in-place build against the Moebius
+    # product of x^d - 1 at seeded points modulo 2^61 - 1.
+    _assert_matches_divisor_product(n, phi_moebius(n), seed=n)
+
+
+def test_phi_factors_n_once_and_multiplies_nothing(monkeypatch):
+    factorizations = count_calls(monkeypatch, numthy, "factorize")
+    products = []
+    true_mul = IntPolynomial.__mul__
+
+    def counted_mul(self, other):
+        products.append((self, other))
+        return true_mul(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(IntPolynomial, "__rmul__", counted_mul)
+    ns = (2, 12, 15, 105, 2310, 4900)
+    for n in ns:
+        phi_moebius(n)
+    assert factorizations == [(n,) for n in ns]
+    assert products == []
 
 
 def test_first_coefficient_of_height_two():
@@ -137,7 +194,7 @@ def test_newton_reconstruction_random_integer_roots():
 
 
 def test_newton_error_paths():
-    with pytest.raises(NonIntegerCoefficient):
+    with pytest.raises(ArithmeticError):
         newton_from_power_sums([1, 2], 2)  # forces a_2 = -1/2
     with pytest.raises(ValueError):
         newton_from_power_sums([1], 2)  # too few power sums
@@ -161,7 +218,7 @@ def test_f_poly_small_cases():
 def test_f_poly_is_phi_of_n_prime():
     for n in squarefree_range(2, 120):
         n_prime = n if n % 4 == 1 else 2 * n
-        assert f_poly(n) == phi_moebius(n_prime)
+        assert f_poly(n) == phi_moebius(n_prime) == f_by_substitution(n)
         assert f_poly(n).degree == euler_phi(2 * n)
 
 

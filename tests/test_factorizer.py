@@ -118,10 +118,10 @@ def test_rounding_builds_f_poly_once(monkeypatch):
 
 def test_polynomials_factor_n_once_per_use(monkeypatch):
     # algorithm_l and f_poly factor n once each; f_poly's phi_moebius
-    # factors n and its divisors 5, 3 and 1.
+    # factors n' = 30 once.
     calls = count_calls(monkeypatch, numthy, "factorize")
     assert factor_by_polynomials(15, 1).F_minus == 19231
-    assert len(calls) == 6
+    assert calls == [(15,), (15,), (30,)]
 
 
 def test_polynomials_integer_points():
@@ -203,6 +203,16 @@ def test_full_factorization_classical_examples():
     assert flist.target == 25**7 + 28**7
     assert flist.factors == ((29, 1), (43, 1), (53, 1), (296507, 1))
     assert flist.complete and flist.product() == flist.target
+
+
+def test_full_factorization_factors_each_index_once(monkeypatch):
+    # target_value validates n; the pieces Phi_2, Phi_6 and Phi_10 factor
+    # their index once each and take their degree from the polynomial; the
+    # split factors n in algorithm_l and f_poly and n' = 30 in
+    # phi_moebius; the primes of 2n factor n once more.
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    full_factorization(15, 1)
+    assert calls == [(15,), (2,), (6,), (10,), (15,), (15,), (30,), (15,)]
 
 
 def test_full_factorization_product_checks_hold_broadly():

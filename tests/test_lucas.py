@@ -19,10 +19,10 @@ from aurifeuille.lucas import (
     verify_lucas,
 )
 from aurifeuille.numthy import divisors, euler_phi, jacobi, moebius
-from aurifeuille.poly import IntPolynomial, symmetry_class
+from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import squarefree_range
+from _oracles import squarefree_range, symmetry_class
 
 
 def test_known_pairs():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import aurifeuille.numthy as numthy
 import aurifeuille.series_oracle as series_oracle
-from aurifeuille.cyclotomic import cyclotomic_power_sums, phi_moebius
+from aurifeuille.cyclotomic import phi_moebius
 from aurifeuille.errors import (
     BadConstantTerm,
     NonIntegralOracle,
@@ -30,19 +30,32 @@ from aurifeuille.series_oracle import (
 )
 
 from _counting import count_calls
-from _oracles import squarefree_range
+from _oracles import cyclotomic_power_sums, squarefree_range
+
+
+def add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    """Test-local sum, truncated to the smaller order."""
+    return RationalSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def sub(a: RationalSeries, b: RationalSeries) -> RationalSeries:
+    return add(a, b * -1)
+
+
+def one(order: int) -> RationalSeries:
+    return RationalSeries([1], order=order)
 
 
 def series_exp(f: RationalSeries) -> RationalSeries:
     """Test-local plain exponential of a zero-constant-term series."""
     assert f[0] == 0
-    acc = RationalSeries.one(f.order)
-    term = RationalSeries.one(f.order)
+    acc = one(f.order)
+    term = one(f.order)
     k = 0
-    while not term.is_zero():
+    while any(term.coeffs):
         k += 1
         term = term * f * Fraction(1, k)
-        acc = acc + term
+        acc = add(acc, term)
     return acc
 
 
@@ -64,8 +77,8 @@ def test_construction_order_handling():
     assert s.order == 4
     assert s.coeffs == (1, 2, 0, 0, 0)
     assert RationalSeries([1, 2, 3, 4], order=1).coeffs == (1, 2)
-    assert RationalSeries.zero(3).is_zero()
-    assert RationalSeries.one(2).coeffs == (1, 0, 0)
+    assert RationalSeries([], order=3).coeffs == (0, 0, 0, 0)
+    assert RationalSeries([1], order=2).coeffs == (1, 0, 0)
     with pytest.raises(ValueError):
         RationalSeries([])
     with pytest.raises(ValueError):
@@ -79,19 +92,12 @@ def test_equality_is_order_sensitive():
     assert hash(RationalSeries([1, 2])) == hash(RationalSeries([1, 2]))
 
 
-def test_truncate_never_extends():
-    s = RationalSeries([1, 2, 3])
-    assert s.truncate(1).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        s.truncate(5)
-
-
 def test_arithmetic_takes_min_order():
     a = RationalSeries([1, 1, 1, 1])
     b = RationalSeries([1, 2])
-    assert (a + b).order == 1
+    assert add(a, b).order == 1
     assert (a * b).order == 1
-    assert (a - b).coeffs == (0, -1)
+    assert sub(a, b).coeffs == (0, -1)
     assert (a * b).coeffs == (1, 3)
     assert (3 * b).coeffs == (3, 6)
     assert (b * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
@@ -134,11 +140,11 @@ def test_exp_like_matches_plain_exponential():
     for _ in range(10):
         f = rand_series(rng, rng.randrange(2, 10), zero_constant=True)
         half = f * Fraction(1, 2)
-        ch = (series_exp(half) + series_exp(-half)) * Fraction(1, 2)
-        sh = (series_exp(half) - series_exp(-half)) * Fraction(1, 2)
+        ch = add(series_exp(half), series_exp(half * -1)) * Fraction(1, 2)
+        sh = sub(series_exp(half), series_exp(half * -1)) * Fraction(1, 2)
         assert series_exp_like(f, 1) == (ch, sh)
-        full_ch = (series_exp(f) + series_exp(-f)) * Fraction(1, 2)
-        full_sh = (series_exp(f) - series_exp(-f)) * Fraction(1, 2)
+        full_ch = add(series_exp(f), series_exp(f * -1)) * Fraction(1, 2)
+        full_sh = sub(series_exp(f), series_exp(f * -1)) * Fraction(1, 2)
         assert series_exp_like(f, 4) == (full_ch, full_sh * Fraction(1, 2))
 
 
@@ -149,7 +155,7 @@ def test_exp_like_hyperbolic_pythagoras():
     for t in (1, 4, -3, 15, Fraction(2, 3), -7):
         f = rand_series(rng, 8, zero_constant=True)
         ch, sr = series_exp_like(f, t)
-        assert ch * ch - Fraction(t) * (sr * sr) == RationalSeries.one(8)
+        assert sub(ch * ch, Fraction(t) * (sr * sr)) == one(8)
 
 
 def test_exp_like_rejections():
@@ -250,11 +256,10 @@ def test_series_routes_equal_recurrences_up_to_301(n):
 
 
 def test_gauss_series_route_factorization_count(monkeypatch):
-    # make_context and f_series factor n once each; phi_moebius factors
-    # n and its divisors 5, 3 and 1.
+    # make_context, f_series and phi_moebius factor n once each.
     calls = count_calls(monkeypatch, numthy, "factorize")
     gauss_via_series(15)
-    assert len(calls) == 6
+    assert calls == [(15,), (15,), (15,)]
 
 
 def test_series_route_rejects_stray_and_fractional_coefficients(monkeypatch):
@@ -262,7 +267,7 @@ def test_series_route_rejects_stray_and_fractional_coefficients(monkeypatch):
 
     def stray_constant(f, t):
         u, v = true_exp_like(f, t)
-        return u, v + RationalSeries([1], order=v.order)
+        return u, add(v, one(v.order))
 
     monkeypatch.setattr(series_oracle, "series_exp_like", stray_constant)
     with pytest.raises(NonIntegralOracle, match=r"D_15: stray even power y\^0"):
@@ -270,7 +275,7 @@ def test_series_route_rejects_stray_and_fractional_coefficients(monkeypatch):
 
     def quarter_at_x2(f, t):
         u, v = true_exp_like(f, t)
-        return u + RationalSeries([0, 0, Fraction(1, 4)], order=u.order), v
+        return add(u, RationalSeries([0, 0, Fraction(1, 4)], order=u.order)), v
 
     monkeypatch.setattr(series_oracle, "series_exp_like", quarter_at_x2)
     with pytest.raises(NonIntegralOracle, match=r"A_15: coefficient of x\^2 "):
