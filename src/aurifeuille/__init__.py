@@ -31,7 +31,6 @@ from .numthy import (
     is_squarefree,
     jacobi,
     make_context,
-    moebius,
 )
 from .poly import IntPolynomial
 from .cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius

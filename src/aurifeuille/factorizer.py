@@ -5,11 +5,12 @@ otherwise) is x^n -+ 1, which splits into cyclotomic pieces Phi_e(x); the
 top piece equals F_n(x) and splits further into the Aurifeuillian pair
 F_n(x) = F- * F+ with F-+ = C_n(x) -+ sqrt(n*x) * D_n(x).
 
-Two independent routes to the pair are provided:
+Two independent routes to the pair are provided, both over the integers:
 
-  * `factor_by_polynomials` — evaluate C_n and D_n exactly (works for
-    rational m = p/q too, clearing denominators to integer factors of
-    p^(2n) * n^n +- q^(2n));
+  * `factor_by_polynomials` — evaluate C_n, D_n and F_n exactly, by one
+    integer homogeneous Horner at X = p^2 * n, Y = q^2 (works for
+    rational m = p/q too, giving integer factors C_h -+ p*n*q * D_h of
+    p^(2n) * n^n +- q^(2n) whose product must be F_h = Y^(2d) * F_n(x));
   * `factor_by_rounding` — skip the polynomials entirely: a short
     truncated series gives a floating-point estimate F^ of F- that is
     provably within 1/2 of it, so F- is recovered by rounding and F+ by
@@ -19,9 +20,19 @@ The estimate is
 
     F^ = sqrt(F_n(x)) * exp( -(1/m) * sum_{j=0}^{lambda-1} (n|2j+1) / ((2j+1) x^j) ),
 
-with lambda = phi(2n)/2, computed with mpmath at a working precision of
-bitlength(F_n(x))/2 + 64 bits, derived from the one evaluation of F_n(x)
-that also serves the exact division.
+with lambda = deg F_n / 2 = phi(2n)/2, computed with mpmath at a working
+precision of bits = bitlength(F_n(x))/2 + 64, derived from the one
+evaluation of F_n(x) that also serves the exact division.  The sum is
+taken in fixed point with P = bits + 64 fraction bits:
+
+    t_0 = 2^P,  t_{j+1} = floor(t_j / x),  s = sum_j (n|2j+1) * floor(t_j / (2j+1)),
+
+and -s / (m * 2^P) goes to mpmath's exp.  Nested floor divisions
+compose, so t_j = floor(2^P / x^j) and each term is the exact term times
+2^P rounded down: s is within lambda of 2^P times the sum.  Since
+F^ < sqrt(F_n(x)) < 2^(bits - 63), the fixed-point sum moves F^ by less
+than about lambda * 2^-127, far inside the 1/2 rounding window.
+Rounding F^ and dividing F_n(x) exactly by the result remain the proof.
 
 `full_factorization` assembles the whole integer: every cyclotomic piece
 below the top one, then the Aurifeuillian split in place of the top one.
@@ -53,9 +64,9 @@ from math import exp, gcd
 import mpmath
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
-from .numthy import _require_squarefree, divisors, euler_phi, jacobi
+from .numthy import _require_squarefree, divisors, jacobi
 from .cyclotomic import f_poly, phi_moebius
-from .lucas import aurifeuillian_polys_eval
+from .lucas import algorithm_l
 
 TRIAL_LIMIT = 10**6
 
@@ -126,7 +137,7 @@ def hat_f(n: int, m: int):
 
     Returns an mpmath float, computed at bitlength(F_n(x))/2 + 64 bits.
     """
-    return _estimate(n, m, _f_value_int(n, m))[0]
+    return _estimate(n, m, *_f_value_int(n, m))[0]
 
 
 def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
@@ -142,8 +153,8 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
             f"factor_by_rounding needs an integer m, got {m!r}; "
             "use factor_by_polynomials for rational m"
         )
-    f_val = _f_value_int(n, m)
-    hat, bits = _estimate(n, m, f_val)
+    f_val, lam = _f_value_int(n, m)
+    hat, bits = _estimate(n, m, f_val, lam)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
     with mpmath.workprec(bits):
@@ -173,40 +184,34 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
 def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     """The Aurifeuillian pair by exact evaluation of C_n and D_n.
 
-    Accepts any rational m = p/q > 0.  The exact rational factors
-    F-+ = C_n(x) -+ (p*n/q) * D_n(x) multiply to F_n(x); scaling each by
-    q^(2d) clears the denominators to integer factors of
-    p^(2n) * n^n +- q^(2n).
+    Accepts any rational m = p/q > 0.  C_n, D_n and F_n are evaluated
+    homogeneously in integers at X = p^2 * n, Y = q^2, which gives the
+    integer factors int-+ = C_h -+ p*n*q * D_h of p^(2n) * n^n +- q^(2n);
+    their product must equal F_h = Y^(2d) * F_n(x).  The exact rational
+    factors F-+ = C_n(x) -+ (p*n/q) * D_n(x) are int-+ / q^(2d).
     """
     m = Fraction(m)
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
-    x = m * m * n
-    f_minus, f_plus = aurifeuillian_polys_eval(n, x)
+    p, q = m.numerator, m.denominator
+    int_minus, int_plus = algorithm_l(n).split_at(p, q)
     fn = f_poly(n)
-    f_val = fn.evaluate(x)
-    if f_minus * f_plus != f_val:
+    f_h = fn.evaluate_homogeneous(p * p * n, q * q)
+    if int_minus * int_plus != f_h:
         raise InternalInconsistency(
             f"split product mismatch at n={n}, m={m}"
         )
-    d = fn.degree // 2
-    scale = m.denominator ** (2 * d)
-    int_minus = f_minus * scale
-    int_plus = f_plus * scale
-    if int_minus.denominator != 1 or int_plus.denominator != 1:
-        raise InternalInconsistency(
-            f"denominator clearing failed at n={n}, m={m}"
-        )
+    scale = q**fn.degree  # q^(2d)
     return AurifeuilleResult(
         n=n,
-        m_num=m.numerator,
-        m_den=m.denominator,
-        x=x,
-        F_value=_as_int_if_possible(f_val),
-        F_minus=_as_int_if_possible(f_minus),
-        F_plus=_as_int_if_possible(f_plus),
-        int_minus=int(int_minus),
-        int_plus=int(int_plus),
+        m_num=p,
+        m_den=q,
+        x=m * m * n,
+        F_value=_as_int_if_possible(Fraction(f_h, scale * scale)),
+        F_minus=_as_int_if_possible(Fraction(int_minus, scale)),
+        F_plus=_as_int_if_possible(Fraction(int_plus, scale)),
+        int_minus=int_minus,
+        int_plus=int_plus,
     )
 
 
@@ -246,18 +251,12 @@ def full_factorization(
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
     target, _sign = target_value(n, m)
-    x = m * m * n
-    q = m.denominator
+    big_x, big_y = m.numerator**2 * n, m.denominator**2
     indices = _cyclotomic_indices(n)
-    pieces = []
-    for e in indices[:-1]:
-        phi = phi_moebius(e)
-        val = phi.evaluate(x) * q ** (2 * phi.degree)
-        if val.denominator != 1:
-            raise InternalInconsistency(
-                f"piece Phi_{e} did not clear denominators at n={n}, m={m}"
-            )
-        pieces.append((int(val), e))
+    pieces = [
+        (phi_moebius(e).evaluate_homogeneous(big_x, big_y), e)
+        for e in indices[:-1]
+    ]
     # The top piece F_n(x) is the product of the split; since
     # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
     # split that does not multiply to it.
@@ -435,27 +434,34 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     return None, steps
 
 
-def _estimate(n: int, m: int, f_val: int):
-    """`hat_f` from F_n(x) = f_val, and the working precision it used."""
+def _estimate(n: int, m: int, f_val: int, lam: int):
+    """`hat_f` from F_n(x) = f_val with lambda = lam terms, and the
+    working precision it used.
+
+    The series is summed in fixed point with P = bits + 64 fraction bits:
+    term j is floor(floor(2^P / x^j) / (2j+1)), which equals
+    floor(2^P / ((2j+1) * x^j)) because nested floor divisions compose.
+    """
     bits = f_val.bit_length() // 2 + 64
+    frac_bits = bits + 64
     x = m * m * n
-    lam = euler_phi(2 * n) // 2
-    arg = -Fraction(1, m) * sum(
-        Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j) for j in range(lam)
-    )
+    t = 1 << frac_bits
+    s = 0
+    for j in range(lam):
+        s += jacobi(n, 2 * j + 1) * (t // (2 * j + 1))
+        t //= x
     with mpmath.workprec(bits):
         root = mpmath.sqrt(mpmath.mpf(f_val))
-        expo = mpmath.exp(
-            mpmath.mpf(arg.numerator) / mpmath.mpf(arg.denominator)
-        )
+        expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))
         return root * expo, bits
 
 
-def _f_value_int(n: int, m: int) -> int:
+def _f_value_int(n: int, m: int) -> tuple[int, int]:
+    """F_n(m^2 * n) and lambda = deg F_n / 2, from one F_n."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need a positive integer m, got {m!r}")
-    _require_squarefree(n)
-    return f_poly(n).evaluate(m * m * n)
+    fn = f_poly(n)
+    return fn.evaluate(m * m * n), fn.degree // 2
 
 
 def _as_int_if_possible(value: Fraction):

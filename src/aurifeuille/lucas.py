@@ -32,7 +32,9 @@ The primes of n are found once per pair, by `make_context`, and feed every
 q_k.  The identity check and the split evaluation are the pair's own
 `LucasPair.identity_holds` and `LucasPair.evaluate_split`, so a caller
 holding the pair never recomputes it; `verify_lucas(n)` and
-`aurifeuillian_polys_eval(n, x)` apply them to `algorithm_l(n)`.
+`aurifeuillian_polys_eval(n, x)` apply them to `algorithm_l(n)`.  The
+split is evaluated on integers: `LucasPair.split_at(p, q)` gives it at
+x = (p/q)^2 * n scaled by q^(2d), and `evaluate_split` divides that back.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from .errors import NonIntegerStep, NotAurifeuillianPoint
 from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
@@ -77,13 +80,28 @@ class LucasPair:
         shift = IntPolynomial([0, 1])  # x
         return f_poly(self.n) == c * c - self.n * (shift * dd * dd)
 
+    def split_at(self, p: int, q: int) -> tuple[int, int]:
+        """The split at x = (p/q)^2 * n, scaled by q^(2d) to integers.
+
+        With X = p^2 * n and Y = q^2, C_h = Y^d * C_n(x) and
+        D_h = Y^(d-1) * D_n(x) are integers, and the two factors are
+        C_h -+ p*n*q * D_h, smaller first.  Their product is
+        Y^(2d) * F_n(x).
+        """
+        big_x, big_y = p * p * self.n, q * q
+        c_h = self.poly_c().evaluate_homogeneous(big_x, big_y)
+        d_h = self.poly_d().evaluate_homogeneous(big_x, big_y) * p * self.n * q
+        lo, hi = c_h - d_h, c_h + d_h
+        return (lo, hi) if lo <= hi else (hi, lo)
+
     def evaluate_split(self, x: Fraction | int) -> tuple[Fraction, Fraction]:
         """The split F_n(x) = (C_n - sqrt(n*x) D_n)(C_n + sqrt(n*x) D_n).
 
         The point must make n*x a perfect rational square, i.e.
         x = (p/q)^2 * n with p, q positive integers; then sqrt(n*x) = p*n/q
         is rational and the two exact rational factors are returned,
-        smaller first.  Any other x raises `NotAurifeuillianPoint`.
+        smaller first: `split_at(p, q)` divided by q^(2d).  Any other x
+        raises `NotAurifeuillianPoint`.
         """
         n = self.n
         x = Fraction(x)
@@ -96,14 +114,9 @@ class LucasPair:
             raise NotAurifeuillianPoint(
                 f"x = {x} is not m^2 * {n} for rational m"
             )
-        c_val = self.poly_c().evaluate(x)
-        d_val = self.poly_d().evaluate(x)
-        root = Fraction(p * n, q)  # sqrt(n*x)
-        lo = c_val - root * d_val
-        hi = c_val + root * d_val
-        if lo > hi:
-            lo, hi = hi, lo
-        return lo, hi
+        lo, hi = self.split_at(p, q)
+        scale = q ** (2 * self.d)
+        return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def lucas_q(n: int, k: int) -> int:
@@ -126,19 +139,23 @@ def algorithm_l(n: int, use_symmetry: bool = True) -> LucasPair:
     gamma = [1]
     delta = [1]
     for k in range(1, max(gamma_direct, delta_direct) + 1):
+        # q[2k-2j] for j = 0..k-1, i.e. q[2k], q[2k-2], ..., q[2].
+        q_even = q[2 * k : 0 : -2]
         if k <= gamma_direct:
-            acc = 0
-            for j in range(k):
-                acc += n * q[2 * k - 2 * j - 1] * delta[j] - q[2 * k - 2 * j] * gamma[j]
+            acc = n * sum(map(mul, q[2 * k - 1 :: -2], delta)) - sum(
+                map(mul, q_even, gamma)
+            )
             if acc % (2 * k):
                 raise NonIntegerStep(
                     f"n={n}, gamma step k={k}: {acc} not divisible by 2k"
                 )
             gamma.append(acc // (2 * k))
         if k <= delta_direct:
-            acc = gamma[k]
-            for j in range(k):
-                acc += q[2 * k + 1 - 2 * j] * gamma[j] - q[2 * k - 2 * j] * delta[j]
+            acc = (
+                gamma[k]
+                + sum(map(mul, q[2 * k + 1 : 1 : -2], gamma))
+                - sum(map(mul, q_even, delta))
+            )
             if acc % (2 * k + 1):
                 raise NonIntegerStep(
                     f"n={n}, delta step k={k}: {acc} not divisible by 2k+1"

@@ -71,16 +71,6 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def moebius(n: int) -> int:
-    """Moebius function: 0 on a repeated prime factor, else (-1)^#primes."""
-    result = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        result = -result
-    return result
-
-
 def euler_phi(n: int) -> int:
     """Euler's totient, the count of 1 <= k <= n coprime to n."""
     result = n
@@ -260,5 +250,4 @@ __all__ = [
     "is_squarefree",
     "jacobi",
     "make_context",
-    "moebius",
 ]

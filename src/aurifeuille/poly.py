@@ -9,7 +9,9 @@ All arithmetic is exact: addition, subtraction and multiplication, with
 no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
 identity checks only multiply.  Evaluation is plain Horner and is exact
 for int and `fractions.Fraction` arguments (and works fine with floats or
-complex numbers when approximation is wanted).
+complex numbers when approximation is wanted).  `evaluate_homogeneous`
+gives y^degree * P(x/y) for integers x, y without leaving the integers,
+which is how a rational point p/q is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -127,6 +129,16 @@ class IntPolynomial:
         return acc
 
     __call__ = evaluate
+
+    def evaluate_homogeneous(self, x: int, y: int) -> int:
+        """y^degree * P(x/y), by Horner on integers: the coefficient of
+        x^j enters multiplied by y^(degree - j)."""
+        acc = 0
+        ypow = 1
+        for c in reversed(self._coeffs):
+            acc = acc * x + c * ypow
+            ypow *= y
+        return acc
 
     def to_text(self) -> str:
         """Human form, descending powers: ``2*x^4 - x^3 - 4*x^2 - x + 2``."""

@@ -10,16 +10,28 @@ library's in-place build: prime-at-a-time recursion through exact long
 division, Newton's identities on the Ramanujan sums, the defining
 substitution for F_n, and the Moebius product of x^d - 1 evaluated
 modulo a prime.  They raise `ArithmeticError` where an exact step fails.
+The Moebius function they use is here as well, since nothing in the
+library calls it.
 """
 
 import cmath
 from math import gcd
 
 from aurifeuille.errors import NotSquareFree
-from aurifeuille.numthy import euler_phi, factorize, is_squarefree, moebius
+from aurifeuille.numthy import euler_phi, factorize, is_squarefree
 from aurifeuille.poly import IntPolynomial
 
 MERSENNE_61 = 2**61 - 1
+
+
+def moebius(n):
+    """Moebius function: 0 on a repeated prime factor, else (-1)^#primes."""
+    result = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        result = -result
+    return result
 
 
 def squarefree_range(lo, hi, parity=None):

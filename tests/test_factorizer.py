@@ -4,8 +4,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import aurifeuille.cyclotomic as cyclotomic
 import aurifeuille.factorizer as factorizer
@@ -16,6 +17,8 @@ from aurifeuille.errors import (
     NotSquareFree,
     RoundingFailed,
 )
+from aurifeuille.lucas import algorithm_l
+from aurifeuille.numthy import jacobi
 from aurifeuille.factorizer import (
     FactorList,
     factor_by_polynomials,
@@ -60,6 +63,26 @@ def test_hat_degenerate_small_points():
         assert res.F_plus == res.F_value
 
 
+def test_hat_matches_the_exact_series_sum():
+    # The fixed-point sum is short of the exact one by less than
+    # lambda * 2^-P; the estimate stays within 2^-60 of the same formula
+    # summed in Fractions, well inside the 1/2 rounding window.
+    for n, m in ((2, 1), (5, 3), (15, 1), (30, 2), (101, 7), (1001, 1)):
+        fn = cyclotomic.f_poly(n)
+        x = m * m * n
+        f_val, lam = fn(x), fn.degree // 2
+        arg = -Fraction(1, m) * sum(
+            Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j)
+            for j in range(lam)
+        )
+        bits = f_val.bit_length() // 2 + 64
+        with mpmath.workprec(bits + 64):
+            exact = mpmath.sqrt(f_val) * mpmath.exp(
+                mpmath.mpf(arg.numerator) / arg.denominator
+            )
+            assert abs(hat_f(n, m) - exact) < mpmath.mpf(2) ** -60
+
+
 def test_hat_input_validation():
     with pytest.raises(NotSquareFree):
         hat_f(12, 1)
@@ -98,13 +121,34 @@ def test_rounding_guard_detects_corrupted_estimate(monkeypatch):
     # hat_f wraps, from the F_n(x) it already holds.
     true_estimate = factorizer._estimate
 
-    def corrupted(n, m, f_val):
-        hat, bits = true_estimate(n, m, f_val)
+    def corrupted(n, m, f_val, lam):
+        hat, bits = true_estimate(n, m, f_val, lam)
         return hat + 10, bits
 
     monkeypatch.setattr(factorizer, "_estimate", corrupted)
     with pytest.raises(RoundingFailed):
         factorizer.factor_by_rounding(15, 1)
+
+
+def test_rounding_factors_n_once(monkeypatch):
+    # f_poly validates n and builds Phi_30; lambda is half its degree.
+    calls = count_calls(monkeypatch, numthy, "factorize")
+    assert factor_by_rounding(15, 1).F_minus == 19231
+    assert calls == [(15,), (30,)]
+
+
+@settings(max_examples=20)
+@given(
+    n=st.sampled_from(squarefree_range(2, 3001)),
+    m=st.integers(min_value=1, max_value=9),
+)
+@example(n=3001, m=9)
+@example(n=2990, m=1)
+def test_rounding_equals_polynomials_with_margin(n, m):
+    rounded = factor_by_rounding(n, m)
+    exact = factor_by_polynomials(n, m)
+    assert (rounded.F_minus, rounded.F_plus) == (exact.F_minus, exact.F_plus)
+    assert 0.5 - rounded.residual > 0
 
 
 def test_rounding_builds_f_poly_once(monkeypatch):
@@ -140,6 +184,32 @@ def test_polynomials_rational_point():
     assert (res.int_minus, res.int_plus) == (1247, 296507)
     assert res.m_num == 2 and res.m_den == 5
     assert res.int_minus * res.int_plus == (25**7 + 28**7) // 53
+
+
+@settings(max_examples=30)
+@given(
+    n=st.sampled_from(squarefree_range(2, 500)),
+    p=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=12),
+)
+def test_polynomials_match_fraction_horner(n, p, q):
+    # A Horner evaluation of C_n and D_n in Fractions, independent of the
+    # integer homogeneous one the route uses.
+    m = Fraction(p, q)
+    pair = algorithm_l(n)
+    x = m * m * n
+    c_val = d_val = Fraction(0)
+    for g in pair.gamma:
+        c_val = c_val * x + g
+    for g in pair.delta:
+        d_val = d_val * x + g
+    root = m * n  # sqrt(n * x)
+    lo, hi = sorted((c_val - root * d_val, c_val + root * d_val))
+    res = factor_by_polynomials(n, m)
+    assert (res.F_minus, res.F_plus) == (lo, hi)
+    scale = m.denominator ** (2 * pair.d)
+    assert (res.int_minus, res.int_plus) == (lo * scale, hi * scale)
+    assert res.F_value == cyclotomic.f_poly(n)(x)
 
 
 def test_polynomials_agree_with_rounding():

@@ -18,11 +18,11 @@ from aurifeuille.lucas import (
     lucas_q,
     verify_lucas,
 )
-from aurifeuille.numthy import divisors, euler_phi, jacobi, moebius
+from aurifeuille.numthy import divisors, euler_phi, jacobi
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import squarefree_range, symmetry_class
+from _oracles import moebius, squarefree_range, symmetry_class
 
 
 def test_known_pairs():
@@ -109,6 +109,24 @@ def test_eval_split_multiplies_back():
             lo, hi = aurifeuillian_polys_eval(n, x)
             assert lo * hi == f(Fraction(x))
             assert lo <= hi
+
+
+def test_split_at_is_the_scaled_split():
+    # At m = p/q the integer factors are C_h -+ p*n*q*D_h at X = p^2*n,
+    # Y = q^2: the rational split times q^(2d).
+    assert algorithm_l(7).split_at(2, 5) == (1247, 296507)
+    assert algorithm_l(15).split_at(1, 1) == (19231, 142111)
+    for n in (2, 3, 6, 10, 15, 21):
+        pair = algorithm_l(n)
+        for p, q in ((1, 1), (3, 2), (2, 5), (1, 4)):
+            lo, hi = pair.split_at(p, q)
+            assert lo <= hi
+            assert lo * hi == f_poly(n).evaluate_homogeneous(p * p * n, q * q)
+            scale = q ** (2 * pair.d)
+            assert pair.evaluate_split(Fraction(p * p * n, q * q)) == (
+                Fraction(lo, scale),
+                Fraction(hi, scale),
+            )
 
 
 def test_eval_split_rejects_bad_points():

@@ -3,6 +3,7 @@
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aurifeuille.errors import (
     BadResidueClass,
@@ -19,10 +20,9 @@ from aurifeuille.numthy import (
     is_squarefree,
     jacobi,
     make_context,
-    moebius,
 )
 
-from _oracles import quadratic_residues, squarefree_range
+from _oracles import moebius, quadratic_residues, squarefree_range
 
 
 def test_factorize_and_divisors():
@@ -88,6 +88,32 @@ def test_jacobi_periodic_and_negative_arguments():
     for n in (5, 9, 15, 21):
         for m in range(-2 * n, 2 * n):
             assert jacobi(m, n) == jacobi(m % n, n)
+
+
+ODD = st.integers(min_value=0, max_value=10**9).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=200)
+@given(a=ODD, b=ODD)
+def test_jacobi_reciprocity(a, b):
+    # (a|b)(b|a) = (-1)^((a-1)/2 * (b-1)/2) for coprime odd a, b >= 1.
+    if gcd(a, b) > 1:
+        assert jacobi(a, b) == jacobi(b, a) == 0
+    else:
+        sign = -1 if a % 4 == b % 4 == 3 else 1
+        assert jacobi(a, b) * jacobi(b, a) == sign
+
+
+@settings(max_examples=200)
+@given(
+    a=st.integers(min_value=-(10**12), max_value=10**12),
+    b=st.integers(min_value=-(10**12), max_value=10**12),
+    k=ODD,
+    l=ODD,
+)
+def test_jacobi_multiplicative_in_both_arguments(a, b, k, l):
+    assert jacobi(a * b, k) == jacobi(a, k) * jacobi(b, k)
+    assert jacobi(a, k * l) == jacobi(a, k) * jacobi(a, l)
 
 
 def test_jacobi_rejects_even_modulus():

@@ -143,6 +143,20 @@ def test_evaluate_types():
     assert abs(p(1j) - (1j + 1) ** 2) < 1e-12
 
 
+def test_evaluate_homogeneous_clears_denominators():
+    rng = random.Random(2718)
+    for _ in range(40):
+        p = rand_poly(rng, max_degree=24, bits=40)
+        x, y = rng.randrange(-99, 100), rng.randrange(1, 50)
+        value = p.evaluate_homogeneous(x, y)
+        assert isinstance(value, int)
+        if p:
+            assert value == p(Fraction(x, y)) * y**p.degree
+    assert IntPolynomial().evaluate_homogeneous(3, 5) == 0
+    assert IntPolynomial([7]).evaluate_homogeneous(3, 5) == 7
+    assert IntPolynomial([-1, 1]).evaluate_homogeneous(3, 5) == 3 - 5
+
+
 def test_compose_power():
     p = IntPolynomial([1, 2, 3])
     assert compose_power(p, 1) is p
