@@ -14,7 +14,6 @@ from .errors import (
     NegativeTarget,
     NonIntegerStep,
     NonIntegralOracle,
-    NotAurifeuillianPoint,
     NotOddSquareFree,
     NotSquareFree,
     NTooSmall,
@@ -35,13 +34,7 @@ from .numthy import (
 from .poly import IntPolynomial
 from .cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
 from .gauss import GaussPair, algorithm_d, gauss_power_parts, verify_gauss
-from .lucas import (
-    LucasPair,
-    algorithm_l,
-    aurifeuillian_polys_eval,
-    lucas_q,
-    verify_lucas,
-)
+from .lucas import LucasPair, algorithm_l, lucas_q, verify_lucas
 from .series_oracle import (
     RationalSeries,
     check_ratio_identity,

@@ -6,8 +6,10 @@ Subcommands:
   gauss N       print the pair A_N, B_N and check the defining identity
   lucas N       print the pair C_N, D_N and check the defining identity;
                 --eval M additionally evaluates the split at x = M^2*N
+                from the pair (`LucasPair.split_at`)
   factor N [M]  factor M^(2N) * N^N +- 1 (M defaults to 1; --rational P/Q
-                for fractional M)
+                for fractional M); the split comes from the rounding
+                route for integer M, the polynomial route for P/Q
   verify ...    run the identity checks (optionally the series oracle)
                 for one n or a range
   classnum N    the class-number/unit data attached to N
@@ -30,7 +32,7 @@ import mpmath
 
 from . import factorizer, numthy, series_oracle
 from .cyclotomic import f_poly, phi_moebius
-from .errors import AurifeuilleError, InternalInconsistency
+from .errors import AurifeuilleError
 from .gauss import algorithm_d
 from .lucas import algorithm_l
 
@@ -44,10 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except AurifeuilleError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+    except (AurifeuilleError, ValueError, TypeError, ZeroDivisionError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
@@ -153,8 +152,9 @@ def _cmd_lucas(args) -> int:
     eval_data = None
     if args.eval_m is not None:
         m = _parse_rational(args.eval_m)
-        lo, hi = pair.evaluate_split(m * m * args.n)
-        eval_data = (m, lo, hi)
+        scale = m.denominator ** (2 * pair.d)
+        lo, hi = pair.split_at(m.numerator, m.denominator)
+        eval_data = (m, Fraction(lo, scale), Fraction(hi, scale))
     if args.json:
         data = {
             "n": args.n,
@@ -191,17 +191,6 @@ def _cmd_factor(args) -> int:
     split, factors = factorizer.full_factorization(
         args.n, m, trial_limit=args.trial_limit
     )
-    hat = None
-    if m.denominator == 1:
-        rounded = factorizer.factor_by_rounding(args.n, int(m))
-        hat = rounded.hat_F
-        if (rounded.int_minus, rounded.int_plus) != (
-            split.int_minus,
-            split.int_plus,
-        ):
-            raise InternalInconsistency(
-                "rounding and polynomial routes disagree"
-            )
     if args.json:
         data = {
             "target": str(factors.target),
@@ -217,8 +206,8 @@ def _cmd_factor(args) -> int:
     else:
         print(f"n = {args.n}, m = {m}, x = {split.x}")
         print(f"target = {factors.target}")
-        if hat is not None:
-            print(f"F_hat = {mpmath.nstr(hat, 20)}")
+        if split.hat_F is not None:
+            print(f"F_hat = {mpmath.nstr(split.hat_F, 20)}")
         print(f"F_minus = {split.int_minus}")
         print(f"F_plus = {split.int_plus}")
         rendered = " * ".join(

@@ -52,10 +52,6 @@ class NonIntegralOracle(AurifeuilleError):
     impossible) coefficient where an integer was required."""
 
 
-class NotAurifeuillianPoint(AurifeuilleError):
-    """The evaluation point is not of the form m^2 * n with rational m > 0."""
-
-
 class RoundingFailed(AurifeuilleError):
     """Rounding the floating-point factor estimate did not yield a divisor."""
 

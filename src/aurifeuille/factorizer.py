@@ -16,6 +16,10 @@ Two independent routes to the pair are provided, both over the integers:
     provably within 1/2 of it, so F- is recovered by rounding and F+ by
     exact division.  Integer m only.
 
+`full_factorization` takes the split from the rounding route for integer
+m and from the polynomial route for rational m; at integer m the tests
+hold the two routes against each other.
+
 The estimate is
 
     F^ = sqrt(F_n(x)) * exp( -(1/m) * sum_{j=0}^{lambda-1} (n|2j+1) / ((2j+1) x^j) ),
@@ -215,8 +219,8 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     )
 
 
-def target_value(n: int, m: Fraction | int) -> tuple[int, str]:
-    """The integer p^(2n) * n^n +- q^(2n) and its sign as "-" or "+".
+def target_value(n: int, m: Fraction | int) -> int:
+    """The integer p^(2n) * n^n +- q^(2n) that `full_factorization` factors.
 
     The sign is minus exactly when n = 1 (mod 4); then x^n - 1 is the
     number that factors through the cyclotomic pieces, else x^n + 1.
@@ -225,15 +229,14 @@ def target_value(n: int, m: Fraction | int) -> tuple[int, str]:
     """
     m = Fraction(m)
     _require_squarefree(n)
-    sign = "-" if n % 4 == 1 else "+"
     p, q = m.numerator, m.denominator
-    value = p ** (2 * n) * n**n + (-1 if sign == "-" else 1) * q ** (2 * n)
+    value = p ** (2 * n) * n**n + (-1 if n % 4 == 1 else 1) * q ** (2 * n)
     if value < 1:
         raise NegativeTarget(
             f"p^(2n)*n^n - q^(2n) = {value} at n={n}, m={m}: "
             "x = m^2 * n must exceed 1 when n = 1 (mod 4)"
         )
-    return value, sign
+    return value
 
 
 def full_factorization(
@@ -244,13 +247,15 @@ def full_factorization(
     Splits the target into its cyclotomic pieces, replaces the top piece
     by its Aurifeuillian halves, then factors every piece as the module
     docstring describes: the primes of 2n, trial division by 1 (mod L)
-    up to `trial_limit`, then rho.  Returns the split and the combined
-    factor list; a composite left by rho leaves `complete` False.
+    up to `trial_limit`, then rho.  The halves come from
+    `factor_by_rounding` for integer m and from `factor_by_polynomials`
+    for rational m.  Returns the split and the combined factor list; a
+    composite left by rho leaves `complete` False.
     """
     m = Fraction(m)
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
-    target, _sign = target_value(n, m)
+    target = target_value(n, m)
     big_x, big_y = m.numerator**2 * n, m.denominator**2
     indices = _cyclotomic_indices(n)
     pieces = [
@@ -260,7 +265,10 @@ def full_factorization(
     # The top piece F_n(x) is the product of the split; since
     # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
     # split that does not multiply to it.
-    split = factor_by_polynomials(n, m)
+    if m.denominator == 1:
+        split = factor_by_rounding(n, m.numerator)
+    else:
+        split = factor_by_polynomials(n, m)
     pieces += [(split.int_minus, indices[-1]), (split.int_plus, indices[-1])]
     check = 1
     for piece, _e in pieces:

@@ -29,22 +29,19 @@ floor((d-1)/2)) and the rest mirrored; ``use_symmetry=False`` recurs
 everything directly.
 
 The primes of n are found once per pair, by `make_context`, and feed every
-q_k.  The identity check and the split evaluation are the pair's own
-`LucasPair.identity_holds` and `LucasPair.evaluate_split`, so a caller
-holding the pair never recomputes it; `verify_lucas(n)` and
-`aurifeuillian_polys_eval(n, x)` apply them to `algorithm_l(n)`.  The
-split is evaluated on integers: `LucasPair.split_at(p, q)` gives it at
-x = (p/q)^2 * n scaled by q^(2d), and `evaluate_split` divides that back.
+q_k.  The identity check and the split are the pair's own
+`LucasPair.identity_holds` and `LucasPair.split_at`, so a caller holding
+the pair never recomputes it; `verify_lucas(n)` applies the check to
+`algorithm_l(n)`.  The split is evaluated on integers: `split_at(p, q)`
+gives it at x = (p/q)^2 * n scaled by q^(2d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
 from operator import mul
 
-from .errors import NonIntegerStep, NotAurifeuillianPoint
+from .errors import NonIntegerStep
 from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
 from .poly import IntPolynomial
 from .cyclotomic import f_poly
@@ -93,30 +90,6 @@ class LucasPair:
         d_h = self.poly_d().evaluate_homogeneous(big_x, big_y) * p * self.n * q
         lo, hi = c_h - d_h, c_h + d_h
         return (lo, hi) if lo <= hi else (hi, lo)
-
-    def evaluate_split(self, x: Fraction | int) -> tuple[Fraction, Fraction]:
-        """The split F_n(x) = (C_n - sqrt(n*x) D_n)(C_n + sqrt(n*x) D_n).
-
-        The point must make n*x a perfect rational square, i.e.
-        x = (p/q)^2 * n with p, q positive integers; then sqrt(n*x) = p*n/q
-        is rational and the two exact rational factors are returned,
-        smaller first: `split_at(p, q)` divided by q^(2d).  Any other x
-        raises `NotAurifeuillianPoint`.
-        """
-        n = self.n
-        x = Fraction(x)
-        if x <= 0:
-            raise NotAurifeuillianPoint(f"need x > 0, got {x}")
-        msq = x / n
-        p = isqrt(msq.numerator)
-        q = isqrt(msq.denominator)
-        if p * p != msq.numerator or q * q != msq.denominator:
-            raise NotAurifeuillianPoint(
-                f"x = {x} is not m^2 * {n} for rational m"
-            )
-        lo, hi = self.split_at(p, q)
-        scale = q ** (2 * self.d)
-        return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def lucas_q(n: int, k: int) -> int:
@@ -181,16 +154,6 @@ def verify_lucas(n: int) -> bool:
     return algorithm_l(n).identity_holds()
 
 
-def aurifeuillian_polys_eval(
-    n: int, x: Fraction | int
-) -> tuple[Fraction, Fraction]:
-    """Evaluate the split F_n(x) = (C_n -+ sqrt(n*x) D_n) at x = m^2 * n.
-
-    The same as `LucasPair.evaluate_split` on `algorithm_l(n)`.
-    """
-    return algorithm_l(n).evaluate_split(x)
-
-
 def _q(ctx: NumTheoryContext, k: int) -> int:
     n = ctx.n
     if k % 2:
@@ -207,7 +170,6 @@ def _q(ctx: NumTheoryContext, k: int) -> int:
 __all__ = [
     "LucasPair",
     "algorithm_l",
-    "aurifeuillian_polys_eval",
     "lucas_q",
     "verify_lucas",
 ]

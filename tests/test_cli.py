@@ -178,6 +178,8 @@ def test_factor_negative_target_is_refused(capsys):
         (["gauss", "15"], (1, 0)),
         (["lucas", "15", "--eval", "1"], (0, 1)),
         (["verify", "15", "--oracle"], (1, 1)),
+        (["factor", "15", "1"], (0, 0)),
+        (["factor", "7", "--rational", "2/5"], (0, 1)),
     ],
 )
 def test_each_recurrence_runs_once_per_command(capsys, monkeypatch, argv, runs):
@@ -186,6 +188,23 @@ def test_each_recurrence_runs_once_per_command(capsys, monkeypatch, argv, runs):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert (len(d_calls), len(l_calls)) == runs
+
+
+@pytest.mark.parametrize(
+    "argv, routes",
+    [
+        (["factor", "15", "1"], (1, 0)),
+        (["factor", "7", "--rational", "2/5"], (0, 1)),
+    ],
+)
+def test_factor_builds_one_split(capsys, monkeypatch, argv, routes):
+    # Integer m takes the split from the rounding route alone, rational m
+    # from the polynomial route alone.
+    rounding = count_calls(monkeypatch, factorizer, "factor_by_rounding")
+    polynomials = count_calls(monkeypatch, factorizer, "factor_by_polynomials")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert (len(rounding), len(polynomials)) == routes
 
 
 def test_lucas_eval_prints_integers_past_4300_digits(capsys):

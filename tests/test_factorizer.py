@@ -213,14 +213,18 @@ def test_polynomials_match_fraction_horner(n, p, q):
 
 
 def test_polynomials_agree_with_rounding():
-    for n in squarefree_range(2, 30):
-        for m in (1, 2):
+    # full_factorization takes the split from the rounding route for
+    # integer m; the polynomial route checks it here on a grid that holds
+    # every integer target of the benchmark's `factor` workload.
+    for n in squarefree_range(2, 200):
+        for m in range(1, 10):
             exact = factor_by_polynomials(n, m)
             rounded = factor_by_rounding(n, m)
-            assert (exact.F_minus, exact.F_plus) == (
-                rounded.F_minus,
-                rounded.F_plus,
-            )
+            assert (exact.int_minus, exact.int_plus) == (
+                rounded.int_minus,
+                rounded.int_plus,
+            ), (n, m)
+            assert 0.5 - rounded.residual > 0, (n, m)
 
 
 def test_polynomials_input_validation():
@@ -236,12 +240,12 @@ def test_polynomials_input_validation():
 
 
 def test_target_value_signs():
-    assert target_value(5, 1) == (5**5 - 1, "-")
-    assert target_value(13, 1) == (13**13 - 1, "-")
-    assert target_value(15, 1) == (15**15 + 1, "+")
-    assert target_value(2, 32) == (2**22 + 1, "+")
-    assert target_value(6, 1) == (6**6 + 1, "+")
-    assert target_value(7, Fraction(2, 5)) == (25**7 + 28**7, "+")
+    assert target_value(5, 1) == 5**5 - 1
+    assert target_value(13, 1) == 13**13 - 1
+    assert target_value(15, 1) == 15**15 + 1
+    assert target_value(2, 32) == 2**22 + 1
+    assert target_value(6, 1) == 6**6 + 1
+    assert target_value(7, Fraction(2, 5)) == 25**7 + 28**7
 
 
 def test_full_factorization_classical_examples():
@@ -278,11 +282,11 @@ def test_full_factorization_classical_examples():
 def test_full_factorization_factors_each_index_once(monkeypatch):
     # target_value validates n; the pieces Phi_2, Phi_6 and Phi_10 factor
     # their index once each and take their degree from the polynomial; the
-    # split factors n in algorithm_l and f_poly and n' = 30 in
-    # phi_moebius; the primes of 2n factor n once more.
+    # rounding split factors n in f_poly and n' = 30 in phi_moebius; the
+    # primes of 2n factor n once more.
     calls = count_calls(monkeypatch, numthy, "factorize")
     full_factorization(15, 1)
-    assert calls == [(15,), (2,), (6,), (10,), (15,), (15,), (30,), (15,)]
+    assert calls == [(15,), (2,), (6,), (10,), (15,), (30,), (15,)]
 
 
 def test_full_factorization_product_checks_hold_broadly():
@@ -290,8 +294,7 @@ def test_full_factorization_product_checks_hold_broadly():
         for m in (1, Fraction(3, 2)):
             _split, flist = full_factorization(n, m)
             assert flist.product() == flist.target
-            tgt, _sign = target_value(n, m)
-            assert flist.target == tgt
+            assert flist.target == target_value(n, m)
 
 
 def test_full_factorization_incomplete_is_flagged(monkeypatch):
@@ -348,24 +351,29 @@ def test_full_factorization_separates_probable_primes():
 def test_full_factorization_bases_pass_trial_division(n, m):
     _split, flist = full_factorization(n, m)
     assert flist.complete
-    assert flist.product() == flist.target == target_value(n, m)[0]
+    assert flist.product() == flist.target == target_value(n, m)
     for base, _e in flist.factors:
         if base < 10**12:
             assert _prime_by_trial(base), (n, m, base)
 
 
 def test_full_factorization_rejects_a_split_off_by_one(monkeypatch):
-    # The top piece comes from the split; the product check against the
+    # The top piece comes from the split, by rounding for integer m and
+    # by polynomials for rational m; the product check against the
     # target still catches a split that does not multiply to F_n(x).
-    true_split = factorizer.factor_by_polynomials
+    for route, n, m in (
+        ("factor_by_rounding", 15, 1),
+        ("factor_by_polynomials", 7, Fraction(2, 5)),
+    ):
+        true_split = getattr(factorizer, route)
 
-    def corrupted(n, m):
-        split = true_split(n, m)
-        return dataclasses.replace(split, int_minus=split.int_minus + 1)
+        def corrupted(n, m, true_split=true_split):
+            split = true_split(n, m)
+            return dataclasses.replace(split, int_minus=split.int_minus + 1)
 
-    monkeypatch.setattr(factorizer, "factor_by_polynomials", corrupted)
-    with pytest.raises(InternalInconsistency):
-        full_factorization(15, 1)
+        monkeypatch.setattr(factorizer, route, corrupted)
+        with pytest.raises(InternalInconsistency):
+            full_factorization(n, m)
 
 
 def test_negative_target_refused_before_any_piece(monkeypatch):
@@ -377,7 +385,7 @@ def test_negative_target_refused_before_any_piece(monkeypatch):
         target_value(13, Fraction(1, 4))
     assert pieces == []
     # The plus-sign targets stay positive for every m.
-    assert target_value(7, Fraction(1, 9))[0] > 0
+    assert target_value(7, Fraction(1, 9)) > 0
 
 
 def test_full_factorization_input_validation():

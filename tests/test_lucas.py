@@ -7,17 +7,8 @@ import pytest
 
 from aurifeuille import numthy
 from aurifeuille.cyclotomic import f_poly
-from aurifeuille.errors import (
-    NotAurifeuillianPoint,
-    NotSquareFree,
-    NTooSmall,
-)
-from aurifeuille.lucas import (
-    algorithm_l,
-    aurifeuillian_polys_eval,
-    lucas_q,
-    verify_lucas,
-)
+from aurifeuille.errors import NotSquareFree, NTooSmall
+from aurifeuille.lucas import algorithm_l, lucas_q, verify_lucas
 from aurifeuille.numthy import divisors, euler_phi, jacobi
 from aurifeuille.poly import IntPolynomial
 
@@ -92,10 +83,19 @@ def test_lucas_q_even_matches_float_cosine():
             assert lucas_q(n, k) == expected
 
 
+def _rational_split(n, m):
+    """The split at x = m^2 * n as exact rationals: split_at / q^(2d)."""
+    m = Fraction(m)
+    pair = algorithm_l(n)
+    scale = m.denominator ** (2 * pair.d)
+    lo, hi = pair.split_at(m.numerator, m.denominator)
+    return Fraction(lo, scale), Fraction(hi, scale)
+
+
 def test_eval_split_known_values():
-    assert aurifeuillian_polys_eval(15, 15) == (19231, 142111)
-    assert aurifeuillian_polys_eval(2, 8) == (5, 13)
-    assert aurifeuillian_polys_eval(7, Fraction(28, 25)) == (
+    assert _rational_split(15, 1) == (19231, 142111)  # x = 15
+    assert _rational_split(2, 2) == (5, 13)  # x = 8
+    assert _rational_split(7, Fraction(2, 5)) == (  # x = 28/25
         Fraction(1247, 15625),
         Fraction(296507, 15625),
     )
@@ -106,7 +106,7 @@ def test_eval_split_multiplies_back():
         f = f_poly(n)
         for m in (1, 2, 3, Fraction(3, 2), Fraction(2, 5)):
             x = m * m * n
-            lo, hi = aurifeuillian_polys_eval(n, x)
+            lo, hi = _rational_split(n, m)
             assert lo * hi == f(Fraction(x))
             assert lo <= hi
 
@@ -122,22 +122,16 @@ def test_split_at_is_the_scaled_split():
             lo, hi = pair.split_at(p, q)
             assert lo <= hi
             assert lo * hi == f_poly(n).evaluate_homogeneous(p * p * n, q * q)
+            # C_n(x) -+ sqrt(n*x) * D_n(x) at x = (p/q)^2 * n, where
+            # sqrt(n*x) = p*n/q.
+            x = Fraction(p * p * n, q * q)
+            c_val, d_val = pair.poly_c()(x), pair.poly_d()(x)
+            root = Fraction(p * n, q)
             scale = q ** (2 * pair.d)
-            assert pair.evaluate_split(Fraction(p * p * n, q * q)) == (
-                Fraction(lo, scale),
-                Fraction(hi, scale),
+            assert (Fraction(lo, scale), Fraction(hi, scale)) == (
+                c_val - root * d_val,
+                c_val + root * d_val,
             )
-
-
-def test_eval_split_rejects_bad_points():
-    with pytest.raises(NotAurifeuillianPoint):
-        aurifeuillian_polys_eval(15, 30)  # 30/15 = 2 is not a square
-    with pytest.raises(NotAurifeuillianPoint):
-        aurifeuillian_polys_eval(15, 0)
-    with pytest.raises(NotAurifeuillianPoint):
-        aurifeuillian_polys_eval(15, -15)
-    with pytest.raises(NotAurifeuillianPoint):
-        aurifeuillian_polys_eval(7, Fraction(7, 2))
 
 
 def test_rejections():
@@ -154,7 +148,7 @@ def test_one_factorization_per_pair(monkeypatch):
     pair = algorithm_l(15)
     assert len(calls) <= 2
     assert pair.identity_holds()
-    assert pair.evaluate_split(15) == (19231, 142111)
+    assert pair.split_at(1, 1) == (19231, 142111)
 
 
 def test_context_fields_carried():
