@@ -7,11 +7,30 @@ e.g. ``x^4 + 8*x^3 + 13*x^2 + 8*x + 1``.
 
 All arithmetic is exact: addition, subtraction and multiplication, with
 no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
-identity checks only multiply.  Evaluation is plain Horner and is exact
-for int and `fractions.Fraction` arguments (and works fine with floats or
-complex numbers when approximation is wanted).  `evaluate_homogeneous`
-gives y^degree * P(x/y) for integers x, y without leaving the integers,
-which is how a rational point p/q is evaluated exactly.
+identity checks only multiply.
+
+The product of two polynomials is one big-integer multiplication
+(Kronecker substitution): each operand is packed into one int with its
+coefficients in fixed slots of w bytes, the two ints are multiplied (a
+square when both operands are the same object) and the slots of the
+product are read back as its coefficients.  The slot width is exact:
+coefficient k of a * b is a sum of at most min(len a, len b) products
+a_i * b_j, so it is at most bound = max|a_i| * max|b_j| * min(len a,
+len b) in absolute value, and so is every input coefficient.  With
+8w - 1 >= bitlength(bound) every such value v has |v| < 2^(8w-1), so
+v + 2^(8w-1) lies in [0, 2^(8w)).  Adding 2^(8w-1) to every slot of the
+product therefore leaves each slot in range, nothing carries from one
+slot into the next, and subtracting 2^(8w-1) from each slot gives the
+coefficients back exactly.  CPython multiplies large ints by Karatsuba,
+so a product of two degree-d polynomials costs far less than the d^2
+coefficient products of the schoolbook loop, which the tests keep as
+the reference.
+
+Evaluation is plain Horner and is exact for int and `fractions.Fraction`
+arguments (and works fine with floats or complex numbers when
+approximation is wanted).  `evaluate_homogeneous` gives y^degree * P(x/y)
+for integers x, y without leaving the integers, which is how a rational
+point p/q is evaluated exactly.
 """
 
 from __future__ import annotations
@@ -109,15 +128,26 @@ class IntPolynomial:
             return IntPolynomial(other * c for c in self._coeffs)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self or not other:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
+        packed = _pack(a, width)
+        if other is self:
+            product = packed * packed
+        else:
+            product = packed * _pack(b, width)
+        slots = len(a) + len(b) - 1
+        half = 1 << (8 * width - 1)
+        offsets = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+        raw = (product + offsets).to_bytes(width * slots, "little")
+        return IntPolynomial(
+            [
+                int.from_bytes(raw[i : i + width], "little") - half
+                for i in range(0, width * slots, width)
+            ]
+        )
 
     __rmul__ = __mul__
 
@@ -173,6 +203,18 @@ class IntPolynomial:
             "order": "ascending",
             "coeffs": [str(c) for c in self._coeffs],
         }
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """sum_j coeffs[j] * 2^(8*width*j): the positive and the negative
+    coefficients are laid out in width-byte slots separately and the two
+    packed integers subtracted, so no slot holds a sign."""
+    empty = bytes(width)
+    pos = [c.to_bytes(width, "little") if c > 0 else empty for c in coeffs]
+    neg = [(-c).to_bytes(width, "little") if c < 0 else empty for c in coeffs]
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(
+        b"".join(neg), "little"
+    )
 
 
 def _coerce(value) -> IntPolynomial | None:

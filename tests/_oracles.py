@@ -5,13 +5,14 @@ are multiplied out in complex floating point, characters are checked
 against quadratic residues, and so on.  The floating-point ones are only
 trusted at small sizes where float error cannot reach 0.5.
 
-The reference routes to Phi_n live here too, each independent of the
-library's in-place build: prime-at-a-time recursion through exact long
-division, Newton's identities on the Ramanujan sums, the defining
-substitution for F_n, and the Moebius product of x^d - 1 evaluated
-modulo a prime.  They raise `ArithmeticError` where an exact step fails.
-The Moebius function they use is here as well, since nothing in the
-library calls it.
+The schoolbook polynomial product is the reference for the library's
+packed one.  The reference routes to Phi_n live here too, each
+independent of the library's in-place build: prime-at-a-time recursion
+through exact long division, Newton's identities on the Ramanujan sums,
+the defining substitution for F_n, and the Moebius product of x^d - 1
+evaluated modulo a prime.  They raise `ArithmeticError` where an exact
+step fails.  The Moebius function they use is here as well, since
+nothing in the library calls it.
 """
 
 import cmath
@@ -86,6 +87,20 @@ def quadratic_residues(p):
 
 
 # --- polynomial helpers the library does not need ---------------------
+
+
+def schoolbook_mul(a, b):
+    """a * b by the O(len a * len b) double loop over coefficient pairs:
+    the reference for `IntPolynomial.__mul__`'s packed product."""
+    if not a or not b:
+        return IntPolynomial()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return IntPolynomial(out)
 
 
 def monomial(k, c=1):

@@ -1,5 +1,6 @@
 """The Gauss factor pair (A_n, B_n) with 4*Phi_n = A^2 - s*n*B^2."""
 
+import dataclasses
 import math
 
 import pytest
@@ -48,6 +49,23 @@ def test_shapes():
 def test_defining_identity():
     for n in odd_squarefree(3, 152):
         assert verify_gauss(n)
+
+
+def test_defining_identity_at_15015():
+    assert verify_gauss(15015)
+
+
+@pytest.mark.parametrize("n", [1155, 3001])
+def test_identity_fails_on_one_corrupt_coefficient(n):
+    pair = algorithm_d(n)
+    big = 1 << max(c.bit_length() for c in pair.alpha + pair.beta)
+    for field in ("alpha", "beta"):
+        coeffs = getattr(pair, field)
+        j = len(coeffs) // 2
+        for delta in (1, -1, big):
+            corrupt = coeffs[:j] + (coeffs[j] + delta,) + coeffs[j + 1 :]
+            bad = dataclasses.replace(pair, **{field: corrupt})
+            assert not bad.identity_holds(), (field, delta)
 
 
 def test_identity_expanded_by_hand_for_15():

@@ -1,5 +1,6 @@
 """The Lucas factor pair (C_n, D_n) with F_n = C^2 - n*x*D^2."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -46,6 +47,23 @@ def test_shapes_and_palindromes():
 def test_defining_identity():
     for n in squarefree_range(2, 152):
         assert verify_lucas(n)
+
+
+def test_defining_identity_at_15015():
+    assert verify_lucas(15015)
+
+
+@pytest.mark.parametrize("n", [1155, 3001])
+def test_identity_fails_on_one_corrupt_coefficient(n):
+    pair = algorithm_l(n)
+    big = 1 << max(c.bit_length() for c in pair.gamma + pair.delta)
+    for field in ("gamma", "delta"):
+        coeffs = getattr(pair, field)
+        j = len(coeffs) // 2
+        for delta in (1, -1, big):
+            corrupt = coeffs[:j] + (coeffs[j] + delta,) + coeffs[j + 1 :]
+            bad = dataclasses.replace(pair, **{field: corrupt})
+            assert not bad.identity_holds(), (field, delta)
 
 
 def test_identity_expanded_for_15():

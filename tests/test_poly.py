@@ -5,10 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aurifeuille.poly import IntPolynomial
 
-from _oracles import compose_power, exact_div, monomial, negate_arg, symmetry_class
+from _oracles import (
+    compose_power,
+    exact_div,
+    monomial,
+    negate_arg,
+    schoolbook_mul,
+    symmetry_class,
+)
 
 X = IntPolynomial([0, 1])
 
@@ -121,6 +129,56 @@ def test_mul_then_div_roundtrip():
         if not q:
             continue
         assert exact_div(p * q, q) == p
+
+
+# Signed coefficients of 1 to 4096 bits, mixed within one polynomial.
+coefficients = st.integers(0, 12).flatmap(
+    lambda e: st.integers(-(1 << (1 << e)), 1 << (1 << e))
+)
+
+
+def _with_zero_runs(chunks):
+    return IntPolynomial([x for c, run in chunks for x in (c, *[0] * run)])
+
+
+polynomials = st.one_of(
+    coefficients.map(lambda c: IntPolynomial([c])),
+    st.lists(st.tuples(coefficients, st.integers(0, 6)), max_size=24).map(
+        _with_zero_runs
+    ),
+)
+
+
+@given(polynomials, polynomials)
+def test_mul_matches_schoolbook(a, b):
+    expected = schoolbook_mul(a, b)
+    assert a * b == expected
+    assert b * a == expected
+
+
+@given(polynomials)
+def test_square_matches_general_product(a):
+    # a * a squares one packed integer; the copy takes the general branch.
+    assert a * a == a * IntPolynomial(a.coeffs)
+
+
+@given(
+    st.integers(1, 4000).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+def test_mul_at_the_slot_bound(m, len_a, len_b, sign_a, sign_b):
+    # Constant operands: the middle coefficient of the product is
+    # +-min(len a, len b) * M^2, the largest the packed slots must hold.
+    a = IntPolynomial([sign_a * m] * len_a)
+    b = IntPolynomial([sign_b * m] * len_b)
+    product = a * b
+    assert product == schoolbook_mul(a, b)
+    middle = product.coefficient((len_a + len_b) // 2 - 1)
+    assert middle == sign_a * sign_b * min(len_a, len_b) * m * m
+    assert a * a == schoolbook_mul(a, a)
 
 
 def test_ring_homomorphism_under_evaluation():
