@@ -9,7 +9,9 @@ Subcommands:
                 from the pair (`LucasPair.split_at`)
   factor N [M]  factor M^(2N) * N^N +- 1 (M defaults to 1; --rational P/Q
                 for fractional M); the split comes from the rounding
-                route for integer M, the polynomial route for P/Q
+                route for integer M, the polynomial route for P/Q, and
+                each piece is factored by Brent's rho after the primes
+                of 2N are divided out
   verify ...    run the identity checks (optionally the series oracle)
                 for one n or a range
   classnum N    the class-number/unit data attached to N
@@ -80,7 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_lucas)
 
-    p = sub.add_parser("factor", help="factor M^(2N) * N^N +- 1")
+    p = sub.add_parser(
+        "factor",
+        help="factor M^(2N) * N^N +- 1 by its cyclotomic pieces and rho",
+    )
     p.add_argument("n", type=int)
     p.add_argument("m", type=int, nargs="?", default=None)
     p.add_argument(
@@ -89,9 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="use a rational M = P/Q (polynomial route only)",
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--trial-limit", type=int, default=factorizer.TRIAL_LIMIT
-    )
     p.set_defaults(handler=_cmd_factor)
 
     p = sub.add_parser("verify", help="run the factor-pair identity checks")
@@ -188,9 +190,7 @@ def _cmd_factor(args) -> int:
         m = _parse_rational(args.rational)
     else:
         m = Fraction(1 if args.m is None else args.m)
-    split, factors = factorizer.full_factorization(
-        args.n, m, trial_limit=args.trial_limit
-    )
+    split, factors = factorizer.full_factorization(args.n, m)
     if args.json:
         data = {
             "target": str(factors.target),

@@ -47,12 +47,10 @@ common prime of X and Y) or is 1 (mod L) with L = lcm(2, e).  So each
 piece is factored by:
 
   1. dividing out the primes of 2n;
-  2. trial division by d = 1 + k*L only, up to `trial_limit`; a survivor
-     below d^2 for the first untried d has no smaller prime, so it is 1
-     or prime;
-  3. Brent's rho over y -> y^L + c (Brent & Pollard, 1981) on each
-     composite survivor, at most `RHO_STEP_LIMIT` steps per survivor.
-     A prime p = 1 (mod L) closes the cycle after about sqrt(p/L) steps.
+  2. Brent's rho over y -> y^L + c (Brent & Pollard, 1981) on each
+     composite survivor, smallest survivor first, at most
+     `RHO_STEP_LIMIT` steps per piece.  A prime p = 1 (mod L) closes the
+     cycle after about sqrt(p/L) steps.
 
 A base below 3.3 * 10^24 that passes the strong-pseudoprime test is
 proven prime; a larger one is only a probable prime and is listed in
@@ -63,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import exp, gcd
 
 import mpmath
@@ -72,14 +71,13 @@ from .numthy import _require_squarefree, divisors, jacobi
 from .cyclotomic import f_poly, phi_moebius
 from .lucas import algorithm_l
 
-TRIAL_LIMIT = 10**6
-
 RHO_STEP_LIMIT = 1 << 20
-"""Most steps of Brent's rho for one trial-division survivor, over all
-restarts of c.  A survivor that is still composite after them stays in
-the factor list and leaves the factorization incomplete.  Spending the
-whole cap with L = 62 took 3.6 s on a 41-digit survivor and 7.5 s on an
-81-digit one, on a shared 2-core Xeon with Python 3.11."""
+"""Most steps of Brent's rho for one cyclotomic piece, summed over its
+survivors and all restarts of c.  A survivor that is still composite
+when they run out stays in the factor list and leaves the factorization
+incomplete.  Spending the whole cap with L = 62 took 3.6 s on a 41-digit
+survivor and 7.5 s on an 81-digit one, on a shared 2-core Xeon with
+Python 3.11."""
 
 # Strong-pseudoprime witnesses: the first 13 primes.  The smallest
 # composite passing all of them is psi_13 = 3317044064679887385961981,
@@ -240,14 +238,13 @@ def target_value(n: int, m: Fraction | int) -> int:
 
 
 def full_factorization(
-    n: int, m: Fraction | int, trial_limit: int = TRIAL_LIMIT
+    n: int, m: Fraction | int
 ) -> tuple[AurifeuilleResult, FactorList]:
     """Factor m^(2n) * n^n +- 1 (denominator-cleared for rational m).
 
     Splits the target into its cyclotomic pieces, replaces the top piece
     by its Aurifeuillian halves, then factors every piece as the module
-    docstring describes: the primes of 2n, trial division by 1 (mod L)
-    up to `trial_limit`, then rho.  The halves come from
+    docstring describes: the primes of 2n, then rho.  The halves come from
     `factor_by_rounding` for integer m and from `factor_by_polynomials`
     for rational m.  Returns the split and the combined factor list; a
     composite left by rho leaves `complete` False.
@@ -283,7 +280,7 @@ def full_factorization(
     complete = True
     for piece, e in pieces:
         piece_complete = _accumulate_factors(
-            piece, e, primes_2n, trial_limit, counts, probable
+            piece, e, primes_2n, counts, probable
         )
         complete = complete and piece_complete
     return split, FactorList(
@@ -348,12 +345,7 @@ def _cyclotomic_indices(n: int) -> list[int]:
 
 
 def _accumulate_factors(
-    value: int,
-    e: int,
-    primes_2n: list[int],
-    trial_limit: int,
-    counts: dict,
-    probable: set,
+    value: int, e: int, primes_2n: list[int], counts: dict, probable: set
 ) -> bool:
     """Factor the piece `value` of index `e` into `counts`; True when
     every base found is prime.  Bases above the proven bound of the
@@ -367,25 +359,18 @@ def _accumulate_factors(
             rem //= p
     # Every other prime of the piece is 1 (mod step).
     step = e if e % 2 == 0 else 2 * e
-    d = 1 + step
-    while d <= trial_limit and d * d <= rem:
-        while rem % d == 0:
-            counts[d] = counts.get(d, 0) + 1
-            rem //= d
-        d += step
-    # No prime below d divides rem, so a divisor of rem below d^2 is 1
-    # or prime.
-    proven = d * d
     complete = True
     budget = RHO_STEP_LIMIT
+    # The piece shares one rho budget: the smallest survivor goes first,
+    # so a small composite is split before a hard cofactor spends it all.
     survivors = [rem]
     while survivors:
-        rem = survivors.pop()
+        rem = heappop(survivors)
         if rem == 1:
             continue
-        if rem < proven or is_probable_prime(rem):
+        if is_probable_prime(rem):
             counts[rem] = counts.get(rem, 0) + 1
-            if rem >= max(proven, _MR_PROVEN_BOUND):
+            if rem >= _MR_PROVEN_BOUND:
                 probable.add(rem)
             continue
         divisor, used = _brent_rho(rem, step, budget)
@@ -394,7 +379,8 @@ def _accumulate_factors(
             counts[rem] = counts.get(rem, 0) + 1
             complete = False
         else:
-            survivors += [divisor, rem // divisor]
+            heappush(survivors, divisor)
+            heappush(survivors, rem // divisor)
     return complete
 
 
@@ -480,7 +466,6 @@ __all__ = [
     "AurifeuilleResult",
     "FactorList",
     "RHO_STEP_LIMIT",
-    "TRIAL_LIMIT",
     "factor_by_polynomials",
     "factor_by_rounding",
     "full_factorization",

@@ -215,24 +215,25 @@ class PellUnit:
     v: int
 
 
-def fundamental_unit(n: int, search_cap: int = PELL_SEARCH_CAP) -> PellUnit:
+def fundamental_unit(n: int) -> PellUnit:
     """Smallest-v solution of u^2 - n*v^2 = 4 for square-free n = 1 (mod 4).
 
     Searches v = 1, 2, ... and stops at the first v with n*v^2 + 4 a
-    perfect square; raises SearchCapExceeded past `search_cap`.
+    perfect square; raises SearchCapExceeded past `PELL_SEARCH_CAP`,
+    read at call time.
     """
     _require_squarefree(n)
     if n % 4 != 1:
         raise BadResidueClass(
             f"fundamental_unit needs n = 1 (mod 4), got n={n}"
         )
-    for v in range(1, search_cap + 1):
+    for v in range(1, PELL_SEARCH_CAP + 1):
         t = n * v * v + 4
         u = isqrt(t)
         if u * u == t:
             return PellUnit(n=n, u=u, v=v)
     raise SearchCapExceeded(
-        f"no unit with v <= {search_cap} for n={n}"
+        f"no unit with v <= {PELL_SEARCH_CAP} for n={n}"
     )
 
 

@@ -135,12 +135,12 @@ def test_factor_rational_excludes_positional_m(capsys):
 
 def test_factor_incomplete_sets_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 0)
-    code, out, _ = run(capsys, "factor", "15", "--trial-limit", "10")
+    code, out, _ = run(capsys, "factor", "15")
     assert code == 1
     assert "complete: no" in out
 
 
-def test_factor_completes_past_the_trial_limit(capsys):
+def test_factor_completes_with_primes_past_a_million(capsys):
     code, out, _ = run(capsys, "factor", "23")
     assert code == 0
     lines = out.splitlines()

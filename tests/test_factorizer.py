@@ -298,24 +298,57 @@ def test_full_factorization_product_checks_hold_broadly():
 
 
 def test_full_factorization_incomplete_is_flagged(monkeypatch):
-    # With a tiny trial budget and no rho steps the composite piece
-    # Phi_10(15) = 31 * 1531 survives undivided and fails the
-    # probable-prime test.
+    # With no rho steps the composite piece Phi_10(15) = 31 * 1531
+    # survives undivided and fails the probable-prime test.
     monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 0)
-    _split, flist = full_factorization(15, 1, trial_limit=10)
+    _split, flist = full_factorization(15, 1)
     assert not flist.complete
     assert (47461, 1) in flist.factors
     assert flist.product() == flist.target
 
 
-def test_full_factorization_rho_finishes_past_the_trial_limit():
-    # F- of 23^46 + 1 holds 1641281 * 1522029233, both past 10^6; the
-    # same piece is split by rho alone when trial division stops at 10.
-    for limit in (factorizer.TRIAL_LIMIT, 10):
-        _split, flist = full_factorization(23, 1, trial_limit=limit)
-        assert flist.complete and flist.product() == flist.target
-        assert (1641281, 1) in flist.factors
-        assert (1522029233, 1) in flist.factors
+def test_full_factorization_rho_finds_primes_past_a_million():
+    # F- of 23^46 + 1 holds 1641281 * 1522029233, both past 10^6.
+    _split, flist = full_factorization(23, 1)
+    assert flist.complete and flist.product() == flist.target
+    assert (1641281, 1) in flist.factors
+    assert (1522029233, 1) in flist.factors
+
+
+def test_full_factorization_splits_the_smallest_survivor_first(monkeypatch):
+    # Rho splits a piece of 5^86 * 43^43 + 1 into 178709 = 173 * 1033 and
+    # a cofactor that 3000 steps do not split.  Taken smallest first,
+    # 178709 is split before the cofactor spends the piece's budget.
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 3000)
+    _split, flist = full_factorization(43, 5)
+    assert not flist.complete
+    assert (173, 1) in flist.factors and (1033, 1) in flist.factors
+    assert all(base != 178709 for base, _e in flist.factors)
+    assert flist.product() == flist.target
+
+
+def test_rho_budget_is_shared_by_the_survivors_of_a_piece(monkeypatch):
+    # RHO_STEP_LIMIT caps the rho steps of one piece, summed over all of
+    # its survivors; a piece that runs out spends exactly the cap.
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 3000)
+    accumulate, rho = factorizer._accumulate_factors, factorizer._brent_rho
+    spent = []
+
+    def one_piece(*args):
+        spent.append(0)
+        return accumulate(*args)
+
+    def counted_rho(n, k, budget):
+        divisor, used = rho(n, k, budget)
+        spent[-1] += used
+        return divisor, used
+
+    monkeypatch.setattr(factorizer, "_accumulate_factors", one_piece)
+    monkeypatch.setattr(factorizer, "_brent_rho", counted_rho)
+    for n, m in ((43, 5), (37, Fraction(3, 2)), (43, Fraction(2, 3))):
+        full_factorization(n, m)
+    assert max(spent) == 3000
+    assert all(steps <= 3000 for steps in spent)
 
 
 def test_full_factorization_strips_common_primes_of_rational_m():

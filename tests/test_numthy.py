@@ -5,6 +5,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aurifeuille.numthy as numthy
 from aurifeuille.errors import (
     BadResidueClass,
     NotSquareFree,
@@ -232,10 +233,11 @@ def test_fundamental_unit_solves_pell_minimally():
                 assert isqrt(t) ** 2 != t  # nothing smaller works
 
 
-def test_fundamental_unit_rejections():
+def test_fundamental_unit_rejections(monkeypatch):
     with pytest.raises(BadResidueClass):
         fundamental_unit(7)
     with pytest.raises(NotSquareFree):
         fundamental_unit(45)
+    monkeypatch.setattr(numthy, "PELL_SEARCH_CAP", 2)
     with pytest.raises(SearchCapExceeded):
-        fundamental_unit(61, search_cap=2)
+        fundamental_unit(61)
