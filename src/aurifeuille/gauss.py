@@ -18,17 +18,17 @@ the descending coefficients alpha_k of A_n and beta_k of B_n satisfy
     2k * alpha_k = sum_{j<k} ( s*n*r_{k-j}*beta_j - q_{k-j}*alpha_j ),
     2k * beta_k  = sum_{j<k} ( r_{k-j}*alpha_j   - q_{k-j}*beta_j  ).
 
-Every division by 2k is exact when the inputs are consistent; a failed
-division is reported as `NonIntegerStep` and means corrupted inputs or an
-implementation bug (it doubles as an overflow canary in ports to bounded
-integer types).
+This is the shared Newton-identity kernel `numthy._newton_pair` with
+c = s*n and p = r; every division by 2k is exact when the inputs are
+consistent, and a failed division is reported as `NonIntegerStep`, which
+means corrupted inputs or an implementation bug (it doubles as an
+overflow canary in ports to bounded integer types).
 
 Both halves of each pair are symmetric up to sign, so only the first half
-is recurred by default and the rest mirrored: alpha_k = (-1)^d
-alpha_{d-k} (n > 3), and beta_k = -beta_{d-k} when n is composite with
-n = 3 (mod 4), beta_k = beta_{d-k} otherwise.  Passing
-``use_symmetry=False`` runs the recurrence all the way to k = d, which is
-how the mirror rule itself is tested.
+is recurred and the rest mirrored: alpha_k = (-1)^d alpha_{d-k} (n > 3),
+and beta_k = -beta_{d-k} when n is composite with n = 3 (mod 4),
+beta_k = beta_{d-k} otherwise.  For n = 3 (d = 1) the one step k = 1 is
+recurred and nothing mirrored.
 
 The primes of n are found once per pair, by `make_context`, and feed
 every q_k.  The identity check is the pair's own
@@ -40,8 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonIntegerStep, NotOddSquareFree, NotSquareFree
-from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
+from .errors import NotOddSquareFree, NotSquareFree
+from .numthy import (
+    NumTheoryContext,
+    _moebius_phi,
+    _newton_pair,
+    jacobi,
+    make_context,
+)
 from .poly import IntPolynomial
 from .cyclotomic import phi_moebius
 
@@ -85,38 +91,19 @@ def gauss_power_parts(n: int, k: int) -> tuple[int, int]:
     return _moebius_phi(ctx.primes, k), jacobi(k, n)
 
 
-def algorithm_d(n: int, use_symmetry: bool = True) -> GaussPair:
+def algorithm_d(n: int) -> GaussPair:
     """Compute the Gauss pair (A_n, B_n) for odd square-free n >= 3."""
     ctx = _odd_context(n)
     d = ctx.d_gauss
-    s = ctx.s
-    sn = s * n
-    direct = max(1, d // 2) if use_symmetry else d
-    q = [0] * (direct + 1)
-    r = [0] * (direct + 1)
-    for k in range(1, direct + 1):
-        q[k], r[k] = _moebius_phi(ctx.primes, k), jacobi(k, n)
-    alpha = [2]
-    beta = [0]
-    for k in range(1, direct + 1):
-        acc_a = 0
-        acc_b = 0
-        for j in range(k):
-            acc_a += sn * r[k - j] * beta[j] - q[k - j] * alpha[j]
-            acc_b += r[k - j] * alpha[j] - q[k - j] * beta[j]
-        if acc_a % (2 * k) or acc_b % (2 * k):
-            raise NonIntegerStep(
-                f"n={n}, k={k}: sums ({acc_a}, {acc_b}) not divisible by 2k"
-            )
-        alpha.append(acc_a // (2 * k))
-        beta.append(acc_b // (2 * k))
-    if use_symmetry and direct < d:
-        sign_a = -1 if d % 2 else 1
-        sign_b = -1 if (n % 4 == 3 and len(ctx.primes) > 1) else 1
-        for k in range(direct + 1, d + 1):
-            alpha.append(sign_a * alpha[d - k])
-            beta.append(sign_b * beta[d - k])
-    return GaussPair(n=n, s=s, alpha=tuple(alpha), beta=tuple(beta), d=d)
+    direct = max(1, d // 2)
+    q = [_moebius_phi(ctx.primes, k) for k in range(direct + 1)]
+    r = [jacobi(k, n) for k in range(direct + 1)]  # r_0 = (0|n) = 0
+    alpha, beta = _newton_pair(n, 2, 0, ctx.s * n, r, q, r, 0, direct, direct)
+    sign_a = -1 if d % 2 else 1
+    sign_b = -1 if (n % 4 == 3 and len(ctx.primes) > 1) else 1
+    alpha += [sign_a * alpha[d - k] for k in range(direct + 1, d + 1)]
+    beta += [sign_b * beta[d - k] for k in range(direct + 1, d + 1)]
+    return GaussPair(n=n, s=ctx.s, alpha=tuple(alpha), beta=tuple(beta), d=d)
 
 
 def verify_gauss(n: int) -> bool:

@@ -22,11 +22,13 @@ Writing C_n = sum gamma_j x^(d-j) and D_n = sum delta_j x^(d-1-j):
     2k * gamma_k     = sum_{j<k} ( n * q_{2k-2j-1} * delta_j - q_{2k-2j} * gamma_j ),
     (2k+1) * delta_k = gamma_k + sum_{j<k} ( q_{2k+1-2j} * gamma_j - q_{2k-2j} * delta_j ).
 
-All divisions are exact for consistent inputs (`NonIntegerStep`
-otherwise).  Both polynomials are palindromic, so by default only the
-first halves are recurred (gamma up to floor(d/2), delta up to
-floor((d-1)/2)) and the rest mirrored; ``use_symmetry=False`` recurs
-everything directly.
+This is the shared Newton-identity kernel `numthy._newton_pair` with
+c = n on the lists q_{2i-1}, q_{2i} and q_{2i+1} (its p_i, q_i and r_i);
+its j = k term q_1 * gamma_k = gamma_k is the lone gamma_k above.  All
+divisions are exact for consistent inputs (`NonIntegerStep` otherwise).
+Both polynomials are palindromic, so only the first halves are recurred
+(gamma up to floor(d/2), delta up to floor((d-1)/2)) and the rest
+mirrored.
 
 The primes of n are found once per pair, by `make_context`, and feed every
 q_k.  The identity check and the split are the pair's own
@@ -39,10 +41,14 @@ gives it at x = (p/q)^2 * n scaled by q^(2d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
-from .errors import NonIntegerStep
-from .numthy import NumTheoryContext, _moebius_phi, jacobi, make_context
+from .numthy import (
+    NumTheoryContext,
+    _moebius_phi,
+    _newton_pair,
+    jacobi,
+    make_context,
+)
 from .poly import IntPolynomial
 from .cyclotomic import f_poly
 
@@ -100,45 +106,17 @@ def lucas_q(n: int, k: int) -> int:
     return _q(ctx, k)
 
 
-def algorithm_l(n: int, use_symmetry: bool = True) -> LucasPair:
+def algorithm_l(n: int) -> LucasPair:
     """Compute the Lucas pair (C_n, D_n) for square-free n >= 2."""
     ctx = make_context(n)
     d = ctx.d_lucas
-    gamma_direct = d // 2 if use_symmetry else d
-    delta_direct = (d - 1) // 2 if use_symmetry else d - 1
-    q = [0] * (2 * max(gamma_direct, delta_direct) + 2)
-    for k in range(1, len(q)):
-        q[k] = _q(ctx, k)
-    gamma = [1]
-    delta = [1]
-    for k in range(1, max(gamma_direct, delta_direct) + 1):
-        # q[2k-2j] for j = 0..k-1, i.e. q[2k], q[2k-2], ..., q[2].
-        q_even = q[2 * k : 0 : -2]
-        if k <= gamma_direct:
-            acc = n * sum(map(mul, q[2 * k - 1 :: -2], delta)) - sum(
-                map(mul, q_even, gamma)
-            )
-            if acc % (2 * k):
-                raise NonIntegerStep(
-                    f"n={n}, gamma step k={k}: {acc} not divisible by 2k"
-                )
-            gamma.append(acc // (2 * k))
-        if k <= delta_direct:
-            acc = (
-                gamma[k]
-                + sum(map(mul, q[2 * k + 1 : 1 : -2], gamma))
-                - sum(map(mul, q_even, delta))
-            )
-            if acc % (2 * k + 1):
-                raise NonIntegerStep(
-                    f"n={n}, delta step k={k}: {acc} not divisible by 2k+1"
-                )
-            delta.append(acc // (2 * k + 1))
-    if use_symmetry:
-        for k in range(gamma_direct + 1, d + 1):
-            gamma.append(gamma[d - k])
-        for k in range(delta_direct + 1, d):
-            delta.append(delta[d - 1 - k])
+    q = [0] + [_q(ctx, k) for k in range(1, d + 1)]
+    q_odd = q[1::2]  # q_{2i+1}; q_odd[0] = q_1 = 1 gives delta_k its gamma_k
+    gamma, delta = _newton_pair(
+        n, 1, 1, n, [0] + q_odd, q[::2], q_odd, 1, d // 2, (d - 1) // 2
+    )
+    gamma += [gamma[d - k] for k in range(d // 2 + 1, d + 1)]
+    delta += [delta[d - 1 - k] for k in range((d - 1) // 2 + 1, d)]
     return LucasPair(
         n=n,
         n_prime=ctx.n_prime,

@@ -17,17 +17,20 @@ The Gauss pair (A_n, B_n) has degree d_gauss = phi(n)/2 (odd n); the Lucas
 pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
 lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
 n, found once by `make_context`, as do the power sums mu(N/g) * phi(g)
-that drive both recurrences (`_moebius_phi`).
+that drive both recurrences (`_moebius_phi`), which are one kernel,
+`_newton_pair`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import isqrt, prod
+from operator import mul
 
 from .errors import (
     BadResidueClass,
     InternalInconsistency,
+    NonIntegerStep,
     NotSquareFree,
     NTooSmall,
     SearchCapExceeded,
@@ -128,6 +131,36 @@ def _moebius_phi(primes: tuple[int, ...], k: int) -> int:
     for p in primes:
         out *= p - 1 if k % p == 0 else -1
     return out
+
+
+def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
+    """The coefficient lists u_0..u_{k_u}, v_0..v_{k_v} (ints, with
+    k_u - 1 <= k_v <= k_u) of a factor pair, by Newton's identities on its
+    power-sum lists p, q, r:
+
+        2k * u_k         = sum_{j<k} ( c*p_{k-j}*v_j - q_{k-j}*u_j ),
+        (2k + odd) * v_k = sum_{j<=k} r_{k-j}*u_j - sum_{j<k} q_{k-j}*v_j.
+
+    p[0] and q[0] are never read; r[0] is.  Every division is exact for
+    consistent inputs, and a failed one raises `NonIntegerStep` naming n
+    and k.
+    """
+    u, v = [u0], [v0]
+    for k in range(1, k_u + 1):
+        q_rev = q[k:0:-1]
+        acc = c * sum(map(mul, p[k:0:-1], v)) - sum(map(mul, q_rev, u))
+        div = 2 * k
+        if acc % div:
+            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+        u.append(acc // div)
+        if k > k_v:
+            break
+        acc = sum(map(mul, r[k::-1], u)) - sum(map(mul, q_rev, v))
+        div += odd
+        if acc % div:
+            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+        v.append(acc // div)
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -247,7 +280,6 @@ __all__ = [
     "euler_phi",
     "factorize",
     "fundamental_unit",
-    "gcd",
     "is_squarefree",
     "jacobi",
     "make_context",

@@ -225,4 +225,4 @@ def _coerce(value) -> IntPolynomial | None:
     return None
 
 
-__all__ = ["Fraction", "IntPolynomial", "Scalar"]
+__all__ = ["IntPolynomial", "Scalar"]

@@ -11,6 +11,7 @@ from aurifeuille.errors import NotOddSquareFree
 from aurifeuille.gauss import algorithm_d, gauss_power_parts, verify_gauss
 from aurifeuille.numthy import euler_phi, factorize, jacobi
 from aurifeuille.poly import IntPolynomial
+from aurifeuille.series_oracle import gauss_via_series
 
 from _counting import count_calls
 from _oracles import squarefree_range
@@ -76,11 +77,11 @@ def test_identity_expanded_by_hand_for_15():
     assert lhs == rhs
 
 
-def test_symmetry_shortcut_matches_full_recurrence():
-    for n in odd_squarefree(3, 90):
-        fast = algorithm_d(n, use_symmetry=True)
-        slow = algorithm_d(n, use_symmetry=False)
-        assert fast == slow
+def test_recurrence_matches_series_oracle():
+    # The half recurrence plus the mirror against the independent
+    # generating-function construction of the whole pair.
+    for n in odd_squarefree(5, 89):
+        assert algorithm_d(n) == gauss_via_series(n)
 
 
 def test_mirror_structure():

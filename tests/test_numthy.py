@@ -5,9 +5,12 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aurifeuille.gauss as gauss
+import aurifeuille.lucas as lucas
 import aurifeuille.numthy as numthy
 from aurifeuille.errors import (
     BadResidueClass,
+    NonIntegerStep,
     NotSquareFree,
     NTooSmall,
     SearchCapExceeded,
@@ -164,6 +167,44 @@ def test_context_rejections():
         make_context(1)
     with pytest.raises(NotSquareFree):
         make_context(12)
+
+
+# The Newton-identity kernel behind both factor pairs.
+
+@pytest.mark.parametrize(
+    "module, source, index, k, divisor",
+    [
+        (gauss, "_moebius_phi", 1, 2, 4),  # Gauss q_1
+        (gauss, "jacobi", 1, 2, 4),  # Gauss r_1 = p_1
+        (lucas, "_q", 1, 1, 2),  # Lucas q_1 = p_1 = r_0
+        (lucas, "_q", 3, 1, 3),  # Lucas q_3 = r_1: the delta step fails
+    ],
+    ids=["gauss-q1", "gauss-r1", "lucas-q1", "lucas-r1"],
+)
+def test_newton_pair_rejects_a_corrupt_power_sum(
+    monkeypatch, module, source, index, k, divisor
+):
+    # One power sum off by one makes some step's sum indivisible; the
+    # kernel must raise there, naming n and k, and not round.
+    exact = getattr(module, source)
+
+    def off_by_one(a, b):
+        k_arg = a if source == "jacobi" else b  # jacobi(k, n), the rest (_, k)
+        return exact(a, b) + (k_arg == index)
+
+    monkeypatch.setattr(module, source, off_by_one)
+    algorithm = gauss.algorithm_d if module is gauss else lucas.algorithm_l
+    message = rf"^n=105, k={k}: {divisor} does not divide -?\d+$"
+    with pytest.raises(NonIntegerStep, match=message):
+        algorithm(105)
+
+
+@settings(max_examples=20)
+@given(n=st.sampled_from(squarefree_range(302, 2000)))
+def test_pairs_satisfy_their_identities_past_301(n):
+    assert lucas.algorithm_l(n).identity_holds()
+    if n % 2:
+        assert gauss.algorithm_d(n).identity_holds()
 
 
 def test_class_number_3():
