@@ -24,11 +24,13 @@ consistent, and a failed division is reported as `NonIntegerStep`, which
 means corrupted inputs or an implementation bug (it doubles as an
 overflow canary in ports to bounded integer types).
 
-Both halves of each pair are symmetric up to sign, so only the first half
-is recurred and the rest mirrored: alpha_k = (-1)^d alpha_{d-k} (n > 3),
-and beta_k = -beta_{d-k} when n is composite with n = 3 (mod 4),
-beta_k = beta_{d-k} otherwise.  For n = 3 (d = 1) the one step k = 1 is
-recurred and nothing mirrored.
+Both halves of each pair are symmetric up to sign, so the half
+recurrence runs k = 1..floor(d/2) and the rest is mirrored:
+alpha_k = (-1)^d alpha_{d-k} (n > 3), and beta_k = -beta_{d-k} when n is
+composite with n = 3 (mod 4), beta_k = beta_{d-k} otherwise.  For n = 3
+(d = 1) the half recurrence is the one step k = 1 and nothing is
+mirrored.  The kernel sums the half recurrence by divide and conquer
+over packed products, in O(M(d) log d) rather than d^2 products.
 
 The primes of n are found once per pair, by `make_context`, and feed
 every q_k.  The identity check is the pair's own

@@ -26,9 +26,10 @@ This is the shared Newton-identity kernel `numthy._newton_pair` with
 c = n on the lists q_{2i-1}, q_{2i} and q_{2i+1} (its p_i, q_i and r_i);
 its j = k term q_1 * gamma_k = gamma_k is the lone gamma_k above.  All
 divisions are exact for consistent inputs (`NonIntegerStep` otherwise).
-Both polynomials are palindromic, so only the first halves are recurred
-(gamma up to floor(d/2), delta up to floor((d-1)/2)) and the rest
-mirrored.
+Both polynomials are palindromic, so the half recurrence stops at
+gamma_{floor(d/2)} and delta_{floor((d-1)/2)} and the rest is mirrored.
+The kernel sums the half recurrence by divide and conquer over packed
+products, in O(M(d) log d) rather than d^2 products.
 
 The primes of n are found once per pair, by `make_context`, and feed every
 q_k.  The identity check and the split are the pair's own

@@ -19,13 +19,23 @@ lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
 n, found once by `make_context`, as do the power sums mu(N/g) * phi(g)
 that drive both recurrences (`_moebius_phi`), which are one kernel,
 `_newton_pair`.
+
+The kernel's Newton sums are online convolutions: step k needs every
+coefficient before it.  It computes them by divide and conquer, so a
+recurrence of d steps costs O(M(d) log d), with M(d) the cost of one
+packed product of d coefficients, in place of the d^2 coefficient
+products of the direct loop, which the tests keep as the reference.
+Blocks of at most `_LEAF` = 48 steps are summed directly.  Every packed
+product is `poly._kronecker`, whose slot width bounds every coefficient
+of the product and whose slot offsets go on before it cuts the wanted
+slots out, so no slot carries into or borrows from the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     BadResidueClass,
@@ -35,8 +45,15 @@ from .errors import (
     NTooSmall,
     SearchCapExceeded,
 )
+from .poly import _kronecker
 
 PELL_SEARCH_CAP = 10**6
+
+# Blocks of at most this many Newton steps are summed directly rather than
+# split further, since packing and unpacking tiny products costs more than
+# the direct sums.  Leaves of 16 to 96 steps timed within run-to-run noise
+# of one another on both pairs at n = 1001..3001.
+_LEAF = 48
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -141,25 +158,85 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
         2k * u_k         = sum_{j<k} ( c*p_{k-j}*v_j - q_{k-j}*u_j ),
         (2k + odd) * v_k = sum_{j<=k} r_{k-j}*u_j - sum_{j<k} q_{k-j}*v_j.
 
-    p[0] and q[0] are never read; r[0] is.  Every division is exact for
+    p and q hold at least k_u + 1 entries and r at least k_v + 1; p[0]
+    and q[0] are never read, r[0] is.  Every division is exact for
     consistent inputs, and a failed one raises `NonIntegerStep` naming n
     and k.
+
+    The sums are computed by divide and conquer, as in the relaxed
+    products of van der Hoeven (J. Symb. Comp. 2002) with one factor known
+    in advance; Brent & Kung (J. ACM 1978) treat such series recurrences.
+    To solve the steps [lo, hi): solve [lo, mid), add what u_j and v_j for
+    j in [lo, mid) give to the sums of every k in [mid, hi), then solve
+    [mid, hi).  Those additions are three packed products per block, by
+    `poly._kronecker`, since
+
+        sum (c*p*v - q*u) = sum (c*p + q)*v - sum q*(u + v),
+        sum (r*u - q*v)   = sum (r + q)*u   - sum q*(u + v),
+
+    and a block of at most `_LEAF` steps is summed directly.  This costs
+    O(M(d) log d) for d = k_u steps, with M(d) the cost of one product of
+    d coefficients, against the direct loop's d^2 coefficient products.
+    Each `_kronecker` slot is wide enough for its coefficient of the
+    product and gets its offset before any slot is cut out, so no slot
+    carries or borrows.  Steps still run in increasing k, a step's sums
+    are complete when it reads them, and each coefficient is still one
+    exact division, so a failing step raises at the same k, with the same
+    sum, as the direct loop would.
     """
     u, v = [u0], [v0]
-    for k in range(1, k_u + 1):
-        q_rev = q[k:0:-1]
-        acc = c * sum(map(mul, p[k:0:-1], v)) - sum(map(mul, q_rev, u))
-        div = 2 * k
-        if acc % div:
-            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
-        u.append(acc // div)
-        if k > k_v:
-            break
-        acc = sum(map(mul, r[k::-1], u)) - sum(map(mul, q_rev, v))
-        div += odd
-        if acc % div:
-            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
-        v.append(acc // div)
+    # su[k], sv[k]: the parts of step k's two sums from the j already folded
+    # in by the products; the leaf containing k adds the rest.
+    su = [0] * (k_u + 1)
+    sv = [0] * (k_u + 1)
+    cpq = [c * x + y for x, y in zip(p, q)]
+    rq = list(map(add, r, q))
+    # The blocks still to do, last first.  (lo, hi, None) is a block to
+    # solve; (lo, hi, mid) says that [lo, mid) is solved and must now feed
+    # the steps [mid, hi).  A list, not a recursive inner function: that
+    # would be a reference cycle, and would hold these lists until the
+    # cyclic garbage collector ran.
+    todo = [(0, k_u + 1, None)]
+    while todo:
+        lo, hi, mid = todo.pop()
+        if mid is not None:
+            # k - j runs over 1..hi-lo-1, and slot i of a product is step
+            # lo + 1 + i.  rq may stop one entry short of hi - lo - 1 when
+            # k_v < k_u: the entry it lacks only reaches sv[k_u], never read.
+            ub, vb = u[lo:mid], v[lo:mid]
+            first, last = mid - lo - 1, hi - lo - 1
+            both = _kronecker(list(map(add, ub, vb)), q[1 : hi - lo], first, last)
+            du = _kronecker(vb, cpq[1 : hi - lo], first, last)
+            dv = _kronecker(ub, rq[1 : hi - lo], first, last)
+            for k, x, y, z in zip(range(mid, hi), both, du, dv):
+                su[k] += y - x
+                sv[k] += z - x
+        elif hi - lo > _LEAF:
+            mid = (lo + hi) // 2
+            todo += [(mid, hi, None), (lo, hi, mid), (lo, mid, None)]
+        else:
+            for k in range(max(lo, 1), hi):
+                q_rev = q[k - lo : 0 : -1]
+                acc = (
+                    su[k]
+                    + c * sum(map(mul, p[k - lo : 0 : -1], v[lo:]))
+                    - sum(map(mul, q_rev, u[lo:]))
+                )
+                div = 2 * k
+                if acc % div:
+                    raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+                u.append(acc // div)
+                if k > k_v:
+                    break
+                acc = (
+                    sv[k]
+                    + sum(map(mul, r[k - lo :: -1], u[lo:]))
+                    - sum(map(mul, q_rev, v[lo:]))
+                )
+                div += odd
+                if acc % div:
+                    raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+                v.append(acc // div)
     return u, v
 
 

@@ -24,7 +24,9 @@ slot into the next, and subtracting 2^(8w-1) from each slot gives the
 coefficients back exactly.  CPython multiplies large ints by Karatsuba,
 so a product of two degree-d polynomials costs far less than the d^2
 coefficient products of the schoolbook loop, which the tests keep as
-the reference.
+the reference.  The packing lives in one private function, `_kronecker`,
+which `__mul__` calls for the whole product and the recurrence kernel
+`numthy._newton_pair` for a range of its slots.
 
 Evaluation is plain Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -131,23 +133,7 @@ class IntPolynomial:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return IntPolynomial()
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-        width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
-        packed = _pack(a, width)
-        if other is self:
-            product = packed * packed
-        else:
-            product = packed * _pack(b, width)
-        slots = len(a) + len(b) - 1
-        half = 1 << (8 * width - 1)
-        offsets = int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-        raw = (product + offsets).to_bytes(width * slots, "little")
-        return IntPolynomial(
-            [
-                int.from_bytes(raw[i : i + width], "little") - half
-                for i in range(0, width * slots, width)
-            ]
-        )
+        return IntPolynomial(_kronecker(a, b, 0, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -205,7 +191,33 @@ class IntPolynomial:
         }
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _kronecker(a, b, start: int, stop: int) -> list[int]:
+    """Coefficients start..stop-1 of the product of the coefficient
+    sequences a and b, by Kronecker substitution.
+
+    a and b are nonempty sequences of ints; zero entries are allowed, and
+    an all-zero operand counts as all ones in the slot bound of the module
+    docstring, so every input coefficient fits its slot too.  The offsets
+    2^(8w-1) go onto slots 0..stop-1 of the product before anything is cut
+    from it, so no borrow crosses a slot, and slots from stop on (the
+    product may be longer) cannot reach the ones below.  A square, ``b is
+    a``, multiplies one packed int by itself.
+    """
+    bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
+    packed = _pack(a, width)
+    product = packed * (packed if b is a else _pack(b, width))
+    half = 1 << (8 * width - 1)
+    product += int.from_bytes(half.to_bytes(width, "little") * stop, "little")
+    product &= (1 << (8 * width * stop)) - 1
+    raw = (product >> (8 * width * start)).to_bytes(width * (stop - start), "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, len(raw), width)
+    ]
+
+
+def _pack(coeffs, width: int) -> int:
     """sum_j coeffs[j] * 2^(8*width*j): the positive and the negative
     coefficients are laid out in width-byte slots separately and the two
     packed integers subtracted, so no slot holds a sign."""

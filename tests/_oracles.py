@@ -6,7 +6,8 @@ against quadratic residues, and so on.  The floating-point ones are only
 trusted at small sizes where float error cannot reach 0.5.
 
 The schoolbook polynomial product is the reference for the library's
-packed one.  The reference routes to Phi_n live here too, each
+packed one, and the direct O(d^2) loop of Newton's identities is the
+reference for the divide-and-conquer kernel behind both factor pairs.  The reference routes to Phi_n live here too, each
 independent of the library's in-place build: prime-at-a-time recursion
 through exact long division, Newton's identities on the Ramanujan sums,
 the defining substitution for F_n, and the Moebius product of x^d - 1
@@ -17,8 +18,9 @@ nothing in the library calls it.
 
 import cmath
 from math import gcd
+from operator import mul
 
-from aurifeuille.errors import NotSquareFree
+from aurifeuille.errors import NonIntegerStep, NotSquareFree
 from aurifeuille.numthy import euler_phi, factorize, is_squarefree
 from aurifeuille.poly import IntPolynomial
 
@@ -101,6 +103,28 @@ def schoolbook_mul(a, b):
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return IntPolynomial(out)
+
+
+def newton_pair_direct(n, u0, v0, c, p, q, r, odd, k_u, k_v):
+    """`numthy._newton_pair` by its direct loop: every step sums its
+    products u_j, v_j for all j < k afresh, d^2 products in all.  Same
+    arguments, results and `NonIntegerStep` messages."""
+    u, v = [u0], [v0]
+    for k in range(1, k_u + 1):
+        q_rev = q[k:0:-1]
+        acc = c * sum(map(mul, p[k:0:-1], v)) - sum(map(mul, q_rev, u))
+        div = 2 * k
+        if acc % div:
+            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+        u.append(acc // div)
+        if k > k_v:
+            break
+        acc = sum(map(mul, r[k::-1], u)) - sum(map(mul, q_rev, v))
+        div += odd
+        if acc % div:
+            raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
+        v.append(acc // div)
+    return u, v
 
 
 def monomial(k, c=1):

@@ -11,7 +11,6 @@ from aurifeuille.errors import NotOddSquareFree
 from aurifeuille.gauss import algorithm_d, gauss_power_parts, verify_gauss
 from aurifeuille.numthy import euler_phi, factorize, jacobi
 from aurifeuille.poly import IntPolynomial
-from aurifeuille.series_oracle import gauss_via_series
 
 from _counting import count_calls
 from _oracles import squarefree_range
@@ -75,13 +74,6 @@ def test_identity_expanded_by_hand_for_15():
     lhs = 4 * phi_moebius(15)
     rhs = a * a + 15 * (b * b)  # s = -1 for 15 = 3 (mod 4)
     assert lhs == rhs
-
-
-def test_recurrence_matches_series_oracle():
-    # The half recurrence plus the mirror against the independent
-    # generating-function construction of the whole pair.
-    for n in odd_squarefree(5, 89):
-        assert algorithm_d(n) == gauss_via_series(n)
 
 
 def test_mirror_structure():

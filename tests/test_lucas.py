@@ -12,7 +12,6 @@ from aurifeuille.errors import NotSquareFree, NTooSmall
 from aurifeuille.lucas import algorithm_l, lucas_q, verify_lucas
 from aurifeuille.numthy import divisors, euler_phi, jacobi
 from aurifeuille.poly import IntPolynomial
-from aurifeuille.series_oracle import lucas_via_series
 
 from _counting import count_calls
 from _oracles import moebius, squarefree_range, symmetry_class
@@ -74,13 +73,6 @@ def test_identity_expanded_for_15():
     assert f_poly(15) == c * c - 15 * (x * dd * dd)
     assert pair.poly_c() == IntPolynomial.from_descending([1, 8, 13, 8, 1])
     assert pair.poly_d() == IntPolynomial.from_descending([1, 3, 3, 1])
-
-
-def test_recurrence_matches_series_oracle():
-    # The half recurrence plus the palindrome mirror against the
-    # independent generating-function construction of the whole pair.
-    for n in squarefree_range(2, 89):
-        assert algorithm_l(n) == lucas_via_series(n)
 
 
 def test_lucas_q_odd_is_jacobi():

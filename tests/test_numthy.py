@@ -26,7 +26,12 @@ from aurifeuille.numthy import (
     make_context,
 )
 
-from _oracles import moebius, quadratic_residues, squarefree_range
+from _oracles import (
+    moebius,
+    newton_pair_direct,
+    quadratic_residues,
+    squarefree_range,
+)
 
 
 def test_factorize_and_divisors():
@@ -171,21 +176,65 @@ def test_context_rejections():
 
 # The Newton-identity kernel behind both factor pairs.
 
+LEAF = numthy._LEAF
+
+
+def kernel_runs(n):
+    """(arguments, result) of each kernel call made by algorithm_l(n),
+    and by algorithm_d(n) for odd n."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (gauss, lucas):
+
+            def record(*args, kernel=module._newton_pair):
+                u, v = kernel(*args)
+                runs.append((args, (u[:], v[:])))  # the caller extends u, v
+                return u, v
+
+            mp.setattr(module, "_newton_pair", record)
+        lucas.algorithm_l(n)
+        if n % 2:
+            gauss.algorithm_d(n)
+    return runs
+
+
+@settings(max_examples=20)
+@given(n=st.sampled_from(squarefree_range(2, 3001)))
+def test_newton_pair_equals_the_direct_loop(n):
+    for args, result in kernel_runs(n):
+        assert result == newton_pair_direct(*args)
+
+
 @pytest.mark.parametrize(
-    "module, source, index, k, divisor",
+    "n, offset", [(191, -1), (193, 0), (197, 1), (389, LEAF + 1)]
+)
+def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
+    # The last step k_u sits one short of, at, or one past a leaf's size,
+    # or one past two leaves; for n = 193, 197 and 389 the Lucas v stops
+    # at k_u - 1, so r holds one entry less than p and q.
+    assert make_context(n).d_lucas // 2 == LEAF + offset
+    for args, result in kernel_runs(n):
+        assert result == newton_pair_direct(*args)
+
+
+@pytest.mark.parametrize(
+    "n, module, source, index, k, divisor",
     [
-        (gauss, "_moebius_phi", 1, 2, 4),  # Gauss q_1
-        (gauss, "jacobi", 1, 2, 4),  # Gauss r_1 = p_1
-        (lucas, "_q", 1, 1, 2),  # Lucas q_1 = p_1 = r_0
-        (lucas, "_q", 3, 1, 3),  # Lucas q_3 = r_1: the delta step fails
+        (105, gauss, "_moebius_phi", 1, 2, 4),  # Gauss q_1
+        (105, gauss, "jacobi", 1, 2, 4),  # Gauss r_1 = p_1
+        (105, lucas, "_q", 1, 1, 2),  # Lucas q_1 = p_1 = r_0
+        (105, lucas, "_q", 3, 1, 3),  # Lucas q_3 = r_1: the delta step fails
+        # Lucas q_{2L+1} = r_L, first read at k = L through a packed product
+        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1),
     ],
-    ids=["gauss-q1", "gauss-r1", "lucas-q1", "lucas-r1"],
+    ids=["gauss-q1", "gauss-r1", "lucas-q1", "lucas-r1", "lucas-r-past-a-leaf"],
 )
 def test_newton_pair_rejects_a_corrupt_power_sum(
-    monkeypatch, module, source, index, k, divisor
+    monkeypatch, n, module, source, index, k, divisor
 ):
     # One power sum off by one makes some step's sum indivisible; the
-    # kernel must raise there, naming n and k, and not round.
+    # kernel must raise there, naming n and k, and not round, at the same
+    # step and with the same sum as the direct loop.
     exact = getattr(module, source)
 
     def off_by_one(a, b):
@@ -193,14 +242,25 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
         return exact(a, b) + (k_arg == index)
 
     monkeypatch.setattr(module, source, off_by_one)
+    calls = []
+    kernel = module._newton_pair
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, "_newton_pair", record)
     algorithm = gauss.algorithm_d if module is gauss else lucas.algorithm_l
-    message = rf"^n=105, k={k}: {divisor} does not divide -?\d+$"
-    with pytest.raises(NonIntegerStep, match=message):
-        algorithm(105)
+    message = rf"^n={n}, k={k}: {divisor} does not divide -?\d+$"
+    with pytest.raises(NonIntegerStep, match=message) as raised:
+        algorithm(n)
+    with pytest.raises(NonIntegerStep) as direct:
+        newton_pair_direct(*calls[0])
+    assert str(raised.value) == str(direct.value)
 
 
 @settings(max_examples=20)
-@given(n=st.sampled_from(squarefree_range(302, 2000)))
+@given(n=st.sampled_from(squarefree_range(302, 5000)))
 def test_pairs_satisfy_their_identities_past_301(n):
     assert lucas.algorithm_l(n).identity_holds()
     if n % 2:
