@@ -8,7 +8,6 @@ the smaller Aurifeuillian factor by rounding a truncated series.
 from .errors import (
     AurifeuilleError,
     BadConstantTerm,
-    BadRadius,
     BadResidueClass,
     InternalInconsistency,
     NegativeTarget,
@@ -25,19 +24,17 @@ from .numthy import (
     NumTheoryContext,
     PellUnit,
     class_number_neg,
-    euler_phi,
     fundamental_unit,
     is_squarefree,
     jacobi,
     make_context,
 )
 from .poly import IntPolynomial
-from .cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
-from .gauss import GaussPair, algorithm_d, gauss_power_parts, verify_gauss
-from .lucas import LucasPair, algorithm_l, lucas_q, verify_lucas
+from .cyclotomic import f_poly, phi_moebius
+from .gauss import GaussPair, algorithm_d, verify_gauss
+from .lucas import LucasPair, algorithm_l, verify_lucas
 from .series_oracle import (
     RationalSeries,
-    check_ratio_identity,
     f_series,
     g_series,
     gauss_via_series,
@@ -52,7 +49,6 @@ from .factorizer import (
     factor_by_rounding,
     full_factorization,
     hat_f,
-    ratio_estimate,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,4 @@
-"""Cyclotomic polynomials Phi_n and the closely related F_n, plus the
-growth bounds used to justify rounding.
+"""Cyclotomic polynomials Phi_n and the closely related F_n.
 
 `phi_moebius` builds Phi_n in place from the primes of n, after Arnold &
 Monagan, *Calculating cyclotomic polynomials* (Math. Comp. 2011).  For
@@ -27,10 +26,7 @@ that is how `f_poly` builds it.
 
 from __future__ import annotations
 
-from math import exp
-
-from .errors import BadRadius
-from .numthy import _require_squarefree, euler_phi, factorize
+from .numthy import _require_squarefree, factorize
 from .poly import IntPolynomial
 
 
@@ -70,26 +66,7 @@ def f_poly(n: int) -> IntPolynomial:
     return phi_moebius(n if n % 4 == 1 else 2 * n)
 
 
-def phi_bound(n: int, radius: float) -> float:
-    """Strict upper bound R^phi(n) * exp(1/(R-1)) for |Phi_n(x)| on |x| = R.
-
-    Valid for any R > 1; for |x| > R apply the bound at |x| itself.
-    """
-    if radius <= 1:
-        raise BadRadius(f"radius must exceed 1, got {radius}")
-    return radius ** euler_phi(n) * exp(1.0 / (radius - 1.0))
-
-
-def fn_bound(n: int, radius: float) -> float:
-    """Strict upper bound R^phi(2n) * exp(1/(R-1)) for |F_n(x)| on |x| = R."""
-    if radius <= 1:
-        raise BadRadius(f"radius must exceed 1, got {radius}")
-    return radius ** euler_phi(2 * n) * exp(1.0 / (radius - 1.0))
-
-
 __all__ = [
     "f_poly",
-    "fn_bound",
-    "phi_bound",
     "phi_moebius",
 ]

@@ -39,10 +39,6 @@ class NonIntegerStep(AurifeuilleError):
     failed to divide; indicates corrupted inputs or an implementation bug."""
 
 
-class BadRadius(AurifeuilleError):
-    """A growth-bound radius R must satisfy R > 1."""
-
-
 class BadConstantTerm(AurifeuilleError):
     """Series square roots are only taken of series with constant term 1."""
 

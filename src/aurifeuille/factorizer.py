@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import exp, gcd
+from math import gcd
 
 import mpmath
 
@@ -291,17 +291,6 @@ def full_factorization(
     )
 
 
-def ratio_estimate(n: int, m: Fraction | int) -> tuple[float, float]:
-    """(observed F+/F-, predicted exp(2/m)) for the split at x = m^2 * n.
-
-    The observed ratio tends to the prediction as n grows, at rate 1/n.
-    """
-    split = factor_by_polynomials(n, m)
-    observed = float(Fraction(split.int_plus, split.int_minus))
-    predicted = exp(float(Fraction(2) / Fraction(m)))
-    return observed, predicted
-
-
 def is_probable_prime(n: int) -> bool:
     """Strong-pseudoprime test; a proof of primality below 3.3e24."""
     if n < 2:
@@ -471,6 +460,5 @@ __all__ = [
     "full_factorization",
     "hat_f",
     "is_probable_prime",
-    "ratio_estimate",
     "target_value",
 ]

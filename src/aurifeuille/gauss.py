@@ -81,18 +81,6 @@ class GaussPair:
         return 4 * phi_moebius(self.n) == a * a - (self.s * self.n) * (b * b)
 
 
-def gauss_power_parts(n: int, k: int) -> tuple[int, int]:
-    """The split power-sum parts (q_k, r_k) for odd square-free n.
-
-    q_k = mu(n/g)*phi(g) with g = gcd(k, n), and r_k = (k|n); the k-th
-    power sum of the roots of Phi_n(s*x) is (q_k + r_k*sqrt(s*n)) / 2.
-    """
-    ctx = _odd_context(n)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _moebius_phi(ctx.primes, k), jacobi(k, n)
-
-
 def algorithm_d(n: int) -> GaussPair:
     """Compute the Gauss pair (A_n, B_n) for odd square-free n >= 3."""
     ctx = _odd_context(n)
@@ -123,4 +111,4 @@ def _odd_context(n: int) -> NumTheoryContext:
     raise NotOddSquareFree(f"need odd square-free n >= 3, got {n}")
 
 
-__all__ = ["GaussPair", "algorithm_d", "gauss_power_parts", "verify_gauss"]
+__all__ = ["GaussPair", "algorithm_d", "verify_gauss"]

@@ -81,8 +81,8 @@ class LucasPair:
         """Exact check of F_n = C_n^2 - n*x*D_n^2 on this pair."""
         c = self.poly_c()
         dd = self.poly_d()
-        shift = IntPolynomial([0, 1])  # x
-        return f_poly(self.n) == c * c - self.n * (shift * dd * dd)
+        x_dd2 = IntPolynomial((0, *(dd * dd).coeffs))  # x * D_n^2, a shift
+        return f_poly(self.n) == c * c - self.n * x_dd2
 
     def split_at(self, p: int, q: int) -> tuple[int, int]:
         """The split at x = (p/q)^2 * n, scaled by q^(2d) to integers.
@@ -97,14 +97,6 @@ class LucasPair:
         d_h = self.poly_d().evaluate_homogeneous(big_x, big_y) * p * self.n * q
         lo, hi = c_h - d_h, c_h + d_h
         return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def lucas_q(n: int, k: int) -> int:
-    """The k-th power sum q_k driving the C_n/D_n recurrence."""
-    ctx = make_context(n)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    return _q(ctx, k)
 
 
 def algorithm_l(n: int) -> LucasPair:
@@ -149,6 +141,5 @@ def _q(ctx: NumTheoryContext, k: int) -> int:
 __all__ = [
     "LucasPair",
     "algorithm_l",
-    "lucas_q",
     "verify_lucas",
 ]

@@ -91,14 +91,6 @@ def divisors(n: int) -> list[int]:
     return small + large
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, the count of 1 <= k <= n coprime to n."""
-    result = n
-    for p, _ in factorize(n):
-        result -= result // p
-    return result
-
-
 def is_squarefree(n: int) -> bool:
     """True when n >= 1 has no repeated prime factor."""
     return all(e == 1 for _, e in factorize(n))
@@ -354,7 +346,6 @@ __all__ = [
     "PellUnit",
     "class_number_neg",
     "divisors",
-    "euler_phi",
     "factorize",
     "fundamental_unit",
     "is_squarefree",

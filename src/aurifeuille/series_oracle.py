@@ -40,14 +40,13 @@ series truncates to the shorter order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp, sqrt
 from typing import Iterable, Union
 
 from .errors import BadConstantTerm, NonIntegralOracle, NotOddSquareFree
 from .numthy import _require_squarefree, jacobi, make_context
 from .cyclotomic import f_poly, phi_moebius
 from .gauss import GaussPair, _odd_context
-from .lucas import LucasPair, algorithm_l
+from .lucas import LucasPair
 
 _Coeff = Union[int, Fraction]
 
@@ -238,39 +237,6 @@ def lucas_via_series(n: int) -> LucasPair:
     )
 
 
-def check_ratio_identity(
-    n: int, x0: Fraction | int, order: int = 60, tol: float = 1e-12
-) -> bool:
-    """Numerical spot-check of the exponential ratio identity.
-
-    With L(x) = C_n(x^2) - s'*x*sqrt(n)*D_n(x^2) and its mirror
-    L~(x) = L(-x), the identity L~(x)/L(x) = exp(2*s'*sqrt(n)*g_n(x))
-    holds for |x| < 1.  Both sides are evaluated in double precision,
-    g_n truncated at `order`; returns True when they agree within `tol`
-    (relative to the larger magnitude, floored at 1).  x0 = 0 is allowed
-    and trivially true.
-    """
-    x0 = Fraction(x0)
-    if abs(x0) >= 1:
-        raise ValueError(f"need |x0| < 1, got {x0}")
-    pair = algorithm_l(n)
-    sp = pair.s_prime
-    root_n = sqrt(n)
-    x2 = x0 * x0
-    c_val = float(pair.poly_c().evaluate(x2))
-    d_val = float(pair.poly_d().evaluate(x2))
-    wing = sp * float(x0) * root_n * d_val
-    denom = c_val - wing
-    if denom == 0.0:
-        return False
-    lhs = (c_val + wing) / denom
-    g_val = g_series(n, order).coeffs
-    g_at = float(sum(c * x0**j for j, c in enumerate(g_val) if c))
-    rhs = exp(2 * sp * root_n * g_at)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) <= tol * scale
-
-
 def _integer_coeffs(series, first, step, label, n):
     """The coefficients at positions first, first + step, ... up to the
     series order, as ints; every other position must vanish (a stray
@@ -295,7 +261,6 @@ def _integer_coeffs(series, first, step, label, n):
 
 __all__ = [
     "RationalSeries",
-    "check_ratio_identity",
     "f_series",
     "g_series",
     "gauss_via_series",

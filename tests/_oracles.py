@@ -12,16 +12,23 @@ independent of the library's in-place build: prime-at-a-time recursion
 through exact long division, Newton's identities on the Ramanujan sums,
 the defining substitution for F_n, and the Moebius product of x^d - 1
 evaluated modulo a prime.  They raise `ArithmeticError` where an exact
-step fails.  The Moebius function they use is here as well, since
-nothing in the library calls it.
+step fails.  The Moebius function and Euler's totient they use are here
+as well, since nothing in the library calls them.
+
+So are the paper's side claims, which the library's results never
+depend on: the growth bound on |Phi_n| on a circle (`phi_bound`) and
+the ratio law F+/F- -> exp(2/m) of the Aurifeuillian split
+(`ratio_estimate`).
 """
 
 import cmath
-from math import gcd
+from fractions import Fraction
+from math import exp, gcd
 from operator import mul
 
 from aurifeuille.errors import NonIntegerStep, NotSquareFree
-from aurifeuille.numthy import euler_phi, factorize, is_squarefree
+from aurifeuille.factorizer import factor_by_polynomials
+from aurifeuille.numthy import factorize, is_squarefree
 from aurifeuille.poly import IntPolynomial
 
 MERSENNE_61 = 2**61 - 1
@@ -34,6 +41,14 @@ def moebius(n):
         if e > 1:
             return 0
         result = -result
+    return result
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, the count of 1 <= k <= n coprime to n."""
+    result = n
+    for p, _ in factorize(n):
+        result -= result // p
     return result
 
 
@@ -289,3 +304,24 @@ def value_mod(p, x, modulus=MERSENNE_61):
         acc = (acc * x + c) % modulus
     return acc
 
+
+def phi_bound(n: int, radius: float) -> float:
+    """Strict upper bound R^phi(n) * exp(1/(R-1)) for |Phi_n(x)| on |x| = R.
+
+    Valid for any R > 1; for |x| > R apply the bound at |x| itself.  F_n
+    is Phi_{n'}, so its bound is phi_bound(n', R).
+    """
+    if radius <= 1:
+        raise ValueError(f"radius must exceed 1, got {radius}")
+    return radius ** euler_phi(n) * exp(1.0 / (radius - 1.0))
+
+
+def ratio_estimate(n: int, m: Fraction | int) -> tuple[float, float]:
+    """(observed F+/F-, predicted exp(2/m)) for the split at x = m^2 * n.
+
+    The observed ratio tends to the prediction as n grows, at rate 1/n.
+    """
+    split = factor_by_polynomials(n, m)
+    observed = float(Fraction(split.int_plus, split.int_minus))
+    predicted = exp(float(Fraction(2) / Fraction(m)))
+    return observed, predicted

@@ -12,25 +12,28 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
-from aurifeuille.cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
+import aurifeuille.lucas as lucas
+import aurifeuille.numthy as numthy
+from aurifeuille.cyclotomic import f_poly, phi_moebius
 from aurifeuille.factorizer import (
     factor_by_polynomials,
     factor_by_rounding,
     full_factorization,
     hat_f,
-    ratio_estimate,
 )
-from aurifeuille.gauss import algorithm_d, gauss_power_parts, verify_gauss
-from aurifeuille.lucas import algorithm_l, lucas_q, verify_lucas
+from aurifeuille.gauss import algorithm_d, verify_gauss
+from aurifeuille.lucas import algorithm_l, verify_lucas
 from aurifeuille.numthy import (
     class_number_neg,
     fundamental_unit,
     is_squarefree,
+    jacobi,
+    make_context,
 )
 from aurifeuille.poly import IntPolynomial
 from aurifeuille.series_oracle import gauss_via_series, lucas_via_series
 
-from _oracles import squarefree_range
+from _oracles import phi_bound, ratio_estimate, squarefree_range
 
 
 def _run(k, label, body):
@@ -83,7 +86,10 @@ def test_criterion_1_reference_coefficients():
 
 def test_criterion_2_worked_trace_fidelity():
     def body(failures):
-        qr = [gauss_power_parts(15, k) for k in (1, 2, 3, 4)]
+        ctx = make_context(15)
+        qr = [
+            (numthy._moebius_phi(ctx.primes, k), jacobi(k, 15)) for k in (1, 2, 3, 4)
+        ]
         if [q for q, _ in qr] != [1, 1, -2, 1]:
             failures.append(f"gauss q_1..q_4 = {[q for q, _ in qr]}")
         if [r for _, r in qr] != [1, 1, 0, 1]:
@@ -97,7 +103,7 @@ def test_criterion_2_worked_trace_fidelity():
         ):
             if got != want:
                 failures.append(f"{name} = {got}, want {want}")
-        lq = [lucas_q(15, k) for k in (1, 2, 3, 4)]
+        lq = [lucas._q(ctx, k) for k in (1, 2, 3, 4)]
         if lq != [1, -1, 0, 1]:
             failures.append(f"lucas q_1..q_4 = {lq}")
         lpair = algorithm_l(15)
@@ -249,7 +255,8 @@ def test_criterion_8_growth_bounds():
             if abs(phi_moebius(n)(z)) >= phi_bound(n, radius):
                 failures.append(f"Phi bound violated at n={n}, R={radius}")
             if n >= 2 and is_squarefree(n):
-                if abs(f_poly(n)(z)) >= fn_bound(n, radius):
+                n_prime = make_context(n).n_prime
+                if abs(f_poly(n)(z)) >= phi_bound(n_prime, radius):
                     failures.append(f"F bound violated at n={n}, R={radius}")
 
     _run(8, "growth-bound sampling", body)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aurifeuille.numthy as numthy
-from aurifeuille.cyclotomic import f_poly, fn_bound, phi_bound, phi_moebius
-from aurifeuille.errors import BadRadius, NotSquareFree
-from aurifeuille.numthy import euler_phi
+from aurifeuille.cyclotomic import f_poly, phi_moebius
+from aurifeuille.errors import NotSquareFree
+from aurifeuille.numthy import make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
@@ -23,9 +23,11 @@ from _oracles import (
     MERSENNE_61,
     cyclotomic_by_roots,
     cyclotomic_power_sums,
+    euler_phi,
     f_by_substitution,
     monomial,
     newton_from_power_sums,
+    phi_bound,
     phi_newton,
     phi_recursive,
     phi_value_mod,
@@ -234,7 +236,7 @@ def test_bounds_hold_on_circle():
         f = f_poly(n) if n != 101 else None
         for radius in (1.1, 2.0, 10.0):
             cap = phi_bound(n, radius)
-            fcap = fn_bound(n, radius) if f is not None else None
+            fcap = phi_bound(make_context(n).n_prime, radius)
             for _ in range(25):
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 z = radius * cmath.exp(1j * theta)
@@ -249,10 +251,3 @@ def test_bounds_are_reasonably_tight_at_large_radius():
     n, radius = 15, 100.0
     value = abs(phi_moebius(n)(complex(radius, 0.0)))
     assert value < phi_bound(n, radius) < 1.05 * value
-
-
-def test_bounds_reject_bad_radius():
-    with pytest.raises(BadRadius):
-        phi_bound(5, 1.0)
-    with pytest.raises(BadRadius):
-        fn_bound(5, 0.5)

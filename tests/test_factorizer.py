@@ -26,12 +26,11 @@ from aurifeuille.factorizer import (
     full_factorization,
     hat_f,
     is_probable_prime,
-    ratio_estimate,
     target_value,
 )
 
 from _counting import count_calls
-from _oracles import squarefree_range
+from _oracles import ratio_estimate, squarefree_range
 
 
 # --- the truncated-series estimate --------------------------------------

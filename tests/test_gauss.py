@@ -8,12 +8,12 @@ import pytest
 from aurifeuille import numthy
 from aurifeuille.cyclotomic import phi_moebius
 from aurifeuille.errors import NotOddSquareFree
-from aurifeuille.gauss import algorithm_d, gauss_power_parts, verify_gauss
-from aurifeuille.numthy import euler_phi, factorize, jacobi
+from aurifeuille.gauss import algorithm_d, verify_gauss
+from aurifeuille.numthy import factorize, jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import squarefree_range
+from _oracles import euler_phi, squarefree_range
 
 
 def odd_squarefree(lo, hi):
@@ -97,8 +97,9 @@ def test_power_parts_against_half_sums():
     for n in (5, 7, 15, 21, 33):
         s = 1 if n % 4 == 1 else -1
         root_sn = complex(s * n) ** 0.5
+        ctx = make_context(n)
         for k in range(1, 12):
-            q, r = gauss_power_parts(n, k)
+            q, r = numthy._moebius_phi(ctx.primes, k), jacobi(k, n)
             total = sum(
                 complex(math.cos(2 * math.pi * a * k / n),
                         math.sin(2 * math.pi * a * k / n))
@@ -129,6 +130,4 @@ def test_rejections():
         with pytest.raises(NotOddSquareFree):
             algorithm_d(bad)
     with pytest.raises(NotOddSquareFree):
-        gauss_power_parts(6, 1)
-    with pytest.raises(ValueError):
-        gauss_power_parts(5, 0)
+        algorithm_d(6)

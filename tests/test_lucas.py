@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from aurifeuille import numthy
+from aurifeuille import lucas, numthy
 from aurifeuille.cyclotomic import f_poly
 from aurifeuille.errors import NotSquareFree, NTooSmall
-from aurifeuille.lucas import algorithm_l, lucas_q, verify_lucas
-from aurifeuille.numthy import divisors, euler_phi, jacobi
+from aurifeuille.lucas import algorithm_l, verify_lucas
+from aurifeuille.numthy import divisors, jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import moebius, squarefree_range, symmetry_class
+from _oracles import euler_phi, moebius, squarefree_range, symmetry_class
 
 
 def test_known_pairs():
@@ -78,7 +78,7 @@ def test_identity_expanded_for_15():
 def test_lucas_q_odd_is_jacobi():
     for n in squarefree_range(2, 40):
         for k in range(1, 20, 2):
-            assert lucas_q(n, k) == jacobi(n, k)
+            assert lucas._q(make_context(n), k) == jacobi(n, k)
 
 
 def test_lucas_q_even_matches_float_cosine():
@@ -91,7 +91,7 @@ def test_lucas_q_even_matches_float_cosine():
             g = math.gcd(k, n_prime)
             c = math.cos((n - 1) * (k // 2) * math.pi / 2.0)
             expected = round(moebius(n_prime // g) * euler_phi(g) * c)
-            assert lucas_q(n, k) == expected
+            assert lucas._q(make_context(n), k) == expected
 
 
 def _rational_split(n, m):
@@ -150,8 +150,6 @@ def test_rejections():
         algorithm_l(1)
     with pytest.raises(NotSquareFree):
         algorithm_l(12)
-    with pytest.raises(ValueError):
-        lucas_q(5, 0)
 
 
 def test_one_factorization_per_pair(monkeypatch):

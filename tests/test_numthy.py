@@ -18,7 +18,6 @@ from aurifeuille.errors import (
 from aurifeuille.numthy import (
     class_number_neg,
     divisors,
-    euler_phi,
     factorize,
     fundamental_unit,
     is_squarefree,
@@ -27,6 +26,7 @@ from aurifeuille.numthy import (
 )
 
 from _oracles import (
+    euler_phi,
     moebius,
     newton_pair_direct,
     quadratic_residues,

@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import aurifeuille.poly as poly
+from aurifeuille.gauss import algorithm_d
+from aurifeuille.lucas import algorithm_l
 from aurifeuille.poly import IntPolynomial
 
+from _counting import count_calls
 from _oracles import (
     compose_power,
     exact_div,
@@ -160,6 +164,20 @@ def test_mul_matches_schoolbook(a, b):
 def test_square_matches_general_product(a):
     # a * a squares one packed integer; the copy takes the general branch.
     assert a * a == a * IntPolynomial(a.coeffs)
+
+
+@pytest.mark.parametrize(
+    "pair_of, n",
+    [(algorithm_d, 15), (algorithm_d, 1155), (algorithm_l, 15), (algorithm_l, 3001)],
+)
+def test_identity_check_multiplies_two_squares(monkeypatch, pair_of, n):
+    # 4*Phi_n = A^2 - s*n*B^2 and F_n = C^2 - n*x*D^2 take two squares
+    # each; the factor x is a shift and n a scaling, not packed products.
+    pair = pair_of(n)
+    calls = count_calls(monkeypatch, poly, "_kronecker")
+    assert pair.identity_holds()
+    assert len(calls) == 2
+    assert all(b is a for a, b, _, _ in calls)
 
 
 @given(

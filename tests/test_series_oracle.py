@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import exp, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,9 @@ from aurifeuille.errors import (
 )
 from aurifeuille.gauss import algorithm_d
 from aurifeuille.lucas import algorithm_l
-from aurifeuille.numthy import euler_phi, jacobi
+from aurifeuille.numthy import jacobi
 from aurifeuille.series_oracle import (
     RationalSeries,
-    check_ratio_identity,
     f_series,
     g_series,
     gauss_via_series,
@@ -30,7 +30,7 @@ from aurifeuille.series_oracle import (
 )
 
 from _counting import count_calls
-from _oracles import cyclotomic_power_sums, squarefree_range
+from _oracles import cyclotomic_power_sums, euler_phi, squarefree_range
 
 
 def add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
@@ -291,6 +291,39 @@ def test_series_route_rejections():
 
 
 # --- numerical ratio identity -------------------------------------------
+
+
+def check_ratio_identity(
+    n: int, x0: Fraction | int, order: int = 60, tol: float = 1e-12
+) -> bool:
+    """Numerical spot-check of the exponential ratio identity.
+
+    With L(x) = C_n(x^2) - s'*x*sqrt(n)*D_n(x^2) and its mirror
+    L~(x) = L(-x), the identity L~(x)/L(x) = exp(2*s'*sqrt(n)*g_n(x))
+    holds for |x| < 1.  Both sides are evaluated in double precision,
+    g_n truncated at `order`; returns True when they agree within `tol`
+    (relative to the larger magnitude, floored at 1).  x0 = 0 is allowed
+    and trivially true.
+    """
+    x0 = Fraction(x0)
+    if abs(x0) >= 1:
+        raise ValueError(f"need |x0| < 1, got {x0}")
+    pair = algorithm_l(n)
+    sp = pair.s_prime
+    root_n = sqrt(n)
+    x2 = x0 * x0
+    c_val = float(pair.poly_c().evaluate(x2))
+    d_val = float(pair.poly_d().evaluate(x2))
+    wing = sp * float(x0) * root_n * d_val
+    denom = c_val - wing
+    if denom == 0.0:
+        return False
+    lhs = (c_val + wing) / denom
+    g_val = g_series(n, order).coeffs
+    g_at = float(sum(c * x0**j for j, c in enumerate(g_val) if c))
+    rhs = exp(2 * sp * root_n * g_at)
+    scale = max(1.0, abs(lhs), abs(rhs))
+    return abs(lhs - rhs) <= tol * scale
 
 
 def test_ratio_identity_inside_unit_disc():
