@@ -33,7 +33,7 @@ from fractions import Fraction
 import mpmath
 
 from . import factorizer, numthy, series_oracle
-from .cyclotomic import f_poly, phi_moebius
+from .cyclotomic import phi_moebius
 from .errors import AurifeuilleError
 from .gauss import algorithm_d
 from .lucas import algorithm_l

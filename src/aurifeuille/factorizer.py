@@ -47,10 +47,18 @@ common prime of X and Y) or is 1 (mod L) with L = lcm(2, e).  So each
 piece is factored by:
 
   1. dividing out the primes of 2n;
-  2. Brent's rho over y -> y^L + c (Brent & Pollard, 1981) on each
-     composite survivor, smallest survivor first, at most
-     `RHO_STEP_LIMIT` steps per piece.  A prime p = 1 (mod L) closes the
-     cycle after about sqrt(p/L) steps.
+  2. on each composite survivor, smallest survivor first, a short leg
+     of Brent's rho over y -> y^L + c (Brent & Pollard, 1981).  A prime
+     p = 1 (mod L) closes the cycle after about sqrt(p/L) steps;
+  3. if that leg fails, one run of Pollard's p-1 method (Pollard 1974)
+     with its exponent seeded by L, which divides p - 1, and a
+     prime-by-prime stage 2 (Montgomery 1987).  It finds p when p - 1
+     is L times a product of small prime powers and at most one prime
+     up to 10^6, however large p is;
+  4. if p-1 fails too, the rest of the same rho walk.
+
+All survivors of a piece share one budget of `RHO_STEP_LIMIT` rho
+steps, and each p-1 run is charged the rho steps that take as long.
 
 A base below 3.3 * 10^24 that passes the strong-pseudoprime test is
 proven prime; a larger one is only a probable prime and is listed in
@@ -62,7 +70,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 import mpmath
 
@@ -73,11 +82,12 @@ from .lucas import algorithm_l
 
 RHO_STEP_LIMIT = 1 << 20
 """Most steps of Brent's rho for one cyclotomic piece, summed over its
-survivors and all restarts of c.  A survivor that is still composite
-when they run out stays in the factor list and leaves the factorization
-incomplete.  Spending the whole cap with L = 62 took 3.6 s on a 41-digit
-survivor and 7.5 s on an 81-digit one, on a shared 2-core Xeon with
-Python 3.11."""
+survivors and all restarts of c.  Each p-1 run counts as the number of
+rho steps that take as long (`_pm1_steps`).  A survivor that is still
+composite when they run out stays in the factor list and leaves the
+factorization incomplete.  Spending the whole cap with L = 62 took 3.6 s
+on a 41-digit survivor and 7.5 s on an 81-digit one, on a shared 2-core
+Xeon with Python 3.11."""
 
 # Strong-pseudoprime witnesses: the first 13 primes.  The smallest
 # composite passing all of them is psi_13 = 3317044064679887385961981,
@@ -87,6 +97,22 @@ _MR_PROVEN_BOUND = 3317044064679887385961981
 
 # Steps of rho between two gcds.
 _RHO_BATCH = 128
+
+# Steps of rho before its one p-1 run: the blocks of length 1, 2, ...,
+# 2^13 of the walk for c = 1, so the pause falls where that walk takes a
+# gcd anyway.  With L = 62 they take about as long as a failed p-1 run.
+_RHO_LEG = (1 << 15) - 2
+
+# Pollard p-1 bounds: stage 1 takes every prime power up to _PM1_B1,
+# stage 2 one more prime up to _PM1_B2.
+_PM1_B1 = 2000
+_PM1_B2 = 10**6
+
+# A failed p-1 run takes as long as this many of the modular products
+# that rho makes; see `_pm1_steps`.  Measured against `_brent_rho` on
+# semiprimes of 20 to 150 digits with k from 2 to 86: 185000 to 326000,
+# median 237000 (shared 2-core Xeon, Python 3.11).
+_PM1_PRODUCTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -196,8 +222,9 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
     p, q = m.numerator, m.denominator
-    int_minus, int_plus = algorithm_l(n).split_at(p, q)
-    fn = f_poly(n)
+    pair = algorithm_l(n)
+    int_minus, int_plus = pair.split_at(p, q)
+    fn = phi_moebius(pair.n_prime)
     f_h = fn.evaluate_homogeneous(p * p * n, q * q)
     if int_minus * int_plus != f_h:
         raise InternalInconsistency(
@@ -375,16 +402,22 @@ def _accumulate_factors(
 
 def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     """A proper divisor of the composite odd n, or None, and the steps
-    spent, at most `budget`.
+    spent, p-1's charge included, at most `budget`.
 
     Brent's cycle search over y -> y^k + c (mod n) for c = 1, 2, ...: the
     differences x - y are multiplied together and one gcd with n is taken
     per batch.  When every prime p of n is 1 (mod k), y^k takes about p/k
     values modulo p, so the walk repeats modulo p after about sqrt(p/k)
     steps instead of sqrt(p).
+
+    After its first `_RHO_LEG` steps the walk pauses for one
+    `_pollard_pm1` run, charged `_pm1_steps(k)` steps, when that many are
+    left.  If p-1 fails, the walk resumes with the same c, y and block
+    length, so it takes the same steps as a walk that never paused.
     """
     steps = 0
     c = 0
+    paused = False
     while steps < budget:
         c += 1
         y, r, q, g = 2, 1, 1, 1
@@ -405,6 +438,14 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
                 j += batch
                 steps += batch
             r *= 2
+            if g == 1 and not paused and steps >= _RHO_LEG:
+                paused = True
+                charge = _pm1_steps(k)
+                if budget - steps > charge:
+                    steps += charge
+                    divisor = _pollard_pm1(n, k)
+                    if divisor is not None:
+                        return divisor, steps
         if g == n:
             # The last batch closed the walk modulo every prime of n at
             # once: retrace it one step at a time.
@@ -415,6 +456,67 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
         if 1 < g < n:
             return g, steps
     return None, steps
+
+
+def _pollard_pm1(n: int, k: int) -> int | None:
+    """A proper divisor of the composite odd n, or None: one run of
+    Pollard's p-1 method with its exponent seeded by k.
+
+    Every prime p of n is 1 (mod k), so k divides p - 1.  Stage 1 takes
+    a = 2^E with E = k times every prime power up to `_PM1_B1`, and finds
+    p when the order of 2 modulo p divides E.  Stage 2 (Montgomery 1987)
+    finds p when that order divides E times one prime s up to `_PM1_B2`:
+    it steps a^s from prime to prime by a table of a^gap and multiplies
+    the values a^s - 1 together, for one gcd at the end.  A gcd of n,
+    every prime found at once, is a failure.
+    """
+    exponent = k << (_PM1_B1.bit_length() - 1)
+    for s in _odd_primes(_PM1_B1):
+        power = s
+        while power * s <= _PM1_B1:
+            power *= s
+        exponent *= power
+    a = pow(2, exponent, n)
+    g = gcd(a - 1, n)
+    if g == 1:
+        primes = _odd_primes(_PM1_B2)
+        for s in primes:
+            if s > _PM1_B1:
+                break
+        # gaps[i] = a^(2i); s is the first prime past B1.
+        gaps = [1, a * a % n]
+        b = pow(a, s, n)
+        product = b - 1
+        for t in primes:
+            i = (t - s) >> 1
+            while len(gaps) <= i:
+                gaps.append(gaps[-1] * gaps[1] % n)
+            b = b * gaps[i] % n
+            product = product * (b - 1) % n
+            s = t
+        g = gcd(product, n)
+    return g if 1 < g < n else None
+
+
+def _pm1_steps(k: int) -> int:
+    """What one `_pollard_pm1` run is charged, in steps of rho over
+    y -> y^k + c: `_PM1_PRODUCTS` over the modular products of one step,
+    those of y^k (the squarings and multiplications of binary
+    powering) and one into the running product."""
+    return -(-_PM1_PRODUCTS // (k.bit_length() + k.bit_count() - 1))
+
+
+def _odd_primes(limit: int):
+    """The odd primes up to `limit`, in order, from an odd-only sieve in
+    which byte i stands for 2i + 1."""
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return compress(range(1, limit + 1, 2), sieve)
 
 
 def _estimate(n: int, m: int, f_val: int, lam: int):

@@ -51,7 +51,7 @@ from .numthy import (
     make_context,
 )
 from .poly import IntPolynomial
-from .cyclotomic import f_poly
+from .cyclotomic import phi_moebius
 
 _COS_QUARTER = (1, 0, -1, 0)  # cos(t*pi/2) for t = 0, 1, 2, 3 (mod 4)
 
@@ -82,7 +82,7 @@ class LucasPair:
         c = self.poly_c()
         dd = self.poly_d()
         x_dd2 = IntPolynomial((0, *(dd * dd).coeffs))  # x * D_n^2, a shift
-        return f_poly(self.n) == c * c - self.n * x_dd2
+        return phi_moebius(self.n_prime) == c * c - self.n * x_dd2
 
     def split_at(self, p: int, q: int) -> tuple[int, int]:
         """The split at x = (p/q)^2 * n, scaled by q^(2d) to integers.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -160,11 +161,11 @@ def test_rounding_builds_f_poly_once(monkeypatch):
 
 
 def test_polynomials_factor_n_once_per_use(monkeypatch):
-    # algorithm_l and f_poly factor n once each; f_poly's phi_moebius
-    # factors n' = 30 once.
+    # algorithm_l factors n once; F_n is phi_moebius at the pair's
+    # n' = 30, which factors n' once.
     calls = count_calls(monkeypatch, numthy, "factorize")
     assert factor_by_polynomials(15, 1).F_minus == 19231
-    assert calls == [(15,), (15,), (30,)]
+    assert calls == [(15,), (30,)]
 
 
 def test_polynomials_integer_points():
@@ -497,6 +498,153 @@ def test_rho_splits_primes_one_mod_62():
     assert 0 < steps <= budget
     assert factorizer._brent_rho(p * q, 62, 0) == (None, 0)
 
+
+
+# --- Pollard p-1 between the legs of rho ---------------------------------
+
+# 29726643257 * 3275225476073: both primes are 1 (mod 62) and each p - 1
+# has a prime above B2, so p-1 fails; rho's c = 1 walk closes on the
+# smaller prime after 49534 steps, past its first leg.
+_HARD_62 = 29726643257 * 3275225476073
+
+# Moduli L = lcm(2, e) of pieces of n <= 43, and of pieces of n = 2003
+# and 3001, whose prime lies above B1 so that only the seed of the
+# exponent holds it.
+_PM1_MODULI = (2, 4, 6, 12, 20, 58, 62, 84, 86, 4006, 6002)
+
+_PRIMES_BELOW_B1 = [p for p in range(2, factorizer._PM1_B1) if is_probable_prime(p)]
+
+
+def _prime_one_mod(modulus, rng, big=None):
+    """A prime 1 + modulus * s * b: s is a product of one to three
+    distinct primes below B1, and b is a prime drawn from range(*big), or
+    1 when `big` is None."""
+    while True:
+        s = math.prod(rng.sample(_PRIMES_BELOW_B1, rng.randint(1, 3)))
+        b = 1 if big is None else rng.randrange(*big)
+        p = 1 + modulus * s * b
+        if (big is None or is_probable_prime(b)) and is_probable_prime(p):
+            return p
+
+
+@settings(max_examples=10)
+@given(modulus=st.sampled_from(_PM1_MODULI), seed=st.integers(0, 2**32 - 1))
+@example(modulus=62, seed=0)
+@example(modulus=4006, seed=0)
+def test_pm1_finds_the_prime_whose_p_minus_1_is_b2_smooth(modulus, seed):
+    # p - 1 = L * s * b with b in (B1, B2] needs the seed and stage 2;
+    # q - 1 has a prime above B2, so q stays out of the gcd.
+    rng = random.Random(seed)
+    b1, b2 = factorizer._PM1_B1, factorizer._PM1_B2
+    p = _prime_one_mod(modulus, rng, (b1 + 1, b2 + 1))
+    q = _prime_one_mod(modulus, rng, (b2 + 1, 10 * b2))
+    assert factorizer._pollard_pm1(p * q, modulus) == p
+
+
+@settings(max_examples=10)
+@given(modulus=st.sampled_from(_PM1_MODULI), seed=st.integers(0, 2**32 - 1))
+def test_pm1_never_returns_a_trivial_divisor(modulus, seed):
+    # Both p - 1 and q - 1 divide the stage-1 exponent, so the stage-1
+    # gcd is p * q itself: a failure, not a factor.
+    rng = random.Random(seed)
+    p = q = _prime_one_mod(modulus, rng)
+    while q == p:
+        q = _prime_one_mod(modulus, rng)
+    divisor = factorizer._pollard_pm1(p * q, modulus)
+    assert divisor is None or (1 < divisor < p * q and p * q % divisor == 0)
+
+
+def test_full_factorization_completes_where_rho_alone_ran_out():
+    # Rho alone leaves a piece of each composite after 2^20 steps.
+    for n, m, primes in (
+        (37, 3, (119480892606491743, 3576005633803707374119)),
+        (39, 4, (10753900272961, 4095685046827999327)),
+    ):
+        _split, flist = full_factorization(n, m)
+        assert flist.complete and flist.product() == flist.target
+        for p in primes:
+            assert (p, 1) in flist.factors
+
+
+def test_pm1_splits_31_2_after_one_leg_of_rho(monkeypatch):
+    # Rho's c = 1 walk modulo 980949714209 runs 497150 steps, while
+    # 980949714209 - 1 = 2^5 * 31^2 * 101 * 315829 is smooth enough for
+    # p-1's stage 2.
+    pieces = _record_pieces(monkeypatch)
+    _split, flist = full_factorization(31, 2)
+    assert flist.complete and (980949714209, 1) in flist.factors
+    [piece] = [p for p in pieces if p["value"] % 980949714209 == 0]
+    assert piece["pm1"] == [980949714209]
+    # One survivor walks one leg of rho and p-1 splits it; the piece's
+    # other survivors split within a few steps each.
+    *quick, held = sorted(used for _n, used in piece["rho"])
+    assert held == factorizer._RHO_LEG + factorizer._pm1_steps(62)
+    assert sum(quick) < 100
+
+
+def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
+    # A budget with room for the p-1 charge after one leg: p-1 fails and
+    # rho takes exactly the steps of one walk that never paused, on the
+    # budget less the charge.  A budget without that room runs no p-1.
+    charge = factorizer._pm1_steps(62)
+    pm1 = count_calls(monkeypatch, factorizer, "_pollard_pm1")
+    budgets = (1 << 20, 70000, 50000)
+    staged = []
+    for budget in budgets:
+        del pm1[:]
+        staged.append((factorizer._brent_rho(_HARD_62, 62, budget), len(pm1)))
+    monkeypatch.setattr(factorizer, "_RHO_LEG", 1 << 62)
+    walk = factorizer._brent_rho
+    assert staged == [
+        ((29726643257, 49534 + charge), 1),
+        ((None, 70000), 1),
+        ((29726643257, 49534), 0),
+    ]
+    assert walk(_HARD_62, 62, (1 << 20) - charge) == (29726643257, 49534)
+    assert walk(_HARD_62, 62, 70000 - charge) == (None, 70000 - charge)
+    assert walk(_HARD_62, 62, 50000) == (29726643257, 49534)
+
+
+def test_pm1_charge_stays_inside_the_piece_budget(monkeypatch):
+    # Each piece spends at most RHO_STEP_LIMIT in rho steps and p-1
+    # charges; a piece whose p-1 run failed spends exactly that.
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 70000)
+    pieces = _record_pieces(monkeypatch)
+    for n, m in ((43, 5), (37, Fraction(3, 2)), (31, 2)):
+        full_factorization(n, m)
+    spent = [sum(used for _n, used in p["rho"]) for p in pieces]
+    assert all(steps <= 70000 for steps in spent)
+    assert any(p["pm1"] == [None] and s == 70000 for p, s in zip(pieces, spent))
+    assert any(p["pm1"] == [980949714209] for p in pieces)
+
+
+def _record_pieces(monkeypatch):
+    """Record, per piece that `full_factorization` factors, its value,
+    each `_brent_rho` call as (survivor, steps spent with p-1's charge)
+    and what each `_pollard_pm1` run returned."""
+    accumulate = factorizer._accumulate_factors
+    rho, pm1 = factorizer._brent_rho, factorizer._pollard_pm1
+    pieces = []
+
+    def one_piece(value, *args):
+        pieces.append({"value": value, "rho": [], "pm1": []})
+        return accumulate(value, *args)
+
+    def counted_rho(n, k, budget):
+        divisor, used = rho(n, k, budget)
+        assert used <= budget
+        pieces[-1]["rho"].append((n, used))
+        return divisor, used
+
+    def counted_pm1(n, k):
+        divisor = pm1(n, k)
+        pieces[-1]["pm1"].append(divisor)
+        return divisor
+
+    monkeypatch.setattr(factorizer, "_accumulate_factors", one_piece)
+    monkeypatch.setattr(factorizer, "_brent_rho", counted_rho)
+    monkeypatch.setattr(factorizer, "_pollard_pm1", counted_pm1)
+    return pieces
 
 def _prime_by_trial(k):
     if k < 2:

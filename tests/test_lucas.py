@@ -156,7 +156,11 @@ def test_one_factorization_per_pair(monkeypatch):
     calls = count_calls(monkeypatch, numthy, "factorize")
     pair = algorithm_l(15)
     assert len(calls) <= 2
+    calls.clear()
+    # The identity check builds F_n from the pair's n' = 30 and does not
+    # factor n again.
     assert pair.identity_holds()
+    assert calls == [(30,)]
     assert pair.split_at(1, 1) == (19231, 142111)
 
 
