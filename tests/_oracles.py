@@ -7,11 +7,14 @@ trusted at small sizes where float error cannot reach 0.5.
 
 The schoolbook polynomial product is the reference for the library's
 packed one, and the direct O(d^2) loop of Newton's identities is the
-reference for the divide-and-conquer kernel behind both factor pairs.  The reference routes to Phi_n live here too, each
-independent of the library's in-place build: prime-at-a-time recursion
-through exact long division, Newton's identities on the Ramanujan sums,
-the defining substitution for F_n, and the Moebius product of x^d - 1
-evaluated modulo a prime.  They raise `ArithmeticError` where an exact
+reference for the divide-and-conquer kernel behind both factor pairs.
+The per-coefficient `Fraction` loops for the series product, square
+root and `series_exp_like` are the reference for the library's integer
+numerators over one denominator.  The reference routes to Phi_n live
+here too, each independent of the library's in-place build:
+prime-at-a-time recursion through exact long division, Newton's
+identities on the Ramanujan sums, the defining substitution for F_n,
+and the Moebius product of x^d - 1 evaluated modulo a prime.  They raise `ArithmeticError` where an exact
 step fails.  The Moebius function and Euler's totient they use are here
 as well, since nothing in the library calls them.
 
@@ -26,10 +29,11 @@ from fractions import Fraction
 from math import exp, gcd
 from operator import mul
 
-from aurifeuille.errors import NonIntegerStep, NotSquareFree
+from aurifeuille.errors import BadConstantTerm, NonIntegerStep, NotSquareFree
 from aurifeuille.factorizer import factor_by_polynomials
 from aurifeuille.numthy import factorize, is_squarefree
 from aurifeuille.poly import IntPolynomial
+from aurifeuille.series_oracle import RationalSeries
 
 MERSENNE_61 = 2**61 - 1
 
@@ -205,6 +209,65 @@ def symmetry_class(p):
     if all(a == -b for a, b in zip(cs, rev)):
         return "antipalindromic"
     return "neither"
+
+
+# --- per-coefficient Fraction series arithmetic ------------------------
+
+
+def series_mul_fractions(a, b):
+    """a * b for two `RationalSeries` by the double loop over `Fraction`
+    coefficients, truncated to the smaller order: the reference for the
+    integer-numerator product."""
+    k = min(a.order, b.order)
+    b_coeffs = b.coeffs
+    out = [Fraction(0)] * (k + 1)
+    for i, x in enumerate(a.coeffs[: k + 1]):
+        if not x:
+            continue
+        for j in range(k + 1 - i):
+            y = b_coeffs[j]
+            if y:
+                out[i + j] += x * y
+    return RationalSeries(out)
+
+
+def series_sqrt_fractions(series):
+    """`series_sqrt` by the standard recurrence on `Fraction`s,
+    2 b_k = c_k - sum_{0<j<k} b_j b_(k-j), for constant term 1."""
+    c = series.coeffs
+    if c[0] != 1:
+        raise BadConstantTerm(
+            f"series sqrt needs constant term 1, got {c[0]}"
+        )
+    b = [Fraction(1)]
+    for k in range(1, series.order + 1):
+        acc = c[k] - sum(
+            b[j] * b[k - j] for j in range(1, k) if b[j] and b[k - j]
+        )
+        b.append(acc / 2)
+    return RationalSeries(b)
+
+
+def series_exp_like_fractions(f, t):
+    """`series_exp_like` on `Fraction`s, coefficient by coefficient:
+    k U_k = t * sum_i i (f_i/2) V_(k-i),  k V_k = sum_i i (f_i/2) U_(k-i)."""
+    if f[0] != 0:
+        raise ValueError("series_exp_like needs a zero constant term")
+    half_df = [(i, i * c / 2) for i, c in enumerate(f.coeffs) if c]
+    u = [Fraction(1)]
+    v = [Fraction(0)]
+    for k in range(1, f.order + 1):
+        su = sv = Fraction(0)
+        for i, h in half_df:
+            if i > k:
+                break
+            if v[k - i]:
+                su += h * v[k - i]
+            if u[k - i]:
+                sv += h * u[k - i]
+        u.append(t * su / k)
+        v.append(sv / k)
+    return RationalSeries(u), RationalSeries(v)
 
 
 # --- reference routes to Phi_n and F_n --------------------------------

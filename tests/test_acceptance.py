@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from time import perf_counter
 
+from hypothesis import given, settings, strategies as st
+
 import aurifeuille.lucas as lucas
 import aurifeuille.numthy as numthy
 from aurifeuille.cyclotomic import f_poly, phi_moebius
@@ -150,16 +152,24 @@ def test_criterion_3_identity_suites():
 
 def test_criterion_4_oracle_equivalence():
     def body(failures):
-        for n in range(5, 62, 2):
+        for n in range(5, 302, 2):
             if not is_squarefree(n):
                 continue
             if gauss_via_series(n) != algorithm_d(n):
                 failures.append(f"gauss oracle mismatch at n={n}")
-        for n in squarefree_range(2, 61):
+        for n in squarefree_range(2, 301):
             if lucas_via_series(n) != algorithm_l(n):
                 failures.append(f"lucas oracle mismatch at n={n}")
 
     _run(4, "series-oracle equivalence", body)
+
+
+@settings(max_examples=5)
+@given(n=st.sampled_from(squarefree_range(302, 501)))
+def test_criterion_4_oracle_draws_to_501(n):
+    assert lucas_via_series(n) == algorithm_l(n), f"lucas oracle mismatch at n={n}"
+    if n % 2:
+        assert gauss_via_series(n) == algorithm_d(n), f"gauss oracle mismatch at n={n}"
 
 
 def test_criterion_5_truncated_estimate():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import exp, sqrt
+from math import exp, factorial, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +12,7 @@ import aurifeuille.series_oracle as series_oracle
 from aurifeuille.cyclotomic import phi_moebius
 from aurifeuille.errors import (
     BadConstantTerm,
+    InternalInconsistency,
     NonIntegralOracle,
     NotOddSquareFree,
     NotSquareFree,
@@ -30,7 +31,14 @@ from aurifeuille.series_oracle import (
 )
 
 from _counting import count_calls
-from _oracles import cyclotomic_power_sums, euler_phi, squarefree_range
+from _oracles import (
+    cyclotomic_power_sums,
+    euler_phi,
+    series_exp_like_fractions,
+    series_mul_fractions,
+    series_sqrt_fractions,
+    squarefree_range,
+)
 
 
 def add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
@@ -175,6 +183,68 @@ def test_generating_identity_for_cyclotomics():
         assert series_exp(log_part).coeffs == tuple(
             Fraction(c) for c in phi_moebius(n).coeffs
         )
+
+
+# --- integer numerators against the per-coefficient Fraction loops ------
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+series_coeffs = st.lists(rationals, min_size=1, max_size=41)
+exponents = st.sampled_from([1, 4, -3, 15, Fraction(2, 3), -7]) | rationals
+
+
+@settings(max_examples=40)
+@given(series_coeffs, series_coeffs, rationals)
+def test_product_matches_fraction_reference(a, b, c):
+    a, b = RationalSeries(a), RationalSeries(b)
+    product = a * b
+    assert product.coeffs == series_mul_fractions(a, b).coeffs
+    assert product == b * a
+    assert (a * c).coeffs == tuple(x * c for x in a.coeffs)
+    assert (a * c.numerator) == c.numerator * a
+
+
+@settings(max_examples=40)
+@given(series_coeffs)
+def test_sqrt_matches_fraction_reference(tail):
+    s = RationalSeries([1] + tail[1:])
+    assert series_sqrt(s).coeffs == series_sqrt_fractions(s).coeffs
+
+
+@settings(max_examples=40)
+@given(series_coeffs, exponents)
+def test_exp_like_matches_fraction_reference(tail, t):
+    f = RationalSeries([0] + tail[1:])
+    got = series_exp_like(f, t)
+    want = series_exp_like_fractions(f, t)
+    assert [s.coeffs for s in got] == [s.coeffs for s in want]
+
+
+def test_series_are_stored_canonically():
+    # One positive denominator with no factor common to all numerators,
+    # so equal values compare and hash equal whatever built them.
+    s = RationalSeries([Fraction(1, 6), Fraction(-1, 4), 0])
+    assert (s._num, s._den) == ((2, -3, 0), 12)
+    assert (s * 6)._den == 2 and (s * 12)._den == 1
+    zero = s * 0
+    assert (zero._num, zero._den) == ((0, 0, 0), 1)
+    assert zero == RationalSeries([], order=2)
+    assert hash(s * Fraction(6, 5) * Fraction(5, 6)) == hash(s)
+
+
+def test_inexact_scaled_division_raises(monkeypatch):
+    # D = K! (2eq)^K is the scale that makes every step of series_exp_like
+    # one exact division; with one factor of 2 less, cosh(x/2) = 1 + x^2/8
+    # fails at k = 2 instead of flooring.
+    assert series_exp_like(RationalSeries([0, 1, 0]), 1)[0].coeffs == (
+        1,
+        0,
+        Fraction(1, 8),
+    )
+    monkeypatch.setattr(series_oracle, "factorial", lambda k: factorial(k) // 2)
+    with pytest.raises(InternalInconsistency, match="U at k=2: 4 does not divide 2"):
+        series_exp_like(RationalSeries([0, 1, 0]), 1)
+    with pytest.raises(InternalInconsistency):
+        gauss_via_series(15)
 
 
 # --- the Dirichlet-like logarithms --------------------------------------
