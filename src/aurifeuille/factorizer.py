@@ -7,8 +7,9 @@ F_n(x) = F- * F+ with F-+ = C_n(x) -+ sqrt(n*x) * D_n(x).
 
 Two independent routes to the pair are provided, both over the integers:
 
-  * `factor_by_polynomials` — evaluate C_n, D_n and F_n exactly, by one
-    integer homogeneous Horner at X = p^2 * n, Y = q^2 (works for
+  * `factor_by_polynomials` — evaluate C_n, D_n and F_n exactly, each by
+    the homogeneous product tree of `IntPolynomial.evaluate_homogeneous`
+    at X = p^2 * n, Y = q^2 (works for
     rational m = p/q too, giving integer factors C_h -+ p*n*q * D_h of
     p^(2n) * n^n +- q^(2n) whose product must be F_h = Y^(2d) * F_n(x));
   * `factor_by_rounding` — skip the polynomials entirely: a short
@@ -26,17 +27,24 @@ The estimate is
 
 with lambda = deg F_n / 2 = phi(2n)/2, computed with mpmath at a working
 precision of bits = bitlength(F_n(x))/2 + 64, derived from the one
-evaluation of F_n(x) that also serves the exact division.  The sum is
-taken in fixed point with P = bits + 64 fraction bits:
+evaluation of F_n(x) that also serves the exact division.  The sum
+S = sum_{j<lambda} (n|2j+1) / ((2j+1) x^j) is taken exactly, as one
+fraction T / (Q * x^(lambda-1)) with Q = prod_{j<lambda} (2j+1), by the
+bottom-up pairing that `IntPolynomial.evaluate_homogeneous` uses (binary
+splitting; Haible & Papanikolaou, ANTS 1998).  Blocks of `_EVAL_LEAF`
+terms are summed directly; then neighbouring blocks L and R pair level
+by level as
 
-    t_0 = 2^P,  t_{j+1} = floor(t_j / x),  s = sum_j (n|2j+1) * floor(t_j / (2j+1)),
+    T = T_L * Q_R * x^span(R) + T_R * Q_L,   Q = Q_L * Q_R,
 
-and -s / (m * 2^P) goes to mpmath's exp.  Nested floor divisions
-compose, so t_j = floor(2^P / x^j) and each term is the exact term times
-2^P rounded down: s is within lambda of 2^P times the sum.  Since
-F^ < sqrt(F_n(x)) < 2^(bits - 63), the fixed-point sum moves F^ by less
-than about lambda * 2^-127, far inside the 1/2 rounding window.
-Rounding F^ and dividing F_n(x) exactly by the result remain the proof.
+where span counts a block's terms and x^span is squared once per level.
+That costs O(M(N) log lambda) for the N-bit T, in place of lambda
+sequential divisions of a number as wide as the result.  One division
+then gives s = floor(2^P * T / (Q * x^(lambda-1))) with P = bits + 64
+fraction bits, so |s - 2^P * S| < 1, and -s / (m * 2^P) goes to mpmath's
+exp.  Since F^ < sqrt(F_n(x)) < 2^(bits - 63), that moves F^ by less
+than about 2^-127, far inside the 1/2 rounding window.  Rounding F^ and
+dividing F_n(x) exactly by the result remain the proof.
 
 `full_factorization` assembles the whole integer: every cyclotomic piece
 below the top one, then the Aurifeuillian split in place of the top one.
@@ -79,6 +87,7 @@ from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
 from .numthy import _require_squarefree, divisors, jacobi
 from .cyclotomic import f_poly, phi_moebius
 from .lucas import algorithm_l
+from .poly import _EVAL_LEAF
 
 RHO_STEP_LIMIT = 1 << 20
 """Most steps of Brent's rho for one cyclotomic piece, summed over its
@@ -181,7 +190,12 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
             f"factor_by_rounding needs an integer m, got {m!r}; "
             "use factor_by_polynomials for rational m"
         )
-    f_val, lam = _f_value_int(n, m)
+    return _rounding_split(n, m, *_f_value_int(n, m))
+
+
+def _rounding_split(n: int, m: int, f_val: int, lam: int) -> AurifeuilleResult:
+    """`factor_by_rounding` from F_n(x) = f_val and lambda = lam, which
+    `full_factorization` takes from the F_n it builds with its pieces."""
     hat, bits = _estimate(n, m, f_val, lam)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
@@ -252,8 +266,12 @@ def target_value(n: int, m: Fraction | int) -> int:
     A minus-sign target below 1, which happens when x = m^2 * n < 1,
     raises `NegativeTarget`.
     """
-    m = Fraction(m)
     _require_squarefree(n)
+    return _target(n, Fraction(m))
+
+
+def _target(n: int, m: Fraction) -> int:
+    """`target_value` for a square-free n that the caller has checked."""
     p, q = m.numerator, m.denominator
     value = p ** (2 * n) * n**n + (-1 if n % 4 == 1 else 1) * q ** (2 * n)
     if value < 1:
@@ -279,7 +297,8 @@ def full_factorization(
     m = Fraction(m)
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
-    target = target_value(n, m)
+    primes_n = _require_squarefree(n)
+    target = _target(n, m)
     big_x, big_y = m.numerator**2 * n, m.denominator**2
     indices = _cyclotomic_indices(n)
     pieces = [
@@ -288,9 +307,12 @@ def full_factorization(
     ]
     # The top piece F_n(x) is the product of the split; since
     # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
-    # split that does not multiply to it.
+    # split that does not multiply to it.  F_n is Phi_n', n' = indices[-1].
     if m.denominator == 1:
-        split = factor_by_rounding(n, m.numerator)
+        fn = phi_moebius(indices[-1])
+        split = _rounding_split(
+            n, m.numerator, fn.evaluate_homogeneous(big_x, 1), fn.degree // 2
+        )
     else:
         split = factor_by_polynomials(n, m)
     pieces += [(split.int_minus, indices[-1]), (split.int_plus, indices[-1])]
@@ -301,7 +323,7 @@ def full_factorization(
         raise InternalInconsistency(
             f"piece product {check} != target {target} at n={n}, m={m}"
         )
-    primes_2n = sorted({2, *_require_squarefree(n)})
+    primes_2n = sorted({2, *primes_n})
     counts: dict[int, int] = {}
     probable: set[int] = set()
     complete = True
@@ -523,22 +545,58 @@ def _estimate(n: int, m: int, f_val: int, lam: int):
     """`hat_f` from F_n(x) = f_val with lambda = lam terms, and the
     working precision it used.
 
-    The series is summed in fixed point with P = bits + 64 fraction bits:
-    term j is floor(floor(2^P / x^j) / (2j+1)), which equals
-    floor(2^P / ((2j+1) * x^j)) because nested floor divisions compose.
+    The series is summed by `_lambda_sum` as one exact fraction and
+    floored once at P = bits + 64 fraction bits, so s is within 1 of 2^P
+    times the sum (module docstring).
     """
     bits = f_val.bit_length() // 2 + 64
     frac_bits = bits + 64
-    x = m * m * n
-    t = 1 << frac_bits
-    s = 0
-    for j in range(lam):
-        s += jacobi(n, 2 * j + 1) * (t // (2 * j + 1))
-        t //= x
+    s = _lambda_sum(n, m * m * n, lam, frac_bits)
     with mpmath.workprec(bits):
         root = mpmath.sqrt(mpmath.mpf(f_val))
         expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))
         return root * expo, bits
+
+
+def _lambda_sum(n: int, x: int, lam: int, frac_bits: int) -> int:
+    """floor(2^frac_bits * S) for S = sum_{j<lam} (n|2j+1) / ((2j+1) x^j),
+    lam >= 1, by the pairing of the module docstring.
+
+    A block of the terms a <= j < b is held as T and Q = prod (2j+1), with
+    sum_{a<=j<b} (n|2j+1) / ((2j+1) x^(j-a)) = T / (Q * x^(b-1-a)).  A
+    leaf adds its terms one at a time, each as a block of one term.
+    """
+    tops, dens = [], []
+    for start in range(0, lam, _EVAL_LEAF):
+        t, q = 0, 1
+        for k in range(2 * start + 1, 2 * min(start + _EVAL_LEAF, lam), 2):
+            t = t * k * x + jacobi(n, k) * q
+            q *= k
+        tops.append(t)
+        dens.append(q)
+    # x^span of the trailing block, the only one that can be short, and
+    # of every other block.
+    xlast = x ** (lam - _EVAL_LEAF * (len(tops) - 1))
+    xspan = x**_EVAL_LEAF
+    while len(tops) > 1:
+        last = len(tops) - 1
+        pairs = range(0, last, 2)
+        paired = [
+            tops[i] * dens[i + 1] * (xlast if i + 1 == last else xspan)
+            + tops[i + 1] * dens[i]
+            for i in pairs
+        ]
+        dens_paired = [dens[i] * dens[i + 1] for i in pairs]
+        if last % 2 == 0:
+            paired.append(tops[last])
+            dens_paired.append(dens[last])
+        else:
+            xlast *= xspan
+        tops, dens = paired, dens_paired
+        if len(tops) > 1:
+            xspan *= xspan
+    # xlast is now x^lam, so S = T * x / (Q * x^lam).
+    return (tops[0] * x << frac_bits) // (dens[0] * xlast)
 
 
 def _f_value_int(n: int, m: int) -> tuple[int, int]:
@@ -546,7 +604,7 @@ def _f_value_int(n: int, m: int) -> tuple[int, int]:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need a positive integer m, got {m!r}")
     fn = f_poly(n)
-    return fn.evaluate(m * m * n), fn.degree // 2
+    return fn.evaluate_homogeneous(m * m * n, 1), fn.degree // 2
 
 
 def _as_int_if_possible(value: Fraction):

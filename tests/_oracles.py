@@ -6,8 +6,10 @@ against quadratic residues, and so on.  The floating-point ones are only
 trusted at small sizes where float error cannot reach 0.5.
 
 The schoolbook polynomial product is the reference for the library's
-packed one, and the direct O(d^2) loop of Newton's identities is the
-reference for the divide-and-conquer kernel behind both factor pairs.
+packed one, the direct O(d^2) loop of Newton's identities is the
+reference for the divide-and-conquer kernel behind both factor pairs,
+and the fixed-point loop of the rounding route's lambda sum is the
+reference for its exact sum by pairing.
 The per-coefficient `Fraction` loops for the series product, square
 root and `series_exp_like` are the reference for the library's integer
 numerators over one denominator.  The reference routes to Phi_n live
@@ -31,7 +33,7 @@ from operator import mul
 
 from aurifeuille.errors import BadConstantTerm, NonIntegerStep, NotSquareFree
 from aurifeuille.factorizer import factor_by_polynomials
-from aurifeuille.numthy import factorize, is_squarefree
+from aurifeuille.numthy import factorize, is_squarefree, jacobi
 from aurifeuille.poly import IntPolynomial
 from aurifeuille.series_oracle import RationalSeries
 
@@ -144,6 +146,19 @@ def newton_pair_direct(n, u0, v0, c, p, q, r, odd, k_u, k_v):
             raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
         v.append(acc // div)
     return u, v
+
+
+def lambda_sum_fixed_point(n, x, lam, frac_bits):
+    """`factorizer._lambda_sum` by the fixed-point loop it replaced: lam
+    sequential floor divisions, t_j = floor(2^frac_bits / x^j), and term j
+    floored once more by 2j + 1.  Each term is rounded down on its own,
+    so the result is within lam of 2^frac_bits times the sum."""
+    t = 1 << frac_bits
+    s = 0
+    for j in range(lam):
+        s += jacobi(n, 2 * j + 1) * (t // (2 * j + 1))
+        t //= x
+    return s
 
 
 def monomial(k, c=1):

@@ -199,8 +199,10 @@ def test_each_recurrence_runs_once_per_command(capsys, monkeypatch, argv, runs):
 )
 def test_factor_builds_one_split(capsys, monkeypatch, argv, routes):
     # Integer m takes the split from the rounding route alone, rational m
-    # from the polynomial route alone.
-    rounding = count_calls(monkeypatch, factorizer, "factor_by_rounding")
+    # from the polynomial route alone.  The rounding route is counted at
+    # `_rounding_split`, which `full_factorization` calls with the F_n it
+    # builds among its pieces and `factor_by_rounding` wraps.
+    rounding = count_calls(monkeypatch, factorizer, "_rounding_split")
     polynomials = count_calls(monkeypatch, factorizer, "factor_by_polynomials")
     code, _, _ = run(capsys, *argv)
     assert code == 0

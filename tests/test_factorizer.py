@@ -31,7 +31,7 @@ from aurifeuille.factorizer import (
 )
 
 from _counting import count_calls
-from _oracles import ratio_estimate, squarefree_range
+from _oracles import lambda_sum_fixed_point, ratio_estimate, squarefree_range
 
 
 # --- the truncated-series estimate --------------------------------------
@@ -109,6 +109,37 @@ def test_rounding_reproduces_classical_splits():
         assert res.int_minus == lo and res.int_plus == hi
         assert res.m_den == 1 and res.x == m * m * n
         assert res.hat_F == hat_f(n, m)
+
+
+def _frac_bits(n, m):
+    """The fraction bits `_estimate` sums the series with at x = m^2 * n."""
+    f_val = cyclotomic.f_poly(n).evaluate_homogeneous(m * m * n, 1)
+    return f_val.bit_length() // 2 + 128
+
+
+def test_lambda_sum_is_the_floor_of_the_exact_sum():
+    # The pairing sums lambda terms as one fraction and floors it once;
+    # lambda runs from 1 to 99 here, past three leaves of _EVAL_LEAF.
+    for n in squarefree_range(2, 200):
+        lam = cyclotomic.f_poly(n).degree // 2
+        for m in (1, 2, 7):
+            x = m * m * n
+            for frac_bits in (0, 61, _frac_bits(n, m)):
+                exact = sum(
+                    Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j)
+                    for j in range(lam)
+                )
+                expected = math.floor(exact * 2**frac_bits)
+                assert factorizer._lambda_sum(n, x, lam, frac_bits) == expected
+
+
+@pytest.mark.parametrize("n", [1001, 1501, 2002, 2003, 3001])
+@pytest.mark.parametrize("m", [1, 7])
+def test_lambda_sum_is_within_lambda_of_the_fixed_point_loop(n, m):
+    lam = cyclotomic.f_poly(n).degree // 2
+    frac_bits = _frac_bits(n, m)
+    fast = factorizer._lambda_sum(n, m * m * n, lam, frac_bits)
+    assert abs(fast - lambda_sum_fixed_point(n, m * m * n, lam, frac_bits)) <= lam
 
 
 def test_rounding_rejects_rational_m():
@@ -280,13 +311,13 @@ def test_full_factorization_classical_examples():
 
 
 def test_full_factorization_factors_each_index_once(monkeypatch):
-    # target_value validates n; the pieces Phi_2, Phi_6 and Phi_10 factor
-    # their index once each and take their degree from the polynomial; the
-    # rounding split factors n in f_poly and n' = 30 in phi_moebius; the
-    # primes of 2n factor n once more.
+    # Validating n factors it, and its primes serve the primes of 2n; the
+    # pieces Phi_2, Phi_6 and Phi_10 factor their index once each and take
+    # their degree from the polynomial; the top piece F_15 = Phi_30, built
+    # like them, factors n' = 30 and is handed to the rounding split.
     calls = count_calls(monkeypatch, numthy, "factorize")
     full_factorization(15, 1)
-    assert calls == [(15,), (2,), (6,), (10,), (15,), (30,), (15,)]
+    assert calls == [(15,), (2,), (6,), (10,), (30,)]
 
 
 def test_full_factorization_product_checks_hold_broadly():
@@ -391,17 +422,18 @@ def test_full_factorization_bases_pass_trial_division(n, m):
 
 
 def test_full_factorization_rejects_a_split_off_by_one(monkeypatch):
-    # The top piece comes from the split, by rounding for integer m and
-    # by polynomials for rational m; the product check against the
-    # target still catches a split that does not multiply to F_n(x).
+    # The top piece comes from the split, by rounding for integer m (the
+    # helper that takes the F_n(x) of the pieces) and by polynomials for
+    # rational m; the product check against the target still catches a
+    # split that does not multiply to F_n(x).
     for route, n, m in (
-        ("factor_by_rounding", 15, 1),
+        ("_rounding_split", 15, 1),
         ("factor_by_polynomials", 7, Fraction(2, 5)),
     ):
         true_split = getattr(factorizer, route)
 
-        def corrupted(n, m, true_split=true_split):
-            split = true_split(n, m)
+        def corrupted(*args, true_split=true_split):
+            split = true_split(*args)
             return dataclasses.replace(split, int_minus=split.int_minus + 1)
 
         monkeypatch.setattr(factorizer, route, corrupted)

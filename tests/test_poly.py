@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import aurifeuille.poly as poly
 from aurifeuille.gauss import algorithm_d
@@ -231,6 +231,44 @@ def test_evaluate_homogeneous_clears_denominators():
     assert IntPolynomial().evaluate_homogeneous(3, 5) == 0
     assert IntPolynomial([7]).evaluate_homogeneous(3, 5) == 7
     assert IntPolynomial([-1, 1]).evaluate_homogeneous(3, 5) == 3 - 5
+
+
+def homogeneous_by_fractions(p, x, y):
+    """y^degree * P(x/y) by scalar Horner in Fractions; at y = 0 only the
+    leading term is left."""
+    if not p:
+        return 0
+    if y == 0:
+        return p.leading * x**p.degree
+    return Fraction(y) ** p.degree * p.evaluate(Fraction(x, y))
+
+
+_LEAF = poly._EVAL_LEAF
+
+
+@settings(max_examples=8)
+@pytest.mark.parametrize(
+    "length",
+    [0, 1, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF + 1, 1000, 1057],
+)
+@pytest.mark.parametrize("y", [0, 1, -3, 25])
+@given(
+    seed=st.integers(0, 2**32),
+    bits=st.sampled_from([1, 12, 80]),
+    x=st.integers(1, 10**6),
+)
+def test_evaluate_homogeneous_matches_horner(length, y, seed, bits, x):
+    # One block, two blocks with a short trailing one, three blocks with
+    # one carried up a level, and 32 and 34 blocks over five and six
+    # levels.
+    rng = random.Random(seed)
+    coeffs = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(length)]
+    if coeffs and coeffs[-1] == 0:
+        coeffs[-1] = 1
+    p = IntPolynomial(coeffs)
+    assert p.degree == length - 1
+    for point in (x, -x, 0):
+        assert p.evaluate_homogeneous(point, y) == homogeneous_by_fractions(p, point, y)
 
 
 def test_compose_power():
