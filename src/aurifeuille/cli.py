@@ -26,6 +26,7 @@ as decimal strings, whatever their number of digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,8 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     # 3.11+ caps int <-> str conversion at 4300 digits by default.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (AurifeuilleError, ValueError, TypeError, ZeroDivisionError) as err:
@@ -53,7 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building it costs more than a small command.
     parser = argparse.ArgumentParser(
         prog="aurif",
         description="Cyclotomic and Aurifeuillian factor polynomials, "

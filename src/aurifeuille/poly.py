@@ -10,23 +10,30 @@ no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
 identity checks only multiply.
 
 The product of two polynomials is one big-integer multiplication
-(Kronecker substitution): each operand is packed into one int with its
-coefficients in fixed slots of w bytes, the two ints are multiplied (a
-square when both operands are the same object) and the slots of the
-product are read back as its coefficients.  The slot width is exact:
-coefficient k of a * b is a sum of at most min(len a, len b) products
-a_i * b_j, so it is at most bound = max|a_i| * max|b_j| * min(len a,
-len b) in absolute value, and so is every input coefficient.  With
-8w - 1 >= bitlength(bound) every such value v has |v| < 2^(8w-1), so
-v + 2^(8w-1) lies in [0, 2^(8w)).  Adding 2^(8w-1) to every slot of the
-product therefore leaves each slot in range, nothing carries from one
-slot into the next, and subtracting 2^(8w-1) from each slot gives the
-coefficients back exactly.  CPython multiplies large ints by Karatsuba,
-so a product of two degree-d polynomials costs far less than the d^2
-coefficient products of the schoolbook loop, which the tests keep as
-the reference.  The packing lives in one private function, `_kronecker`,
-which `__mul__` calls for the whole product and the recurrence kernel
-`numthy._newton_pair` for a range of its slots.
+(Kronecker substitution): each operand is packed into one number with its
+coefficients in fixed slots, the two numbers are multiplied (a square when
+both operands are the same object) and the slots of the product are read
+back as its coefficients.  The slot width is exact: coefficient k of
+a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
+at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
+value, and so is every input coefficient.  Small products pack into an
+int with slots of w bytes: with 8w - 1 >= bitlength(bound) every such
+value v has |v| < 2^(8w-1), so v + 2^(8w-1) lies in [0, 2^(8w)).  Large
+ones pack into a `decimal.Decimal` with slots of w decimal digits: with
+2 * bound < 10^w every such v has |v| < 5*10^(w-1), so v + 5*10^(w-1)
+lies in [0, 10^w).  Either way, adding the half slot 2^(8w-1) or
+5*10^(w-1) to every slot of the product leaves each slot in range,
+nothing carries from one slot into the next, and subtracting it from
+each slot gives the coefficients back exactly.  CPython multiplies ints
+by Karatsuba only, in O(N^1.585) for N bits; the C `decimal` module
+(libmpdec) multiplies large operands by a number-theoretic transform in
+O(N log N), at the cost of converting each coefficient to and from
+decimal digits.  So `_kronecker` packs in base 10 once the smaller packed
+operand reaches `_DECIMAL_CUTOFF` bits, and in base 2^8 below that.  Both
+cost far less than the d^2 coefficient products of the schoolbook loop,
+which the tests keep as the reference.  The packing lives in one private
+function, `_kronecker`, which `__mul__` calls for the whole product and
+the recurrence kernel `numthy._newton_pair` for a range of its slots.
 
 `evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -52,6 +59,8 @@ pass.
 
 from __future__ import annotations
 
+import decimal
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -68,6 +77,30 @@ x = 4004, y = 25, leaves of 32, 64, 128 and 256 took 583, 615, 678 and
 for every leaf from 8 to 128 terms, most of it in its one final
 division (shared 2-core Xeon, Python 3.11).  Every piece of `aurif
 factor` at n <= 31 has at most 31 coefficients, so it is one block."""
+
+
+_DECIMAL_CUTOFF = 150_000
+"""Bits of the smaller packed operand (its length times the bit length of
+the slot bound) from which `_kronecker` packs in base 10.  Base-10 time
+over int time, best of 7, for squares / the kernel's shape (L x 2L, last
+L slots) on 20- to 1000-bit coefficients: 1.1-1.8 / 1.1-1.4 at 50k bits,
+0.9-1.1 / 0.8-0.9 at 100k, 0.9-1.2 / 0.6 at 150k, 0.8-1.1 / 0.5-0.9 at
+200k and 0.5-0.6 / 0.4-0.7 at 400k.  The 465 products of one pass of the
+benchmark's `verify` workload took 337 ms all as ints, 268 ms with the
+cutoff at 50k bits and 256-258 ms with it anywhere from 100k to 200k.
+Far above it the int product falls behind: a square of 2000 (20000)
+700-bit coefficients takes 0.55 s (24.4 s) as ints against 0.12 s
+(1.34 s); far below it, 100 x 40-bit squares take 0.22 ms as ints
+against 0.55 ms (shared 2-core Xeon, Python 3.11, libmpdec 2.5.1)."""
+
+_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+"""The one context of the base-10 packing: exact for any integer that
+fits in memory, and a lost digit raises rather than rounds.  The caller's
+`decimal` context is never read or changed."""
 
 
 class IntPolynomial:
@@ -251,12 +284,42 @@ def _kronecker(a, b, start: int, stop: int) -> list[int]:
     a and b are nonempty sequences of ints; zero entries are allowed, and
     an all-zero operand counts as all ones in the slot bound of the module
     docstring, so every input coefficient fits its slot too.  The offsets
-    2^(8w-1) go onto slots 0..stop-1 of the product before anything is cut
-    from it, so no borrow crosses a slot, and slots from stop on (the
-    product may be longer) cannot reach the ones below.  A square, ``b is
-    a``, multiplies one packed int by itself.
+    (the half slot) go onto slots 0..stop-1 of the product before anything
+    is cut from it, so no borrow crosses a slot, and slots from stop on
+    (the product may be longer) cannot reach the ones below.  A square,
+    ``b is a``, multiplies one packed number by itself.
+
+    From `_DECIMAL_CUTOFF` bits on, the slots are decimal digits and the
+    product runs in the context `_DECIMAL`.  There the offset goes onto
+    every slot of the product, so the whole is nonnegative and its `str`
+    holds every slot; a 1 above the top slot fixes the length of that
+    `str`.  Python caps int <-> str conversion at
+    `sys.get_int_max_str_digits()` digits (4300 by default); slots wider
+    than that convert through `Decimal`, which has no cap.
     """
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * min(len(a), len(b))
+    if min(len(a), len(b)) * bound.bit_length() >= _DECIMAL_CUTOFF:
+        # The least w with 2 * bound < 10^w: the digit count of 2 * bound.
+        width = _DECIMAL.create_decimal(2 * bound).adjusted() + 1
+        # A cap of 0 means none, as on Pythons that have no cap at all.
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < width:
+            to_str, to_int = _str_via_decimal, _int_via_decimal
+        else:
+            to_str, to_int = str, int
+        packed = _pack10(a, width, to_str)
+        slots = len(a) + len(b) - 1
+        # Half a slot on every slot, and a 1 above the top one, so the sum
+        # has exactly width * slots + 1 digits.
+        digits = str(
+            _DECIMAL.add(
+                _DECIMAL.multiply(packed, packed if b is a else _pack10(b, width, to_str)),
+                _DECIMAL.create_decimal("1" + ("5" + "0" * (width - 1)) * slots),
+            )
+        )
+        half = 5 * 10 ** (width - 1)
+        # Slot k is digits[e - width : e] with e = width * (slots - k) + 1.
+        ends = range(width * (slots - start) + 1, width * (slots - stop) + 1, -width)
+        return [to_int(digits[e - width : e]) - half for e in ends]
     width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
     packed = _pack(a, width)
     product = packed * (packed if b is a else _pack(b, width))
@@ -280,6 +343,27 @@ def _pack(coeffs, width: int) -> int:
     return int.from_bytes(b"".join(pos), "little") - int.from_bytes(
         b"".join(neg), "little"
     )
+
+
+def _pack10(coeffs, width: int, to_str) -> decimal.Decimal:
+    """sum_j coeffs[j] * 10^(width*j), laid out as `_pack` does but in
+    width-digit slots, highest first, each written by ``to_str``.  Each
+    digit string is parsed as soon as it is joined, so at most one is
+    held at a time."""
+    empty = "0" * width
+    rev = coeffs[::-1]
+    pos = "".join([to_str(c).zfill(width) if c > 0 else empty for c in rev])
+    pos = _DECIMAL.create_decimal(pos)
+    neg = "".join([to_str(-c).zfill(width) if c < 0 else empty for c in rev])
+    return _DECIMAL.subtract(pos, _DECIMAL.create_decimal(neg))
+
+
+def _str_via_decimal(value: int) -> str:
+    return str(_DECIMAL.create_decimal(value))
+
+
+def _int_via_decimal(digits: str) -> int:
+    return int(_DECIMAL.create_decimal(digits))
 
 
 def _coerce(value) -> IntPolynomial | None:

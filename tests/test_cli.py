@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from aurifeuille import factorizer, gauss, lucas
+from aurifeuille import cli, factorizer, gauss, lucas
 from aurifeuille.cli import main
 
 from _counting import count_calls
@@ -304,3 +304,38 @@ def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code != 0
+
+
+CONSECUTIVE = [
+    ["lucas", "15", "--eval", "2/5", "--json"],
+    ["phi", "12"],
+    ["factor", "7", "2", "--json"],
+    ["gauss", "15"],
+    ["verify", "--range", "2", "12"],
+    ["factor", "11", "--rational", "3/2"],
+    ["verify", "21"],
+    ["lucas", "15"],
+    ["classnum", "7", "--json"],
+]
+
+
+def test_consecutive_calls_give_the_outputs_of_fresh_calls(capsys):
+    # The parser is built once per process; each call must still parse
+    # from the defaults, with nothing left over from the call before.
+    fresh = []
+    for argv in CONSECUTIVE:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in CONSECUTIVE] == fresh
+    assert [run(capsys, *argv) for argv in reversed(CONSECUTIVE)] == fresh[::-1]
+
+
+def test_bad_arguments_exit_with_argparse_errors_after_good_calls(capsys):
+    run(capsys, "phi", "12")
+    for argv in (["frobnicate"], ["phi", "twelve"], ["verify", "--range", "2"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: aurif") and "error:" in err
+    assert run(capsys, "phi", "12") == (0, "x^4 - x^2 + 1\n", "")

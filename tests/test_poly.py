@@ -1,8 +1,12 @@
 """Exact integer polynomial arithmetic, and the tests' own polynomial
 helpers in `_oracles` (long division, P(x^k), P(-x), ...)."""
 
+import decimal
+import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,6 +201,141 @@ def test_mul_at_the_slot_bound(m, len_a, len_b, sign_a, sign_b):
     middle = product.coefficient((len_a + len_b) // 2 - 1)
     assert middle == sign_a * sign_b * min(len_a, len_b) * m * m
     assert a * a == schoolbook_mul(a, a)
+
+
+# Products from `poly._DECIMAL_CUTOFF` bits on pack in base 10.  Each one
+# below is checked against the schoolbook loop and against the base-2^8
+# packing, forced by lifting the cutoff.
+
+
+def packed_bits(a, b):
+    """Bits of the smaller packed operand, the size `_kronecker` compares
+    with the cutoff."""
+    bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * min(len(a), len(b))
+    return min(len(a), len(b)) * bound.bit_length()
+
+
+def int_branch(a, b, start, stop):
+    with mock.patch.object(poly, "_DECIMAL_CUTOFF", math.inf):
+        return poly._kronecker(a, b, start, stop)
+
+
+def check_above_the_cutoff(a, b):
+    assert packed_bits(a.coeffs, b.coeffs) >= poly._DECIMAL_CUTOFF
+    expected = schoolbook_mul(a, b)
+    assert a * b == expected
+    assert b * a == expected
+    length = len(a.coeffs) + len(b.coeffs) - 1
+    assert list(expected.coeffs) == int_branch(a.coeffs, b.coeffs, 0, length)
+
+
+@settings(max_examples=12)
+@given(
+    st.integers(1000, 8000).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)),
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.sampled_from([1, -1]),
+    st.sampled_from([1, -1]),
+)
+def test_mul_at_the_slot_bound_above_the_cutoff(m, extra_a, extra_b, sign_a, sign_b):
+    # As test_mul_at_the_slot_bound, with operands long enough that the
+    # smaller one packs to at least the cutoff: the middle coefficient is
+    # +-bound itself, which a slot one digit short cannot hold.
+    shortest = poly._DECIMAL_CUTOFF // (2 * m.bit_length() - 1) + 1
+    len_a, len_b = shortest + extra_a, shortest + extra_b
+    a = IntPolynomial([sign_a * m] * len_a)
+    b = IntPolynomial([sign_b * m] * len_b)
+    check_above_the_cutoff(a, b)
+    middle = (a * b).coefficient((len_a + len_b) // 2 - 1)
+    assert middle == sign_a * sign_b * min(len_a, len_b) * m * m
+    check_above_the_cutoff(a, a)
+
+
+def long_operand(rng, length, bits, zero_share):
+    """length >= 10^4 coefficients of mixed signs and bit lengths, with
+    runs of zeros making up about zero_share of them."""
+    coeffs = []
+    while len(coeffs) < length - 1:
+        if rng.random() < zero_share:
+            coeffs += [0] * rng.randrange(1, 200)
+        else:
+            for _ in range(rng.randrange(1, 20)):
+                coeffs.append(rng.randrange(-(1 << bits), 1 << bits) >> rng.randrange(bits))
+    top = rng.choice([1, -1]) << rng.randrange(bits)
+    return IntPolynomial(coeffs[: length - 1] + [top])
+
+
+@settings(max_examples=5)
+@given(seed=st.integers(0, 2**32), bits=st.sampled_from([4, 40, 100]))
+def test_mul_of_long_operands_above_the_cutoff(seed, bits):
+    # A sparse operand first, so the schoolbook loop, which skips the zeros
+    # of its first operand, stays cheap.
+    rng = random.Random(seed)
+    sparse = long_operand(rng, rng.randrange(10_000, 12_000), bits, 0.97)
+    dense = long_operand(rng, rng.randrange(10_000, 12_000), bits, 0.1)
+    check_above_the_cutoff(sparse, dense)
+    check_above_the_cutoff(sparse, sparse)
+
+
+@settings(max_examples=6)
+@given(
+    seed=st.integers(0, 2**32),
+    steps=st.integers(500, 800),
+    short=st.booleans(),
+)
+def test_kronecker_slices_above_the_cutoff(seed, steps, short):
+    # The kernel's shape: u of `steps` coefficients against 2*steps - 1
+    # (or one fewer) power sums, and only the last `steps` slots of the
+    # product, so the slots above them are cut off.
+    rng = random.Random(seed)
+    u = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(steps)]
+    q = [rng.randrange(-(1 << 100), 1 << 100) for _ in range(2 * steps - 1 - short)]
+    assert packed_bits(u, q) >= poly._DECIMAL_CUTOFF
+    first, last = steps - 1, 2 * steps - 1
+    expected = schoolbook_mul(IntPolynomial(u), IntPolynomial(q)).coeffs[first:last]
+    assert poly._kronecker(u, q, first, last) == list(expected)
+    assert int_branch(u, q, first, last) == list(expected)
+
+
+@pytest.fixture
+def default_int_str_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python does not cap int <-> str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_base_10_slots_wider_than_the_int_str_limit(default_int_str_limit):
+    # Slots of about 9000 digits, past the 4300-digit default cap on
+    # int <-> str conversion, which the library must not lift.
+    m = 2**15000 - 1
+    a = IntPolynomial([m] * 6)
+    b = IntPolynomial([-m, 0, 3, m, -1, 0, m])
+    assert 2 * m * m * 6 > 10**default_int_str_limit
+    check_above_the_cutoff(a, a)
+    check_above_the_cutoff(a, b)
+    sliced = poly._kronecker(b.coeffs, a.coeffs, 3, 9)
+    assert sliced == int_branch(b.coeffs, a.coeffs, 3, 9)
+    assert sys.get_int_max_str_digits() == default_int_str_limit
+
+
+def test_base_10_products_ignore_the_callers_decimal_context():
+    rng = random.Random(17)
+    a = [rng.randrange(-(1 << 150), 1 << 150) for _ in range(2000)]
+    b = [rng.randrange(-(1 << 150), 1 << 150) for _ in range(1500)]
+    assert packed_bits(a, b) >= poly._DECIMAL_CUTOFF
+    length = len(a) + len(b) - 1
+    expected = poly._kronecker(a, b, 0, length)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        ctx.traps = dict.fromkeys(ctx.traps, False)
+        assert poly._kronecker(a, b, 0, length) == expected
+        square = poly._kronecker(a, a, 0, 2 * len(a) - 1)
+        assert square == int_branch(a, a, 0, 2 * len(a) - 1)
+        assert not any(ctx.flags.values())
+    assert expected == int_branch(a, b, 0, length)
 
 
 def test_ring_homomorphism_under_evaluation():
