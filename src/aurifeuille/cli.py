@@ -31,8 +31,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import factorizer, numthy, series_oracle
 from .cyclotomic import phi_moebius
 from .errors import AurifeuilleError
@@ -42,9 +40,19 @@ from .lucas import algorithm_l
 
 def main(argv: list[str] | None = None) -> int:
     # Targets and split factors can have any number of digits; Python
-    # 3.11+ caps int <-> str conversion at 4300 digits by default.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # 3.11+ caps int <-> str conversion at 4300 digits by default.  The
+    # cap is lifted for this call only, and the caller's is restored.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
@@ -209,6 +217,8 @@ def _cmd_factor(args) -> int:
         print(f"n = {args.n}, m = {m}, x = {split.x}")
         print(f"target = {factors.target}")
         if split.hat_F is not None:
+            import mpmath  # loaded only where an estimate is printed
+
             print(f"F_hat = {mpmath.nstr(split.hat_F, 20)}")
         print(f"F_minus = {split.int_minus}")
         print(f"F_plus = {split.int_plus}")

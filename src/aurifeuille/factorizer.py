@@ -55,18 +55,20 @@ common prime of X and Y) or is 1 (mod L) with L = lcm(2, e).  So each
 piece is factored by:
 
   1. dividing out the primes of 2n;
-  2. on each composite survivor, smallest survivor first, a short leg
-     of Brent's rho over y -> y^L + c (Brent & Pollard, 1981).  A prime
-     p = 1 (mod L) closes the cycle after about sqrt(p/L) steps;
-  3. if that leg fails, one run of Pollard's p-1 method (Pollard 1974)
-     with its exponent seeded by L, which divides p - 1, and a
-     prime-by-prime stage 2 (Montgomery 1987).  It finds p when p - 1
-     is L times a product of small prime powers and at most one prime
-     up to 10^6, however large p is;
-  4. if p-1 fails too, the rest of the same rho walk.
+  2. on each composite survivor, smallest survivor first, Brent's rho
+     over y -> y^L + c (Brent & Pollard, 1981).  A prime p = 1 (mod L)
+     closes the cycle after about sqrt(p/L) steps;
+  3. after 510 steps of that walk, stage 1 of Pollard's p-1 method
+     (Pollard 1974) with its exponent seeded by L, which divides p - 1.
+     It finds p when p - 1 is L times a product of prime powers up to
+     2000, however large p is, at the cost of about 300 rho steps;
+  4. after 32766 steps, stage 2 (Montgomery 1987), which finds p when
+     p - 1 needs one more prime up to 10^6.  It takes a gcd every 1024
+     primes and stops at the first factor;
+  5. if both stages fail, the rest of the same rho walk.
 
 All survivors of a piece share one budget of `RHO_STEP_LIMIT` rho
-steps, and each p-1 run is charged the rho steps that take as long.
+steps, and each stage of p-1 is charged the rho steps that take as long.
 
 A base below 3.3 * 10^24 that passes the strong-pseudoprime test is
 proven prime; a larger one is only a probable prime and is listed in
@@ -77,11 +79,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt
-
-import mpmath
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
 from .numthy import _require_squarefree, divisors, jacobi
@@ -91,12 +92,12 @@ from .poly import _EVAL_LEAF
 
 RHO_STEP_LIMIT = 1 << 20
 """Most steps of Brent's rho for one cyclotomic piece, summed over its
-survivors and all restarts of c.  Each p-1 run counts as the number of
-rho steps that take as long (`_pm1_steps`).  A survivor that is still
-composite when they run out stays in the factor list and leaves the
-factorization incomplete.  Spending the whole cap with L = 62 took 3.6 s
-on a 41-digit survivor and 7.5 s on an 81-digit one, on a shared 2-core
-Xeon with Python 3.11."""
+survivors and all restarts of c.  Each stage of p-1 counts as the
+number of rho steps that take as long (`_rho_steps`).  A survivor that
+is still composite when they run out stays in the factor list and
+leaves the factorization incomplete.  Spending the whole cap with
+L = 62 took 3.6 s on a 41-digit survivor and 7.5 s on an 81-digit one,
+on a shared 2-core Xeon with Python 3.11."""
 
 # Strong-pseudoprime witnesses: the first 13 primes.  The smallest
 # composite passing all of them is psi_13 = 3317044064679887385961981,
@@ -107,9 +108,12 @@ _MR_PROVEN_BOUND = 3317044064679887385961981
 # Steps of rho between two gcds.
 _RHO_BATCH = 128
 
-# Steps of rho before its one p-1 run: the blocks of length 1, 2, ...,
-# 2^13 of the walk for c = 1, so the pause falls where that walk takes a
-# gcd anyway.  With L = 62 they take about as long as a failed p-1 run.
+# Steps of rho before p-1's stage 1 and before its stage 2: the blocks
+# of length 1, 2, ..., 2^7 and 1, 2, ..., 2^13 of the walk for c = 1,
+# so each pause falls where that walk takes a gcd anyway.  Stage 1 costs
+# about 300 steps, so it runs early; with L = 62 the long leg takes about
+# as long as a stage 2 that fails.
+_RHO_SHORT_LEG = (1 << 9) - 2
 _RHO_LEG = (1 << 15) - 2
 
 # Pollard p-1 bounds: stage 1 takes every prime power up to _PM1_B1,
@@ -117,11 +121,17 @@ _RHO_LEG = (1 << 15) - 2
 _PM1_B1 = 2000
 _PM1_B2 = 10**6
 
-# A failed p-1 run takes as long as this many of the modular products
-# that rho makes; see `_pm1_steps`.  Measured against `_brent_rho` on
-# semiprimes of 20 to 150 digits with k from 2 to 86: 185000 to 326000,
-# median 237000 (shared 2-core Xeon, Python 3.11).
-_PM1_PRODUCTS = 250_000
+# Stage 2 takes a gcd after every _PM1_GCD_EVERY primes, of the 78195
+# primes in (B1, B2].
+_PM1_GCD_EVERY = 1024
+
+# A stage 2 that fails takes as long as this many of the modular products
+# that rho makes, and stage 1 as long as one per bit of its exponent; see
+# `_rho_steps`.  Measured against `_brent_rho` on semiprimes of 20 to 150
+# digits with k from 2 to 86: a failed stage 2 took 165000 to 336000,
+# median about 238000, and stage 1 took 0.76 to 1.77 per bit, median
+# 1.05 (shared 2-core Xeon, Python 3.11).
+_PM1_STAGE2_PRODUCTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -196,6 +206,8 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
 def _rounding_split(n: int, m: int, f_val: int, lam: int) -> AurifeuilleResult:
     """`factor_by_rounding` from F_n(x) = f_val and lambda = lam, which
     `full_factorization` takes from the F_n it builds with its pieces."""
+    import mpmath  # loaded only by the routes that round
+
     hat, bits = _estimate(n, m, f_val, lam)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
@@ -424,7 +436,7 @@ def _accumulate_factors(
 
 def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     """A proper divisor of the composite odd n, or None, and the steps
-    spent, p-1's charge included, at most `budget`.
+    spent, p-1's charges included, at most `budget`.
 
     Brent's cycle search over y -> y^k + c (mod n) for c = 1, 2, ...: the
     differences x - y are multiplied together and one gcd with n is taken
@@ -432,14 +444,18 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     values modulo p, so the walk repeats modulo p after about sqrt(p/k)
     steps instead of sqrt(p).
 
-    After its first `_RHO_LEG` steps the walk pauses for one
-    `_pollard_pm1` run, charged `_pm1_steps(k)` steps, when that many are
-    left.  If p-1 fails, the walk resumes with the same c, y and block
-    length, so it takes the same steps as a walk that never paused.
+    The walk pauses twice for Pollard's p-1 method: for `_pm1_stage1`
+    after its first `_RHO_SHORT_LEG` steps, and for `_pm1_stage2` after
+    `_RHO_LEG`.  Each stage runs when its charge, `_pm1_stage1_steps(k)`
+    or `_pm1_stage2_steps(k)`, fits in what is left of the budget, and
+    stage 2 only after a stage 1 that left it something to find.  After
+    a failed stage the walk resumes with the same c, y and block length,
+    so it takes the same steps as a walk that never paused.
     """
     steps = 0
     c = 0
-    paused = False
+    stage1_due = True
+    power = None  # stage 1's 2^E mod n while stage 2 is due
     while steps < budget:
         c += 1
         y, r, q, g = 2, 1, 1, 1
@@ -460,14 +476,21 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
                 j += batch
                 steps += batch
             r *= 2
-            if g == 1 and not paused and steps >= _RHO_LEG:
-                paused = True
-                charge = _pm1_steps(k)
+            divisor = None
+            if g == 1 and stage1_due and steps >= _RHO_SHORT_LEG:
+                stage1_due = False
+                charge = _pm1_stage1_steps(k)
                 if budget - steps > charge:
                     steps += charge
-                    divisor = _pollard_pm1(n, k)
-                    if divisor is not None:
-                        return divisor, steps
+                    divisor, power = _pm1_stage1(n, k)
+            elif g == 1 and power is not None and steps >= _RHO_LEG:
+                charge = _pm1_stage2_steps(k)
+                if budget - steps > charge:
+                    steps += charge
+                    divisor = _pm1_stage2(n, power)
+                power = None
+            if divisor is not None:
+                return divisor, steps
         if g == n:
             # The last batch closed the walk modulo every prime of n at
             # once: retrace it one step at a time.
@@ -480,36 +503,44 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     return None, steps
 
 
-def _pollard_pm1(n: int, k: int) -> int | None:
-    """A proper divisor of the composite odd n, or None: one run of
-    Pollard's p-1 method with its exponent seeded by k.
+def _pm1_stage1(n: int, k: int) -> tuple[int | None, int | None]:
+    """Stage 1 of Pollard's p-1 method on the composite odd n, with its
+    exponent seeded by k: a proper divisor of n or None, and the power
+    a = 2^E mod n for stage 2, or None when stage 2 has nothing to find.
 
-    Every prime p of n is 1 (mod k), so k divides p - 1.  Stage 1 takes
-    a = 2^E with E = k times every prime power up to `_PM1_B1`, and finds
-    p when the order of 2 modulo p divides E.  Stage 2 (Montgomery 1987)
-    finds p when that order divides E times one prime s up to `_PM1_B2`:
-    it steps a^s from prime to prime by a table of a^gap and multiplies
-    the values a^s - 1 together, for one gcd at the end.  A gcd of n,
-    every prime found at once, is a failure.
+    Every prime p of n is 1 (mod k), so k divides p - 1.  E is k times
+    every prime power up to `_PM1_B1`, and the stage finds p when the
+    order of 2 modulo p divides E.  A gcd of n, every prime found at
+    once, is a failure, and one that stage 2 cannot mend.
     """
-    exponent = k << (_PM1_B1.bit_length() - 1)
-    for s in _odd_primes(_PM1_B1):
-        power = s
-        while power * s <= _PM1_B1:
-            power *= s
-        exponent *= power
-    a = pow(2, exponent, n)
+    a = pow(2, k * _pm1_powers(), n)
     g = gcd(a - 1, n)
     if g == 1:
-        primes = _odd_primes(_PM1_B2)
-        for s in primes:
-            if s > _PM1_B1:
-                break
-        # gaps[i] = a^(2i); s is the first prime past B1.
-        gaps = [1, a * a % n]
-        b = pow(a, s, n)
-        product = b - 1
-        for t in primes:
+        return None, a
+    return (g if g < n else None), None
+
+
+def _pm1_stage2(n: int, a: int) -> int | None:
+    """Stage 2 of Pollard's p-1 method (Montgomery 1987) from stage 1's
+    power a = 2^E mod n: a proper divisor of n, or None.
+
+    It finds a prime p of n when the order of 2 modulo p divides E times
+    one prime s in (`_PM1_B1`, `_PM1_B2`].  It steps a^s from prime to
+    prime by a table of a^gap, multiplies the values a^s - 1 together,
+    and takes a gcd with n after every `_PM1_GCD_EVERY` primes.  The
+    first gcd above 1 ends the stage: a prime that divides the product
+    stays in it, so a later gcd could only hold more primes of n.  A gcd
+    of n is a failure.
+    """
+    primes = _odd_primes(_PM1_B2, _PM1_B1)
+    # gaps[i] = a^(2i); s is odd and at most the first prime past B1.
+    s = _PM1_B1 | 1
+    gaps = [1, a * a % n]
+    b = pow(a, s, n)
+    product = 1
+    # Blocks of _PM1_GCD_EVERY primes until the sieve runs out.
+    for block in iter(lambda: list(islice(primes, _PM1_GCD_EVERY)), []):
+        for t in block:
             i = (t - s) >> 1
             while len(gaps) <= i:
                 gaps.append(gaps[-1] * gaps[1] % n)
@@ -517,20 +548,47 @@ def _pollard_pm1(n: int, k: int) -> int | None:
             product = product * (b - 1) % n
             s = t
         g = gcd(product, n)
-    return g if 1 < g < n else None
+        if g != 1:
+            return g if g < n else None
+    return None
 
 
-def _pm1_steps(k: int) -> int:
-    """What one `_pollard_pm1` run is charged, in steps of rho over
-    y -> y^k + c: `_PM1_PRODUCTS` over the modular products of one step,
-    those of y^k (the squarings and multiplications of binary
-    powering) and one into the running product."""
-    return -(-_PM1_PRODUCTS // (k.bit_length() + k.bit_count() - 1))
+@cache
+def _pm1_powers() -> int:
+    """Every prime power up to `_PM1_B1`, multiplied together: stage 1's
+    exponent over k."""
+    powers = 1 << (_PM1_B1.bit_length() - 1)
+    for s in _odd_primes(_PM1_B1):
+        power = s
+        while power * s <= _PM1_B1:
+            power *= s
+        powers *= power
+    return powers
 
 
-def _odd_primes(limit: int):
-    """The odd primes up to `limit`, in order, from an odd-only sieve in
-    which byte i stands for 2i + 1."""
+def _pm1_stage1_steps(k: int) -> int:
+    """What `_pm1_stage1` is charged: one modular product per bit of its
+    exponent, in steps of rho over y -> y^k + c (`_rho_steps`)."""
+    return _rho_steps((k * _pm1_powers()).bit_length(), k)
+
+
+def _pm1_stage2_steps(k: int) -> int:
+    """What `_pm1_stage2` is charged: `_PM1_STAGE2_PRODUCTS` in steps of
+    rho over y -> y^k + c (`_rho_steps`)."""
+    return _rho_steps(_PM1_STAGE2_PRODUCTS, k)
+
+
+def _rho_steps(products: int, k: int) -> int:
+    """`products` modular products as steps of rho over y -> y^k + c,
+    rounded up: one step makes those of y^k (the squarings and
+    multiplications of binary powering) and one into the running
+    product."""
+    return -(-products // (k.bit_length() + k.bit_count() - 1))
+
+
+def _odd_primes(limit: int, above: int = 0):
+    """The odd primes p with above < p <= limit, in order, from an
+    odd-only sieve in which byte i stands for 2i + 1."""
     sieve = bytearray([1]) * ((limit + 1) // 2)
     sieve[0] = 0
     for i in range(1, (isqrt(limit) + 1) // 2):
@@ -538,7 +596,8 @@ def _odd_primes(limit: int):
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    return compress(range(1, limit + 1, 2), sieve)
+    start = (above + 1) // 2
+    return compress(range(2 * start + 1, limit + 1, 2), sieve[start:])
 
 
 def _estimate(n: int, m: int, f_val: int, lam: int):
@@ -549,6 +608,8 @@ def _estimate(n: int, m: int, f_val: int, lam: int):
     floored once at P = bits + 64 fraction bits, so s is within 1 of 2^P
     times the sum (module docstring).
     """
+    import mpmath  # loaded only by the routes that round
+
     bits = f_val.bit_length() // 2 + 64
     frac_bits = bits + 64
     s = _lambda_sum(n, m * m * n, lam, frac_bits)

@@ -1,9 +1,14 @@
 """The aurif command-line interface, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aurifeuille
 from aurifeuille import cli, factorizer, gauss, lucas
 from aurifeuille.cli import main
 
@@ -209,7 +214,19 @@ def test_factor_builds_one_split(capsys, monkeypatch, argv, routes):
     assert (len(rounding), len(polynomials)) == routes
 
 
-def test_lucas_eval_prints_integers_past_4300_digits(capsys):
+@pytest.fixture
+def uncapped_int_str():
+    """Lift the int <-> str digit cap for the test, where Python has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_lucas_eval_prints_integers_past_4300_digits(capsys, uncapped_int_str):
     code, out, err = run(
         capsys, "lucas", "401", "--eval", "10000000000", "--json"
     )
@@ -218,8 +235,56 @@ def test_lucas_eval_prints_integers_past_4300_digits(capsys):
     lo, hi = data["eval"]["F_minus"], data["eval"]["F_plus"]
     assert len(lo) > 4300 and len(hi) > 4300
     # 401 is a prime = 1 (mod 4), so F_401 = Phi_401 = (x^401 - 1)/(x - 1).
+    # Reading the digits back needs the cap lifted here too: `main`
+    # restores the caller's cap when it returns.
     x = 10**20 * 401
     assert int(lo) * int(hi) == (x**401 - 1) // (x - 1)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python does not cap int <-> str conversion",
+)
+@pytest.mark.parametrize("limit", [0, 640, sys.int_info.default_max_str_digits])
+def test_main_restores_the_callers_int_str_cap(capsys, limit):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code, out, _ = run(capsys, "lucas", "401", "--eval", "10000000000", "--json")
+        assert code == 0 and len(out) > 8600
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(SystemExit):
+            main(["factor"])
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_mpmath_is_loaded_only_by_the_rounding_route():
+    # A fresh interpreter: importing the package and verifying identities
+    # never touch mpmath; factoring at integer m rounds, and loads it.
+    script = "; ".join(
+        (
+            "import sys",
+            "import aurifeuille",
+            "assert 'mpmath' not in sys.modules",
+            "from aurifeuille.cli import main",
+            "assert main(['verify', '15']) == 0",
+            "assert 'mpmath' not in sys.modules",
+            "assert main(['factor', '7', '2']) == 0",
+            "assert 'mpmath' in sys.modules",
+        )
+    )
+    src = str(Path(aurifeuille.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_verify_single_and_range(capsys):

@@ -535,8 +535,8 @@ def test_rho_splits_primes_one_mod_62():
 # --- Pollard p-1 between the legs of rho ---------------------------------
 
 # 29726643257 * 3275225476073: both primes are 1 (mod 62) and each p - 1
-# has a prime above B2, so p-1 fails; rho's c = 1 walk closes on the
-# smaller prime after 49534 steps, past its first leg.
+# has a prime above B2, so both stages of p-1 fail; rho's c = 1 walk
+# closes on the smaller prime after 49534 steps, past its long leg.
 _HARD_62 = 29726643257 * 3275225476073
 
 # Moduli L = lcm(2, e) of pieces of n <= 43, and of pieces of n = 2003
@@ -559,6 +559,12 @@ def _prime_one_mod(modulus, rng, big=None):
             return p
 
 
+def _pollard_pm1(n, k):
+    """Both stages of p-1 back to back, as `_brent_rho` runs them."""
+    divisor, power = factorizer._pm1_stage1(n, k)
+    return divisor if power is None else factorizer._pm1_stage2(n, power)
+
+
 @settings(max_examples=10)
 @given(modulus=st.sampled_from(_PM1_MODULI), seed=st.integers(0, 2**32 - 1))
 @example(modulus=62, seed=0)
@@ -570,7 +576,7 @@ def test_pm1_finds_the_prime_whose_p_minus_1_is_b2_smooth(modulus, seed):
     b1, b2 = factorizer._PM1_B1, factorizer._PM1_B2
     p = _prime_one_mod(modulus, rng, (b1 + 1, b2 + 1))
     q = _prime_one_mod(modulus, rng, (b2 + 1, 10 * b2))
-    assert factorizer._pollard_pm1(p * q, modulus) == p
+    assert _pollard_pm1(p * q, modulus) == p
 
 
 @settings(max_examples=10)
@@ -582,8 +588,31 @@ def test_pm1_never_returns_a_trivial_divisor(modulus, seed):
     p = q = _prime_one_mod(modulus, rng)
     while q == p:
         q = _prime_one_mod(modulus, rng)
-    divisor = factorizer._pollard_pm1(p * q, modulus)
+    divisor = _pollard_pm1(p * q, modulus)
     assert divisor is None or (1 < divisor < p * q and p * q % divisor == 0)
+
+
+@settings(max_examples=6)
+@given(modulus=st.sampled_from(_PM1_MODULI), seed=st.integers(0, 2**32 - 1))
+@example(modulus=62, seed=0)
+def test_pm1_stage_2_stops_at_its_first_factor(modulus, seed):
+    # p - 1 and q - 1 are both B2-smooth, but p's stage-2 prime is among
+    # the first block of primes past B1 and q's lies two blocks later or
+    # more.  The first gcd holds p alone; one gcd at the end would hold
+    # p * q, a failure.
+    rng = random.Random(seed)
+    block = factorizer._PM1_GCD_EVERY
+    primes = list(factorizer._odd_primes(factorizer._PM1_B2, factorizer._PM1_B1))
+    while True:
+        p = _prime_one_mod(modulus, rng, (primes[0], primes[block - 1] + 1))
+        q = _prime_one_mod(modulus, rng, (primes[2 * block], primes[-1] + 1))
+        divisor, power = factorizer._pm1_stage1(p * q, modulus)
+        if divisor is None and power is not None:
+            break
+    assert factorizer._pm1_stage2(p * q, power) == p
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factorizer, "_PM1_GCD_EVERY", len(primes))
+        assert factorizer._pm1_stage2(p * q, power) is None
 
 
 def test_full_factorization_completes_where_rho_alone_ran_out():
@@ -598,43 +627,71 @@ def test_full_factorization_completes_where_rho_alone_ran_out():
             assert (p, 1) in flist.factors
 
 
+def test_pm1_stage_1_splits_29_2_after_the_short_leg(monkeypatch):
+    # 15491408791 - 1 = 2 * 3 * 5 * 11 * 13 * 29 * 239 * 521, so stage 1
+    # finds it in the 97-bit survivor of the top piece (L = 58) as soon
+    # as rho has walked its short leg of 510 steps.
+    pieces = _record_pieces(monkeypatch)
+    _split, flist = full_factorization(29, 2)
+    assert flist.complete and (15491408791, 1) in flist.factors
+    [piece] = [p for p in pieces if p["value"] % 15491408791 == 0]
+    assert piece["stage1"] == [15491408791] and piece["stage2"] == []
+    [held] = [used for n, used in piece["rho"] if n % 15491408791 == 0]
+    assert held == 510 + factorizer._pm1_stage1_steps(58)
+
+
 def test_pm1_splits_31_2_after_one_leg_of_rho(monkeypatch):
     # Rho's c = 1 walk modulo 980949714209 runs 497150 steps, while
     # 980949714209 - 1 = 2^5 * 31^2 * 101 * 315829 is smooth enough for
-    # p-1's stage 2.
+    # p-1's stage 2, though not for stage 1.
     pieces = _record_pieces(monkeypatch)
     _split, flist = full_factorization(31, 2)
     assert flist.complete and (980949714209, 1) in flist.factors
     [piece] = [p for p in pieces if p["value"] % 980949714209 == 0]
-    assert piece["pm1"] == [980949714209]
-    # One survivor walks one leg of rho and p-1 splits it; the piece's
-    # other survivors split within a few steps each.
+    assert piece["stage1"] == [None] and piece["stage2"] == [980949714209]
+    # One survivor walks the long leg of rho, paying for both stages, and
+    # stage 2 splits it; the piece's other survivors split within a few
+    # steps each.
     *quick, held = sorted(used for _n, used in piece["rho"])
-    assert held == factorizer._RHO_LEG + factorizer._pm1_steps(62)
+    assert held == (
+        factorizer._RHO_LEG
+        + factorizer._pm1_stage1_steps(62)
+        + factorizer._pm1_stage2_steps(62)
+    )
     assert sum(quick) < 100
 
 
 def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
-    # A budget with room for the p-1 charge after one leg: p-1 fails and
-    # rho takes exactly the steps of one walk that never paused, on the
-    # budget less the charge.  A budget without that room runs no p-1.
-    charge = factorizer._pm1_steps(62)
-    pm1 = count_calls(monkeypatch, factorizer, "_pollard_pm1")
-    budgets = (1 << 20, 70000, 50000)
+    # A budget with room for both charges: both stages fail and rho takes
+    # exactly the steps of one walk that never paused, on the budget less
+    # the charges.  A budget without room for stage 2 runs stage 1 only,
+    # and one that ends before the short leg is paid for runs neither.
+    charge1 = factorizer._pm1_stage1_steps(62)
+    charge2 = factorizer._pm1_stage2_steps(62)
+    stage1 = count_calls(monkeypatch, factorizer, "_pm1_stage1")
+    stage2 = count_calls(monkeypatch, factorizer, "_pm1_stage2")
+    budgets = (1 << 20, 70000, 50000, 600)
     staged = []
     for budget in budgets:
-        del pm1[:]
-        staged.append((factorizer._brent_rho(_HARD_62, 62, budget), len(pm1)))
+        del stage1[:], stage2[:]
+        divisor = factorizer._brent_rho(_HARD_62, 62, budget)
+        staged.append((divisor, len(stage1), len(stage2)))
+    monkeypatch.setattr(factorizer, "_RHO_SHORT_LEG", 1 << 62)
     monkeypatch.setattr(factorizer, "_RHO_LEG", 1 << 62)
     walk = factorizer._brent_rho
     assert staged == [
-        ((29726643257, 49534 + charge), 1),
-        ((None, 70000), 1),
-        ((29726643257, 49534), 0),
+        ((29726643257, 49534 + charge1 + charge2), 1, 1),
+        ((None, 70000), 1, 1),
+        ((29726643257, 49534 + charge1), 1, 0),
+        ((None, 600), 0, 0),
     ]
-    assert walk(_HARD_62, 62, (1 << 20) - charge) == (29726643257, 49534)
-    assert walk(_HARD_62, 62, 70000 - charge) == (None, 70000 - charge)
-    assert walk(_HARD_62, 62, 50000) == (29726643257, 49534)
+    assert walk(_HARD_62, 62, (1 << 20) - charge1 - charge2) == (29726643257, 49534)
+    assert walk(_HARD_62, 62, 70000 - charge1 - charge2) == (
+        None,
+        70000 - charge1 - charge2,
+    )
+    assert walk(_HARD_62, 62, 50000 - charge1) == (29726643257, 49534)
+    assert walk(_HARD_62, 62, 600) == (None, 600)
 
 
 def test_pm1_charge_stays_inside_the_piece_budget(monkeypatch):
@@ -646,20 +703,21 @@ def test_pm1_charge_stays_inside_the_piece_budget(monkeypatch):
         full_factorization(n, m)
     spent = [sum(used for _n, used in p["rho"]) for p in pieces]
     assert all(steps <= 70000 for steps in spent)
-    assert any(p["pm1"] == [None] and s == 70000 for p, s in zip(pieces, spent))
-    assert any(p["pm1"] == [980949714209] for p in pieces)
+    assert any(p["stage2"] == [None] and s == 70000 for p, s in zip(pieces, spent))
+    assert any(p["stage2"] == [980949714209] for p in pieces)
 
 
 def _record_pieces(monkeypatch):
     """Record, per piece that `full_factorization` factors, its value,
-    each `_brent_rho` call as (survivor, steps spent with p-1's charge)
-    and what each `_pollard_pm1` run returned."""
+    each `_brent_rho` call as (survivor, steps spent with p-1's charges)
+    and the divisor or None that each stage of p-1 returned."""
     accumulate = factorizer._accumulate_factors
-    rho, pm1 = factorizer._brent_rho, factorizer._pollard_pm1
+    rho = factorizer._brent_rho
+    stage1, stage2 = factorizer._pm1_stage1, factorizer._pm1_stage2
     pieces = []
 
     def one_piece(value, *args):
-        pieces.append({"value": value, "rho": [], "pm1": []})
+        pieces.append({"value": value, "rho": [], "stage1": [], "stage2": []})
         return accumulate(value, *args)
 
     def counted_rho(n, k, budget):
@@ -668,15 +726,22 @@ def _record_pieces(monkeypatch):
         pieces[-1]["rho"].append((n, used))
         return divisor, used
 
-    def counted_pm1(n, k):
-        divisor = pm1(n, k)
-        pieces[-1]["pm1"].append(divisor)
+    def counted_stage1(n, k):
+        divisor, power = stage1(n, k)
+        pieces[-1]["stage1"].append(divisor)
+        return divisor, power
+
+    def counted_stage2(n, a):
+        divisor = stage2(n, a)
+        pieces[-1]["stage2"].append(divisor)
         return divisor
 
     monkeypatch.setattr(factorizer, "_accumulate_factors", one_piece)
     monkeypatch.setattr(factorizer, "_brent_rho", counted_rho)
-    monkeypatch.setattr(factorizer, "_pollard_pm1", counted_pm1)
+    monkeypatch.setattr(factorizer, "_pm1_stage1", counted_stage1)
+    monkeypatch.setattr(factorizer, "_pm1_stage2", counted_stage2)
     return pieces
+
 
 def _prime_by_trial(k):
     if k < 2:
