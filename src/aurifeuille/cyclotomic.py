@@ -8,10 +8,15 @@ n > 1,
 
 and since Phi_n has degree phi(n) the product can be taken modulo
 x^(phi(n)+1), on one list of phi(n)+1 integers.  Multiplying by
-1 - x^k is one descending pass of running differences, a[i] -= a[i-k];
-dividing by it, i.e. multiplying by 1 + x^k + x^(2k) + ..., is one
-ascending pass of running sums, a[i] += a[i-k].  There are no
-polynomial products and no division, and n is factored once.
+1 - x^k is one pass of differences, a[i] -= a[i-k] with the old a[i-k],
+which is one slice operation; dividing by it, i.e. multiplying by
+1 + x^k + x^(2k) + ..., is one ascending pass of running sums,
+a[i] += a[i-k] with the new a[i-k].  Those run as an `accumulate` over
+each residue class a[r::k] when the k classes are long (k^2 <= phi(n)),
+and otherwise block by block, each block of k adding the one below it.
+A factor with k > phi(n) is 1 modulo x^(phi(n)+1) and is skipped.
+There are no polynomial products and no division, and n is factored
+once.
 
 F_n is the "reciprocal-root twin" whose factor pair C_n, D_n exists for
 every square-free n:
@@ -25,6 +30,9 @@ that is how `f_poly` builds it.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import add, sub
 
 from .numthy import _require_squarefree, factorize
 from .poly import IntPolynomial
@@ -50,12 +58,16 @@ def phi_moebius(n: int) -> IntPolynomial:
     a = [1] + [0] * degree
     for e, mu in sorted(squarefree_divisors, key=lambda pair: -pair[1]):
         k = n // e
+        if k > degree:  # 1 - x^k is 1 modulo x^(degree+1)
+            continue
         if mu > 0:  # times 1 - x^k
-            for i in range(degree, k - 1, -1):
-                a[i] -= a[i - k]
-        else:  # divided by 1 - x^k
-            for i in range(k, degree + 1):
-                a[i] += a[i - k]
+            a[k:] = map(sub, a[k:], a[: degree + 1 - k])
+        elif k * k <= degree:  # divided by 1 - x^k: k long residue classes
+            for r in range(k):
+                a[r::k] = accumulate(a[r::k])
+        else:  # divided by 1 - x^k: few blocks of k
+            for j in range(k, degree + 1, k):
+                a[j : j + k] = map(add, a[j : j + k], a[j - k : j])
     return IntPolynomial(a)
 
 

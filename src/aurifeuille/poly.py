@@ -16,24 +16,51 @@ both operands are the same object) and the slots of the product are read
 back as its coefficients.  The slot width is exact: coefficient k of
 a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
 at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
-value, and so is every input coefficient.  Small products pack into an
-int with slots of w bytes: with 8w - 1 >= bitlength(bound) every such
-value v has |v| < 2^(8w-1), so v + 2^(8w-1) lies in [0, 2^(8w)).  Large
-ones pack into a `decimal.Decimal` with slots of w decimal digits: with
-2 * bound < 10^w every such v has |v| < 5*10^(w-1), so v + 5*10^(w-1)
-lies in [0, 10^w).  Either way, adding the half slot 2^(8w-1) or
-5*10^(w-1) to every slot of the product leaves each slot in range,
-nothing carries from one slot into the next, and subtracting it from
-each slot gives the coefficients back exactly.  CPython multiplies ints
-by Karatsuba only, in O(N^1.585) for N bits; the C `decimal` module
-(libmpdec) multiplies large operands by a number-theoretic transform in
-O(N log N), at the cost of converting each coefficient to and from
-decimal digits.  So `_kronecker` packs in base 10 once the smaller packed
-operand reaches `_DECIMAL_CUTOFF` bits, and in base 2^8 below that.  Both
-cost far less than the d^2 coefficient products of the schoolbook loop,
-which the tests keep as the reference.  The packing lives in one private
-function, `_kronecker`, which `__mul__` calls for the whole product and
-the recurrence kernel `numthy._newton_pair` for a range of its slots.
+value, and so is every input coefficient.  Small products pack into
+ints with slots of bytes: with 8w - 1 >= bitlength(bound) every such
+value v has |v| < 2^(8w-1), so in a slot of W >= w bytes v + 2^(8W-1)
+lies in [0, 2^(8W)).  Large ones pack into a `decimal.Decimal` with
+slots of w decimal digits: with 2 * bound < 10^w every such v has
+|v| < 5*10^(w-1), so v + 5*10^(w-1) lies in [0, 10^w).  Either way,
+adding the half slot 2^(8W-1) or 5*10^(w-1) to every slot of the
+product leaves each slot in range, nothing carries from one slot into
+the next, and subtracting it from each slot gives the coefficients back
+exactly.
+
+CPython multiplies ints by Karatsuba only, in O(N^1.585) for N bits, so
+the binary branch halves its operands by two-point Kronecker
+substitution (D. Harvey, *Faster polynomial multiplication via
+multipoint Kronecker substitution*, J. Symbolic Comput. 44 (2009)).
+With sb = ceil(w/2) and X = 2^(8 sb), each operand f is packed as its
+even part E = sum f_2i X^2i and its odd part O = sum f_2i+1 X^(2i+1),
+each in slots of 2 sb bytes, which gives f(X) = E + O and
+f(-X) = E - O.  The product h = f * g is then two products of about
+half the bits, h(X) = f(X) g(X) and h(-X) = f(-X) g(-X) (two squares
+for a square), and
+
+    (h(X) + h(-X)) / 2    = sum h_2i   X^2i,
+    (h(X) - h(-X)) / (2X) = sum h_2i+1 X^2i.
+
+Both divisions are exact, so two arithmetic shifts do them.  Each
+quotient holds the even, or the odd, coefficients of h in slots of
+W = 2 sb >= w bytes, so each is read back as above; a slot of w - 1
+bytes, which sb = floor(w/2) would give for odd w, could not hold the
+bound.  Two products of N/2 bits cost about
+2 * 2^-1.585 = 0.67 of one of N bits under Karatsuba; the packing and
+the reading stay linear.
+
+The C `decimal` module (libmpdec) multiplies large operands by a
+number-theoretic transform in O(N log N), at the cost of converting
+each coefficient to and from decimal digits.  So `_kronecker` packs in
+base 10 once the smaller packed operand reaches `_DECIMAL_CUTOFF` bits,
+and in base 2^8 below that.  The base-10 product stays one product at
+one point: at quasi-linear cost two products of half the size cost as
+much as one, and the second pass of packing and reading would only add
+to it.  Both branches cost far less than the d^2 coefficient products
+of the schoolbook loop, which the tests keep as the reference.  The
+packing lives in one private function, `_kronecker`, which `__mul__`
+calls for the whole product and the recurrence kernel
+`numthy._newton_pair` for a range of its slots.
 
 `evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -79,19 +106,29 @@ division (shared 2-core Xeon, Python 3.11).  Every piece of `aurif
 factor` at n <= 31 has at most 31 coefficients, so it is one block."""
 
 
-_DECIMAL_CUTOFF = 150_000
+_DECIMAL_CUTOFF = 300_000
 """Bits of the smaller packed operand (its length times the bit length of
 the slot bound) from which `_kronecker` packs in base 10.  Base-10 time
-over int time, best of 7, for squares / the kernel's shape (L x 2L, last
-L slots) on 20- to 1000-bit coefficients: 1.1-1.8 / 1.1-1.4 at 50k bits,
-0.9-1.1 / 0.8-0.9 at 100k, 0.9-1.2 / 0.6 at 150k, 0.8-1.1 / 0.5-0.9 at
-200k and 0.5-0.6 / 0.4-0.7 at 400k.  The 465 products of one pass of the
-benchmark's `verify` workload took 337 ms all as ints, 268 ms with the
-cutoff at 50k bits and 256-258 ms with it anywhere from 100k to 200k.
-Far above it the int product falls behind: a square of 2000 (20000)
-700-bit coefficients takes 0.55 s (24.4 s) as ints against 0.12 s
-(1.34 s); far below it, 100 x 40-bit squares take 0.22 ms as ints
-against 0.55 ms (shared 2-core Xeon, Python 3.11, libmpdec 2.5.1)."""
+over the two-point int time, best of 7, for squares / the kernel's shape
+(L x 2L, last L slots) on 20- to 1000-bit coefficients: 1.4-2.2 /
+1.5-2.3 at 50k bits, 1.2-1.7 / 0.8-1.6 at 100k, 1.2-1.7 / 0.8-1.1 at
+150k, 1.0-1.2 / 0.8-0.9 at 200k, 0.8-1.2 / 0.6-0.8 at 250k, 0.9-1.2 /
+0.6-0.7 at 300k, 0.8-0.9 / 0.7-0.8 at 350k, 0.8-0.9 / 0.5-0.7 at 400k
+and 0.6-0.8 / 0.5 at 500k.  The kernel's shape crosses over lower
+because Karatsuba multiplies it as two L x L halves; the cutoff follows
+the squares.  Of the 465 products of one pass of the benchmark's
+`verify` workload, the 35 of 40k bits or more took 152.8 ms (per product
+best of 7) with the cutoff at 150k, 149.9 ms at 200k-250k, 146.5 ms at
+300k-350k and 153.3 ms at 400k, against 166.2 ms for the one-point int
+product with its cutoff at 150k; the 26 squares among them are all the
+products above 60k bits.  At n = 30011, where the kernel's products are
+large too, the products of `aurif verify 30011` took 3.67 s at 150k,
+3.81 s at 250k and 3.83 s at 300k (per product best of 5), against
+3.91 s for the one-point int product at 150k.  Far above the cutoff
+the int product falls behind: a square of 2000 700-bit coefficients
+takes 0.33 s at two points (0.61 s at one) against 0.10 s in base 10;
+far below it, 100 x 40-bit squares take 0.24 ms (0.23 ms) against
+0.53 ms (shared 2-core Xeon, Python 3.11, libmpdec 2.5.1)."""
 
 _DECIMAL = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -283,17 +320,22 @@ def _kronecker(a, b, start: int, stop: int) -> list[int]:
 
     a and b are nonempty sequences of ints; zero entries are allowed, and
     an all-zero operand counts as all ones in the slot bound of the module
-    docstring, so every input coefficient fits its slot too.  The offsets
-    (the half slot) go onto slots 0..stop-1 of the product before anything
-    is cut from it, so no borrow crosses a slot, and slots from stop on
-    (the product may be longer) cannot reach the ones below.  A square,
-    ``b is a``, multiplies one packed number by itself.
+    docstring, so every input coefficient fits its slot too.  Below
+    `_DECIMAL_CUTOFF` bits, the product is taken at X and -X as the module
+    docstring says: slots ceil(start/2)..ceil(stop/2)-1 of the even
+    quotient and floor(start/2)..floor(stop/2)-1 of the odd one are read
+    and interleaved, the first read from the even one when start is
+    even.  The offsets (the half slot) go onto slots 0..stop-1 of a
+    quotient (now counting its own slots) before anything is cut from it,
+    so no borrow crosses a slot, and slots from stop on (the product may
+    be longer) cannot reach the ones below.  A square, ``b is a``,
+    squares each packed number.
 
     From `_DECIMAL_CUTOFF` bits on, the slots are decimal digits and the
-    product runs in the context `_DECIMAL`.  There the offset goes onto
-    every slot of the product, so the whole is nonnegative and its `str`
-    holds every slot; a 1 above the top slot fixes the length of that
-    `str`.  Python caps int <-> str conversion at
+    product is taken at one point, in the context `_DECIMAL`.  There the
+    offset goes onto every slot of the product, so the whole is
+    nonnegative and its `str` holds every slot; a 1 above the top slot
+    fixes the length of that `str`.  Python caps int <-> str conversion at
     `sys.get_int_max_str_digits()` digits (4300 by default); slots wider
     than that convert through `Decimal`, which has no cap.
     """
@@ -321,12 +363,36 @@ def _kronecker(a, b, start: int, stop: int) -> list[int]:
         ends = range(width * (slots - start) + 1, width * (slots - stop) + 1, -width)
         return [to_int(digits[e - width : e]) - half for e in ends]
     width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
-    packed = _pack(a, width)
-    product = packed * (packed if b is a else _pack(b, width))
+    sb = (width + 1) // 2  # X = 2^(8 sb); slots of 2 sb >= w bytes
+    a_plus, a_minus = _pack_pm(a, sb)
+    b_plus, b_minus = (a_plus, a_minus) if b is a else _pack_pm(b, sb)
+    h_plus, h_minus = a_plus * b_plus, a_minus * b_minus
+    even = _slots((h_plus + h_minus) >> 1, 2 * sb, (start + 1) // 2, (stop + 1) // 2)
+    odd = _slots((h_plus - h_minus) >> (8 * sb + 1), 2 * sb, start // 2, stop // 2)
+    out = even + odd
+    out[start % 2 :: 2] = even
+    out[1 - start % 2 :: 2] = odd
+    return out
+
+
+def _pack_pm(coeffs, sb: int) -> tuple[int, int]:
+    """f(X) and f(-X) for the polynomial f with these coefficients and
+    X = 2^(8*sb): the even and the odd coefficients packed apart in slots
+    of 2*sb bytes, E = sum f_2i X^2i and O = sum f_2i+1 X^(2i+1), give
+    E + O and E - O."""
+    even = _pack(coeffs[::2], 2 * sb)
+    odd = _pack(coeffs[1::2], 2 * sb) << (8 * sb)
+    return even + odd, even - odd
+
+
+def _slots(value: int, width: int, start: int, stop: int) -> list[int]:
+    """Slots start..stop-1 of value = sum_k v_k 2^(8*width*k), each with
+    |v_k| < 2^(8*width-1): the half slot goes onto slots 0..stop-1 before
+    anything is cut, so no borrow crosses a slot."""
     half = 1 << (8 * width - 1)
-    product += int.from_bytes(half.to_bytes(width, "little") * stop, "little")
-    product &= (1 << (8 * width * stop)) - 1
-    raw = (product >> (8 * width * start)).to_bytes(width * (stop - start), "little")
+    value += int.from_bytes(half.to_bytes(width, "little") * stop, "little")
+    value &= (1 << (8 * width * stop)) - 1
+    raw = (value >> (8 * width * start)).to_bytes(width * (stop - start), "little")
     return [
         int.from_bytes(raw[i : i + width], "little") - half
         for i in range(0, len(raw), width)

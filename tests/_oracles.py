@@ -288,6 +288,30 @@ def series_exp_like_fractions(f, t):
 # --- reference routes to Phi_n and F_n --------------------------------
 
 
+def phi_moebius_loop(n):
+    """Phi_n for n >= 1 by the same in-place product as
+    `cyclotomic.phi_moebius`, one coefficient at a time: a descending
+    loop of differences for each factor 1 - x^k and an ascending loop of
+    running sums for each division by it."""
+    if n == 1:
+        return IntPolynomial([-1, 1])
+    degree = n
+    squarefree_divisors = [(1, 1)]
+    for p, _ in factorize(n):
+        degree -= degree // p
+        squarefree_divisors += [(e * p, -mu) for e, mu in squarefree_divisors]
+    a = [1] + [0] * degree
+    for e, mu in sorted(squarefree_divisors, key=lambda pair: -pair[1]):
+        k = n // e
+        if mu > 0:
+            for i in range(degree, k - 1, -1):
+                a[i] -= a[i - k]
+        else:
+            for i in range(k, degree + 1):
+                a[i] += a[i - k]
+    return IntPolynomial(a)
+
+
 def phi_recursive(n):
     """Phi_n for square-free n >= 1 by Phi_{mp}(x) = Phi_m(x^p) / Phi_m(x),
     starting from Phi_1 = x - 1."""

@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import aurifeuille.numthy as numthy
 from aurifeuille.cyclotomic import f_poly, phi_moebius
@@ -28,6 +28,7 @@ from _oracles import (
     monomial,
     newton_from_power_sums,
     phi_bound,
+    phi_moebius_loop,
     phi_newton,
     phi_recursive,
     phi_value_mod,
@@ -90,6 +91,29 @@ def test_phi_newton_matches_moebius():
     # phi_newton works for all n, not just square-free ones.
     for n in range(1, 90):
         assert phi_newton(n) == phi_moebius(n)
+
+
+def test_phi_slices_match_the_loop_up_to_3000():
+    # Every n: each k > phi(n) skipped, every division both by residue
+    # classes and block by block, and every short last block.
+    for n in range(1, 3001):
+        assert phi_moebius(n) == phi_moebius_loop(n), n
+
+
+@settings(max_examples=12)
+@given(
+    st.tuples(
+        st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23]), min_size=4, max_size=6),
+        st.sampled_from([1, 2, 4]),
+    )
+    .map(lambda drawn: math.prod(drawn[0]) * drawn[1])
+    .filter(lambda n: n <= 60060)
+)
+@example(30030)
+@example(60060)
+def test_phi_slices_match_the_loop_at_many_primes(n):
+    # Four to six distinct primes, some times 2 or 4.
+    assert phi_moebius(n) == phi_moebius_loop(n)
 
 
 def _assert_matches_divisor_product(n, p, seed):

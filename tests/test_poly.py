@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import aurifeuille.poly as poly
 from aurifeuille.gauss import algorithm_d
@@ -203,9 +203,57 @@ def test_mul_at_the_slot_bound(m, len_a, len_b, sign_a, sign_b):
     assert a * a == schoolbook_mul(a, a)
 
 
+# Below `poly._DECIMAL_CUTOFF` bits, `_kronecker` multiplies at the two
+# points X and -X, X = 2^(8*sb), and reads the even and the odd slots of
+# the product apart (two-point Kronecker substitution).
+
+
+def int_branch(a, b, start, stop):
+    with mock.patch.object(poly, "_DECIMAL_CUTOFF", math.inf):
+        return poly._kronecker(a, b, start, stop)
+
+
+@st.composite
+def binary_products(draw):
+    """(a, b) of 1 to 40 coefficients each, b being a itself for a square.
+    Half the draws are constant operands +-m, whose product reaches the
+    slot bound in its middle coefficient."""
+    len_a = draw(st.integers(1, 40))
+    square = draw(st.booleans())
+    len_b = len_a if square else draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 600).flatmap(lambda k: st.integers(1 << (k - 1), (1 << k) - 1)))
+        a = [draw(st.sampled_from([1, -1])) * m] * len_a
+        b = a if square else [draw(st.sampled_from([1, -1])) * m] * len_b
+    else:
+        a = draw(st.lists(coefficients, min_size=len_a, max_size=len_a))
+        b = a if square else draw(st.lists(coefficients, min_size=len_b, max_size=len_b))
+    return a, b
+
+
+@settings(max_examples=60)
+@pytest.mark.parametrize("stop_parity", [0, 1])
+@pytest.mark.parametrize("start_parity", [0, 1])
+@given(product=binary_products(), data=st.data())
+def test_kronecker_binary_branch_matches_schoolbook(start_parity, stop_parity, product, data):
+    # Every slice [start, stop) of the product, with start and stop of each
+    # parity: an odd start reads an odd slot first.
+    a, b = product
+    length = len(a) + len(b) - 1
+    starts = range(start_parity, length, 2)
+    assume(starts)
+    start = data.draw(st.sampled_from(starts))
+    stops = range(start + 1 + (start + 1 + stop_parity) % 2, length + 1, 2)
+    assume(stops)
+    stop = data.draw(st.sampled_from(stops))
+    full = list(schoolbook_mul(IntPolynomial(a), IntPolynomial(b)).coeffs)
+    full += [0] * (length - len(full))
+    assert int_branch(a, b, start, stop) == full[start:stop]
+
+
 # Products from `poly._DECIMAL_CUTOFF` bits on pack in base 10.  Each one
-# below is checked against the schoolbook loop and against the base-2^8
-# packing, forced by lifting the cutoff.
+# below is checked against the schoolbook loop and against the binary
+# branch, forced by lifting the cutoff.
 
 
 def packed_bits(a, b):
@@ -213,11 +261,6 @@ def packed_bits(a, b):
     with the cutoff."""
     bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * min(len(a), len(b))
     return min(len(a), len(b)) * bound.bit_length()
-
-
-def int_branch(a, b, start, stop):
-    with mock.patch.object(poly, "_DECIMAL_CUTOFF", math.inf):
-        return poly._kronecker(a, b, start, stop)
 
 
 def check_above_the_cutoff(a, b):
@@ -252,7 +295,7 @@ def test_mul_at_the_slot_bound_above_the_cutoff(m, extra_a, extra_b, sign_a, sig
 
 
 def long_operand(rng, length, bits, zero_share):
-    """length >= 10^4 coefficients of mixed signs and bit lengths, with
+    """length coefficients of mixed signs and bit lengths, with
     runs of zeros making up about zero_share of them."""
     coeffs = []
     while len(coeffs) < length - 1:
@@ -271,8 +314,8 @@ def test_mul_of_long_operands_above_the_cutoff(seed, bits):
     # A sparse operand first, so the schoolbook loop, which skips the zeros
     # of its first operand, stays cheap.
     rng = random.Random(seed)
-    sparse = long_operand(rng, rng.randrange(10_000, 12_000), bits, 0.97)
-    dense = long_operand(rng, rng.randrange(10_000, 12_000), bits, 0.1)
+    sparse = long_operand(rng, rng.randrange(14_000, 16_000), bits, 0.97)
+    dense = long_operand(rng, rng.randrange(14_000, 16_000), bits, 0.1)
     check_above_the_cutoff(sparse, dense)
     check_above_the_cutoff(sparse, sparse)
 
@@ -288,8 +331,8 @@ def test_kronecker_slices_above_the_cutoff(seed, steps, short):
     # (or one fewer) power sums, and only the last `steps` slots of the
     # product, so the slots above them are cut off.
     rng = random.Random(seed)
-    u = [rng.randrange(-(1 << 200), 1 << 200) for _ in range(steps)]
-    q = [rng.randrange(-(1 << 100), 1 << 100) for _ in range(2 * steps - 1 - short)]
+    u = [rng.randrange(-(1 << 450), 1 << 450) for _ in range(steps)]
+    q = [rng.randrange(-(1 << 250), 1 << 250) for _ in range(2 * steps - 1 - short)]
     assert packed_bits(u, q) >= poly._DECIMAL_CUTOFF
     first, last = steps - 1, 2 * steps - 1
     expected = schoolbook_mul(IntPolynomial(u), IntPolynomial(q)).coeffs[first:last]
@@ -308,9 +351,9 @@ def default_int_str_limit():
 
 
 def test_base_10_slots_wider_than_the_int_str_limit(default_int_str_limit):
-    # Slots of about 9000 digits, past the 4300-digit default cap on
+    # Slots of about 18000 digits, past the 4300-digit default cap on
     # int <-> str conversion, which the library must not lift.
-    m = 2**15000 - 1
+    m = 2**30000 - 1
     a = IntPolynomial([m] * 6)
     b = IntPolynomial([-m, 0, 3, m, -1, 0, m])
     assert 2 * m * m * 6 > 10**default_int_str_limit
