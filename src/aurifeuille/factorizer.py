@@ -62,9 +62,12 @@ piece is factored by:
      (Pollard 1974) with its exponent seeded by L, which divides p - 1.
      It finds p when p - 1 is L times a product of prime powers up to
      2000, however large p is, at the cost of about 300 rho steps;
-  4. after 32766 steps, stage 2 (Montgomery 1987), which finds p when
-     p - 1 needs one more prime up to 10^6.  It takes a gcd every 1024
-     primes and stops at the first factor;
+  4. after 8190 steps, stage 2 (Montgomery 1987), which finds p when
+     p - 1 needs one more prime s up to 10^6.  Baby and giant steps pair
+     the primes s = v*D -+ u (D = 2310), so one modular product covers
+     both primes of a pair: 63466 products for the 78195 primes, against
+     two per prime one at a time.  It takes a gcd every 1024 products and
+     stops at the first factor;
   5. if both stages fail, the rest of the same rho walk.
 
 All survivors of a piece share one budget of `RHO_STEP_LIMIT` rho
@@ -81,8 +84,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
 from .numthy import _require_squarefree, divisors, jacobi
@@ -109,29 +113,33 @@ _MR_PROVEN_BOUND = 3317044064679887385961981
 _RHO_BATCH = 128
 
 # Steps of rho before p-1's stage 1 and before its stage 2: the blocks
-# of length 1, 2, ..., 2^7 and 1, 2, ..., 2^13 of the walk for c = 1,
+# of length 1, 2, ..., 2^7 and 1, 2, ..., 2^11 of the walk for c = 1,
 # so each pause falls where that walk takes a gcd anyway.  Stage 1 costs
 # about 300 steps, so it runs early; with L = 62 the long leg takes about
-# as long as a stage 2 that fails.
+# as long as a stage 2 that fails, which is charged 8000 steps there.
 _RHO_SHORT_LEG = (1 << 9) - 2
-_RHO_LEG = (1 << 15) - 2
+_RHO_LEG = (1 << 13) - 2
 
 # Pollard p-1 bounds: stage 1 takes every prime power up to _PM1_B1,
 # stage 2 one more prime up to _PM1_B2.
 _PM1_B1 = 2000
 _PM1_B2 = 10**6
 
-# Stage 2 takes a gcd after every _PM1_GCD_EVERY primes, of the 78195
-# primes in (B1, B2].
+# Stage 2's giant step: each prime in (B1, B2] is v*_PM1_D -+ u with u one
+# of the 240 odd u < _PM1_D/2 prime to it (`_pm1_plan`).
+_PM1_D = 2310
+
+# Stage 2 takes a gcd after every _PM1_GCD_EVERY products, of the 63466
+# that cover the 78195 primes in (B1, B2].
 _PM1_GCD_EVERY = 1024
 
 # A stage 2 that fails takes as long as this many of the modular products
 # that rho makes, and stage 1 as long as one per bit of its exponent; see
-# `_rho_steps`.  Measured against `_brent_rho` on semiprimes of 20 to 150
-# digits with k from 2 to 86: a failed stage 2 took 165000 to 336000,
-# median about 238000, and stage 1 took 0.76 to 1.77 per bit, median
-# 1.05 (shared 2-core Xeon, Python 3.11).
-_PM1_STAGE2_PRODUCTS = 250_000
+# `_rho_steps`.  Measured against `_brent_rho` on 54 semiprimes of 20 to
+# 150 digits with k from 2 to 86: a failed stage 2 took 57000 to 114000,
+# median about 80700, and stage 1 took 0.76 to 1.77 per bit, median 1.05
+# (shared 2-core Xeon, Python 3.11).
+_PM1_STAGE2_PRODUCTS = 80_000
 
 
 @dataclass(frozen=True)
@@ -445,8 +453,10 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     steps instead of sqrt(p).
 
     The walk pauses twice for Pollard's p-1 method: for `_pm1_stage1`
-    after its first `_RHO_SHORT_LEG` steps, and for `_pm1_stage2` after
-    `_RHO_LEG`.  Each stage runs when its charge, `_pm1_stage1_steps(k)`
+    after its first `_RHO_SHORT_LEG` = 510 steps, and for `_pm1_stage2`
+    after `_RHO_LEG` = 8190, about the charge of stage 2 at k = 62, so a
+    survivor that only stage 2 splits waits for it about as long as the
+    stage takes.  Each stage runs when its charge, `_pm1_stage1_steps(k)`
     or `_pm1_stage2_steps(k)`, fits in what is left of the budget, and
     stage 2 only after a stage 1 that left it something to find.  After
     a failed stage the walk resumes with the same c, y and block length,
@@ -521,36 +531,85 @@ def _pm1_stage1(n: int, k: int) -> tuple[int | None, int | None]:
 
 
 def _pm1_stage2(n: int, a: int) -> int | None:
-    """Stage 2 of Pollard's p-1 method (Montgomery 1987) from stage 1's
-    power a = 2^E mod n: a proper divisor of n, or None.
+    """Stage 2 of Pollard's p-1 method (Montgomery 1987, section 4) from
+    stage 1's power a = 2^E mod n: a proper divisor of n, or None.
 
     It finds a prime p of n when the order of 2 modulo p divides E times
-    one prime s in (`_PM1_B1`, `_PM1_B2`].  It steps a^s from prime to
-    prime by a table of a^gap, multiplies the values a^s - 1 together,
-    and takes a gcd with n after every `_PM1_GCD_EVERY` primes.  The
-    first gcd above 1 ends the stage: a prime that divides the product
-    stays in it, so a later gcd could only hold more primes of n.  A gcd
-    of n is a failure.
+    one prime s in (`_PM1_B1`, `_PM1_B2`].  Each such s is v*D -+ u for
+    one giant step v and one baby step u of `_pm1_plan`, and
+
+        a^(v*D) * (g_v - b_u) = (a^(v*D) - a^u) * (a^(v*D) - a^-u)
+
+    with g_v = a^(v*D) + a^(-v*D) and b_u = a^u + a^-u, so p divides
+    g_v - b_u exactly when a^(v*D-u) or a^(v*D+u) is 1 modulo p.  One
+    product thus serves both primes when v*D - u and v*D + u are prime.
+    The stage multiplies the g_v - b_u of the plan together, stepping
+    a^(-+v*D) by a^(-+D) from one giant step to the next, and takes a gcd
+    with n after every `_PM1_GCD_EVERY` products.  The first gcd above 1
+    ends the stage: a prime that divides the product stays in it, so a
+    later gcd could only hold more primes of n.  A gcd of n is a failure.
+
+    n is odd, so a is a unit modulo n and `pow(a, -1, n)` exists.
     """
-    primes = _odd_primes(_PM1_B2, _PM1_B1)
-    # gaps[i] = a^(2i); s is odd and at most the first prime past B1.
-    s = _PM1_B1 | 1
-    gaps = [1, a * a % n]
-    b = pow(a, s, n)
+    babies, first, rows = _pm1_plan()
+    inverse = pow(a, -1, n)
+    # b_u from the odd powers a^u and a^-u, u = 1, 3, ... up to the last u.
+    step, back = a * a % n, inverse * inverse % n
+    up, down = a, inverse
+    values = []
+    for u in range(1, babies[-1] + 1, 2):
+        if u == babies[len(values)]:
+            values.append((up + down) % n)
+        up, down = up * step % n, down * back % n
+    up, down = pow(a, first * _PM1_D, n), pow(inverse, first * _PM1_D, n)
+    step, back = pow(a, _PM1_D, n), pow(inverse, _PM1_D, n)
     product = 1
-    # Blocks of _PM1_GCD_EVERY primes until the sieve runs out.
-    for block in iter(lambda: list(islice(primes, _PM1_GCD_EVERY)), []):
-        for t in block:
-            i = (t - s) >> 1
-            while len(gaps) <= i:
-                gaps.append(gaps[-1] * gaps[1] % n)
-            b = b * gaps[i] % n
-            product = product * (b - 1) % n
-            s = t
-        g = gcd(product, n)
-        if g != 1:
-            return g if g < n else None
-    return None
+    left = _PM1_GCD_EVERY  # products before the next gcd
+    for row in rows:
+        giant = up + down
+        while row:
+            block, row = row[:left], row[left:]
+            for i in block:
+                product = product * (giant - values[i]) % n
+            left -= len(block)
+            if not left:
+                g = gcd(product, n)
+                if g != 1:
+                    return g if g < n else None
+                left = _PM1_GCD_EVERY
+        up, down = up * step % n, down * back % n
+    g = gcd(product, n)
+    return g if 1 < g < n else None
+
+
+@cache
+def _pm1_plan() -> tuple[tuple[int, ...], int, tuple[bytes, ...]]:
+    """Stage 2's pairing of the primes s in (`_PM1_B1`, `_PM1_B2`]: the
+    baby steps, the odd u < D/2 prime to D = `_PM1_D`; the first giant
+    step v0; and, for each giant step v = v0, v0 + 1, ..., a row of the
+    indices of the baby steps u with v*D - u or v*D + u such a prime.
+
+    Every s > 11 is prime to D, so it is v*D -+ u for exactly one such
+    pair.  Row v is read from one odd-only sieve outward from v*D: byte j
+    above v*D stands for v*D + 2j + 1 and byte j below it for v*D - 2j - 1,
+    so the two halves OR-ed together flag each u = 2j + 1 that covers a
+    prime.  Rows are `bytes`, as there are fewer than 256 baby steps.
+    """
+    half = _PM1_D // 2
+    babies = tuple(u for u in range(1, half, 2) if gcd(u, _PM1_D) == 1)
+    pick = itemgetter(*(u // 2 for u in babies))
+    width = babies[-1] // 2 + 1
+    first, last = (_PM1_B1 + half) // _PM1_D, (_PM1_B2 + half) // _PM1_D
+    sieve = _odd_sieve(_PM1_B2)
+    sieve[: (_PM1_B1 + 1) // 2] = bytes((_PM1_B1 + 1) // 2)
+    sieve += bytes(last * half + width - len(sieve))
+    rows = []
+    for centre in range(first * half, last * half + 1, half):
+        above = int.from_bytes(sieve[centre : centre + width], "little")
+        below = int.from_bytes(sieve[centre - 1 : centre - 1 - width : -1], "little")
+        flags = pick((above | below).to_bytes(width, "little"))
+        rows.append(bytes(compress(range(len(babies)), flags)))
+    return babies, first, tuple(rows)
 
 
 @cache
@@ -586,9 +645,13 @@ def _rho_steps(products: int, k: int) -> int:
     return -(-products // (k.bit_length() + k.bit_count() - 1))
 
 
-def _odd_primes(limit: int, above: int = 0):
-    """The odd primes p with above < p <= limit, in order, from an
-    odd-only sieve in which byte i stands for 2i + 1."""
+def _odd_primes(limit: int):
+    """The odd primes up to `limit`, in order."""
+    return compress(range(1, limit + 1, 2), _odd_sieve(limit))
+
+
+def _odd_sieve(limit: int) -> bytearray:
+    """An odd-only sieve to `limit`: byte i is 1 when 2i + 1 is prime."""
     sieve = bytearray([1]) * ((limit + 1) // 2)
     sieve[0] = 0
     for i in range(1, (isqrt(limit) + 1) // 2):
@@ -596,8 +659,7 @@ def _odd_primes(limit: int, above: int = 0):
             p = 2 * i + 1
             start = p * p // 2
             sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    start = (above + 1) // 2
-    return compress(range(2 * start + 1, limit + 1, 2), sieve[start:])
+    return sieve
 
 
 def _estimate(n: int, m: int, f_val: int, lam: int):

@@ -8,8 +8,10 @@ trusted at small sizes where float error cannot reach 0.5.
 The schoolbook polynomial product is the reference for the library's
 packed one, the direct O(d^2) loop of Newton's identities is the
 reference for the divide-and-conquer kernel behind both factor pairs,
-and the fixed-point loop of the rounding route's lambda sum is the
-reference for its exact sum by pairing.
+the fixed-point loop of the rounding route's lambda sum is the
+reference for its exact sum by pairing, and the prime-by-prime stage 2
+of Pollard's p-1 method is the reference for the factorizer's stage 2 by
+baby and giant steps.
 The per-coefficient `Fraction` loops for the series product, square
 root and `series_exp_like` are the reference for the library's integer
 numerators over one denominator.  The reference routes to Phi_n live
@@ -28,10 +30,12 @@ the ratio law F+/F- -> exp(2/m) of the Aurifeuillian split
 
 import cmath
 from fractions import Fraction
+from itertools import islice
 from math import exp, gcd
 from operator import mul
 
 from aurifeuille.errors import BadConstantTerm, NonIntegerStep, NotSquareFree
+from aurifeuille import factorizer
 from aurifeuille.factorizer import factor_by_polynomials
 from aurifeuille.numthy import factorize, is_squarefree, jacobi
 from aurifeuille.poly import IntPolynomial
@@ -159,6 +163,37 @@ def lambda_sum_fixed_point(n, x, lam, frac_bits):
         s += jacobi(n, 2 * j + 1) * (t // (2 * j + 1))
         t //= x
     return s
+
+
+def pm1_stage2_prime_by_prime(n, a):
+    """Stage 2 of Pollard's p-1 method one prime at a time, from stage 1's
+    power a = 2^E mod n: a proper divisor of n, or None.
+
+    It steps a^s from prime to prime s in (B1, B2] by a table of a^gap,
+    multiplies the values a^s - 1 together, and takes a gcd with n after
+    every `_PM1_GCD_EVERY` primes; the first gcd above 1 ends the stage,
+    and a gcd of n is a failure.
+    """
+    b1, b2 = factorizer._PM1_B1, factorizer._PM1_B2
+    primes = (t for t in factorizer._odd_primes(b2) if t > b1)
+    # gaps[i] = a^(2i); s is odd and at most the first prime past B1.
+    s = b1 | 1
+    gaps = [1, a * a % n]
+    b = pow(a, s, n)
+    product = 1
+    # Blocks of _PM1_GCD_EVERY primes until the sieve runs out.
+    for block in iter(lambda: list(islice(primes, factorizer._PM1_GCD_EVERY)), []):
+        for t in block:
+            i = (t - s) >> 1
+            while len(gaps) <= i:
+                gaps.append(gaps[-1] * gaps[1] % n)
+            b = b * gaps[i] % n
+            product = product * (b - 1) % n
+            s = t
+        g = gcd(product, n)
+        if g != 1:
+            return g if g < n else None
+    return None
 
 
 def monomial(k, c=1):

@@ -31,7 +31,12 @@ from aurifeuille.factorizer import (
 )
 
 from _counting import count_calls
-from _oracles import lambda_sum_fixed_point, ratio_estimate, squarefree_range
+from _oracles import (
+    lambda_sum_fixed_point,
+    pm1_stage2_prime_by_prime,
+    ratio_estimate,
+    squarefree_range,
+)
 
 
 # --- the truncated-series estimate --------------------------------------
@@ -534,10 +539,10 @@ def test_rho_splits_primes_one_mod_62():
 
 # --- Pollard p-1 between the legs of rho ---------------------------------
 
-# 29726643257 * 3275225476073: both primes are 1 (mod 62) and each p - 1
+# 4148291909 * 3275225476073: both primes are 1 (mod 62) and each p - 1
 # has a prime above B2, so both stages of p-1 fail; rho's c = 1 walk
-# closes on the smaller prime after 49534 steps, past its long leg.
-_HARD_62 = 29726643257 * 3275225476073
+# closes on the smaller prime after 12542 steps, past its long leg.
+_HARD_62 = 4148291909 * 3275225476073
 
 # Moduli L = lcm(2, e) of pieces of n <= 43, and of pieces of n = 2003
 # and 3001, whose prime lies above B1 so that only the seed of the
@@ -545,6 +550,11 @@ _HARD_62 = 29726643257 * 3275225476073
 _PM1_MODULI = (2, 4, 6, 12, 20, 58, 62, 84, 86, 4006, 6002)
 
 _PRIMES_BELOW_B1 = [p for p in range(2, factorizer._PM1_B1) if is_probable_prime(p)]
+
+# The primes in (B1, B2] that stage 2 covers.
+_STAGE_2_PRIMES = [
+    p for p in factorizer._odd_primes(factorizer._PM1_B2) if p > factorizer._PM1_B1
+]
 
 
 def _prime_one_mod(modulus, rng, big=None):
@@ -557,6 +567,12 @@ def _prime_one_mod(modulus, rng, big=None):
         p = 1 + modulus * s * b
         if (big is None or is_probable_prime(b)) and is_probable_prime(p):
             return p
+
+
+def _prime_at_most(x):
+    while not is_probable_prime(x):
+        x -= 1
+    return x
 
 
 def _pollard_pm1(n, k):
@@ -598,11 +614,13 @@ def test_pm1_never_returns_a_trivial_divisor(modulus, seed):
 def test_pm1_stage_2_stops_at_its_first_factor(modulus, seed):
     # p - 1 and q - 1 are both B2-smooth, but p's stage-2 prime is among
     # the first block of primes past B1 and q's lies two blocks later or
-    # more.  The first gcd holds p alone; one gcd at the end would hold
-    # p * q, a failure.
+    # more.  The plan's first 912 products cover the first block of
+    # primes, and the primes two blocks on come from its 1473rd product
+    # on, so the first gcd, after 1024 products, holds p alone; one gcd
+    # at the end would hold p * q, a failure.
     rng = random.Random(seed)
     block = factorizer._PM1_GCD_EVERY
-    primes = list(factorizer._odd_primes(factorizer._PM1_B2, factorizer._PM1_B1))
+    primes = _STAGE_2_PRIMES
     while True:
         p = _prime_one_mod(modulus, rng, (primes[0], primes[block - 1] + 1))
         q = _prime_one_mod(modulus, rng, (primes[2 * block], primes[-1] + 1))
@@ -613,6 +631,54 @@ def test_pm1_stage_2_stops_at_its_first_factor(modulus, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factorizer, "_PM1_GCD_EVERY", len(primes))
         assert factorizer._pm1_stage2(p * q, power) is None
+
+
+@settings(max_examples=10)
+@given(
+    modulus=st.sampled_from(_PM1_MODULI),
+    b=st.integers(factorizer._PM1_B1, factorizer._PM1_B2)
+    .map(_prime_at_most)
+    .filter(lambda b: b > factorizer._PM1_B1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(modulus=62, b=2311, seed=0)  # D + 1
+@example(modulus=62, b=2309, seed=0)  # D - 1, in the same product as D + 1
+@example(modulus=4006, b=11549, seed=0)  # 5D - 1
+@example(modulus=6002, b=999983, seed=0)  # 433D - 247, the last prime
+def test_pm1_stage_2_matches_the_prime_by_prime_reference(modulus, b, seed):
+    # p - 1 = L * s * b with b a prime in (B1, B2] and s below B1, so stage
+    # 2 must find p on either side v*D -+ u of its pairing, as the
+    # reference does one prime at a time; q - 1 has a prime above B2.
+    rng = random.Random(seed)
+    b2 = factorizer._PM1_B2
+    while True:
+        p = _prime_one_mod(modulus, rng, (b, b + 1))
+        q = _prime_one_mod(modulus, rng, (b2 + 1, 10 * b2))
+        divisor, power = factorizer._pm1_stage1(p * q, modulus)
+        if power is not None:
+            break
+    assert divisor is None
+    assert factorizer._pm1_stage2(p * q, power) == p
+    assert pm1_stage2_prime_by_prime(p * q, power) == p
+
+
+def test_pm1_plan_pairs_every_prime_of_stage_2_once():
+    # Each prime in (B1, B2] is v*D -+ u for exactly one listed pair (v, u)
+    # and every listed pair covers a prime, so no product is wasted.
+    babies, first, rows = factorizer._pm1_plan()
+    d = factorizer._PM1_D
+    assert babies == tuple(u for u in range(1, d // 2, 2) if math.gcd(u, d) == 1)
+    assert len(babies) == 240
+    primes = set(_STAGE_2_PRIMES)
+    covered = []
+    for v, row in enumerate(rows, first):
+        for u in map(babies.__getitem__, row):
+            pair = [s for s in (v * d - u, v * d + u) if s in primes]
+            assert pair, (v, u)
+            covered += pair
+    assert len(covered) == len(primes) == 78195
+    assert set(covered) == primes
+    assert sum(map(len, rows)) == 63466
 
 
 def test_full_factorization_completes_where_rho_alone_ran_out():
@@ -649,12 +715,12 @@ def test_pm1_splits_31_2_after_one_leg_of_rho(monkeypatch):
     assert flist.complete and (980949714209, 1) in flist.factors
     [piece] = [p for p in pieces if p["value"] % 980949714209 == 0]
     assert piece["stage1"] == [None] and piece["stage2"] == [980949714209]
-    # One survivor walks the long leg of rho, paying for both stages, and
-    # stage 2 splits it; the piece's other survivors split within a few
-    # steps each.
+    # One survivor walks the long leg of rho, 8190 steps, paying for both
+    # stages, and stage 2 splits it; the piece's other survivors split
+    # within a few steps each.
     *quick, held = sorted(used for _n, used in piece["rho"])
     assert held == (
-        factorizer._RHO_LEG
+        8190
         + factorizer._pm1_stage1_steps(62)
         + factorizer._pm1_stage2_steps(62)
     )
@@ -670,7 +736,7 @@ def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
     charge2 = factorizer._pm1_stage2_steps(62)
     stage1 = count_calls(monkeypatch, factorizer, "_pm1_stage1")
     stage2 = count_calls(monkeypatch, factorizer, "_pm1_stage2")
-    budgets = (1 << 20, 70000, 50000, 600)
+    budgets = (1 << 20, 20000, 16000, 600)
     staged = []
     for budget in budgets:
         del stage1[:], stage2[:]
@@ -680,30 +746,30 @@ def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
     monkeypatch.setattr(factorizer, "_RHO_LEG", 1 << 62)
     walk = factorizer._brent_rho
     assert staged == [
-        ((29726643257, 49534 + charge1 + charge2), 1, 1),
-        ((None, 70000), 1, 1),
-        ((29726643257, 49534 + charge1), 1, 0),
+        ((4148291909, 12542 + charge1 + charge2), 1, 1),
+        ((None, 20000), 1, 1),
+        ((4148291909, 12542 + charge1), 1, 0),
         ((None, 600), 0, 0),
     ]
-    assert walk(_HARD_62, 62, (1 << 20) - charge1 - charge2) == (29726643257, 49534)
-    assert walk(_HARD_62, 62, 70000 - charge1 - charge2) == (
+    assert walk(_HARD_62, 62, (1 << 20) - charge1 - charge2) == (4148291909, 12542)
+    assert walk(_HARD_62, 62, 20000 - charge1 - charge2) == (
         None,
-        70000 - charge1 - charge2,
+        20000 - charge1 - charge2,
     )
-    assert walk(_HARD_62, 62, 50000 - charge1) == (29726643257, 49534)
+    assert walk(_HARD_62, 62, 16000 - charge1) == (4148291909, 12542)
     assert walk(_HARD_62, 62, 600) == (None, 600)
 
 
 def test_pm1_charge_stays_inside_the_piece_budget(monkeypatch):
     # Each piece spends at most RHO_STEP_LIMIT in rho steps and p-1
     # charges; a piece whose p-1 run failed spends exactly that.
-    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 70000)
+    monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 20000)
     pieces = _record_pieces(monkeypatch)
     for n, m in ((43, 5), (37, Fraction(3, 2)), (31, 2)):
         full_factorization(n, m)
     spent = [sum(used for _n, used in p["rho"]) for p in pieces]
-    assert all(steps <= 70000 for steps in spent)
-    assert any(p["stage2"] == [None] and s == 70000 for p, s in zip(pieces, spent))
+    assert all(steps <= 20000 for steps in spent)
+    assert any(p["stage2"] == [None] and s == 20000 for p, s in zip(pieces, spent))
     assert any(p["stage2"] == [980949714209] for p in pieces)
 
 
