@@ -58,20 +58,24 @@ piece is factored by:
   2. on each composite survivor, smallest survivor first, Brent's rho
      over y -> y^L + c (Brent & Pollard, 1981).  A prime p = 1 (mod L)
      closes the cycle after about sqrt(p/L) steps;
-  3. after 510 steps of that walk, stage 1 of Pollard's p-1 method
-     (Pollard 1974) with its exponent seeded by L, which divides p - 1.
-     It finds p when p - 1 is L times a product of prime powers up to
-     2000, however large p is, at the cost of about 300 rho steps;
+  3. Pollard's p-1 method, by a schedule of pauses in that walk.  After
+     510 steps, stage 1 (Pollard 1974) with its exponent E seeded by L,
+     which divides p - 1.  It finds p when p - 1 is L times a product of
+     prime powers up to 2000, however large p is, at the cost of about
+     300 rho steps, and hands its power 2^E on to stage 2;
   4. after 8190 steps, stage 2 (Montgomery 1987), which finds p when
      p - 1 needs one more prime s up to 10^6.  Baby and giant steps pair
      the primes s = v*D -+ u (D = 2310), so one modular product covers
      both primes of a pair: 63466 products for the 78195 primes, against
      two per prime one at a time.  It takes a gcd every 1024 products and
      stops at the first factor;
-  5. if both stages fail, the rest of the same rho walk.
+  5. the rest of the same rho walk once the schedule ends: after stage
+     2, or after a stage that did not fit in the budget or left nothing
+     to hand on.
 
 All survivors of a piece share one budget of `RHO_STEP_LIMIT` rho
-steps, and each stage of p-1 is charged the rho steps that take as long.
+steps, and each stage of p-1 is charged its modular products as the rho
+steps that take as long (`_rho_steps`).
 
 A base below 3.3 * 10^24 that passes the strong-pseudoprime test is
 proven prime; a larger one is only a probable prime and is listed in
@@ -146,17 +150,17 @@ _PM1_STAGE2_PRODUCTS = 80_000
 class AurifeuilleResult:
     """One Aurifeuillian split F_n(x) = F- * F+ at x = (m_num/m_den)^2 * n.
 
-    `F_value`, `F_minus`, `F_plus` are exact (integers when m is an
-    integer); `int_minus`/`int_plus` are the denominator-cleared integer
-    factors (equal to F_minus/F_plus for integer m).  `hat_F` and
-    `residual` = |hat_F - F_minus| are only set on the rounding route.
+    `F_minus`, `F_plus` are exact (integers when m is an integer), and
+    their product is F_n(x); `int_minus`/`int_plus` are the
+    denominator-cleared integer factors (equal to F_minus/F_plus for
+    integer m).  `hat_F` and `residual` = |hat_F - F_minus| are only set
+    on the rounding route.
     """
 
     n: int
     m_num: int
     m_den: int
     x: Fraction
-    F_value: Fraction | int
     F_minus: Fraction | int
     F_plus: Fraction | int
     int_minus: int
@@ -233,7 +237,6 @@ def _rounding_split(n: int, m: int, f_val: int, lam: int) -> AurifeuilleResult:
         m_num=m,
         m_den=1,
         x=Fraction(m * m * n),
-        F_value=f_val,
         F_minus=f_minus,
         F_plus=f_plus,
         int_minus=f_minus,
@@ -270,7 +273,6 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
         m_num=p,
         m_den=q,
         x=m * m * n,
-        F_value=_as_int_if_possible(Fraction(f_h, scale * scale)),
         F_minus=_as_int_if_possible(Fraction(int_minus, scale)),
         F_plus=_as_int_if_possible(Fraction(int_plus, scale)),
         int_minus=int_minus,
@@ -278,20 +280,15 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     )
 
 
-def target_value(n: int, m: Fraction | int) -> int:
-    """The integer p^(2n) * n^n +- q^(2n) that `full_factorization` factors.
+def _target(n: int, m: Fraction) -> int:
+    """The integer p^(2n) * n^n +- q^(2n) that `full_factorization`
+    factors, for a square-free n that the caller has checked.
 
     The sign is minus exactly when n = 1 (mod 4); then x^n - 1 is the
     number that factors through the cyclotomic pieces, else x^n + 1.
     A minus-sign target below 1, which happens when x = m^2 * n < 1,
     raises `NegativeTarget`.
     """
-    _require_squarefree(n)
-    return _target(n, Fraction(m))
-
-
-def _target(n: int, m: Fraction) -> int:
-    """`target_value` for a square-free n that the caller has checked."""
     p, q = m.numerator, m.denominator
     value = p ** (2 * n) * n**n + (-1 if n % 4 == 1 else 1) * q ** (2 * n)
     if value < 1:
@@ -452,20 +449,30 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
     values modulo p, so the walk repeats modulo p after about sqrt(p/k)
     steps instead of sqrt(p).
 
-    The walk pauses twice for Pollard's p-1 method: for `_pm1_stage1`
-    after its first `_RHO_SHORT_LEG` = 510 steps, and for `_pm1_stage2`
-    after `_RHO_LEG` = 8190, about the charge of stage 2 at k = 62, so a
-    survivor that only stage 2 splits waits for it about as long as the
-    stage takes.  Each stage runs when its charge, `_pm1_stage1_steps(k)`
-    or `_pm1_stage2_steps(k)`, fits in what is left of the budget, and
-    stage 2 only after a stage 1 that left it something to find.  After
-    a failed stage the walk resumes with the same c, y and block length,
-    so it takes the same steps as a walk that never paused.
+    The walk pauses for Pollard's p-1 method by one schedule of rows:
+    `_pm1_stage1` after its first `_RHO_SHORT_LEG` = 510 steps, then
+    `_pm1_stage2` after `_RHO_LEG` = 8190, about the charge of stage 2 at
+    k = 62, so a survivor that only stage 2 splits waits for it about as
+    long as the stage takes.  At the first gcd point past its pause, a row
+    runs when its charge, its modular products in rho steps
+    (`_rho_steps`), fits in what is left of the budget; at most one row
+    runs per gcd point.  A stage returns a divisor or None and what it
+    hands on to the next: stage 1 takes k and hands on its power a,
+    stage 2 takes a and hands on None.  A stage skipped for its charge,
+    or one that hands on None, ends the schedule.  After a failed stage
+    the walk resumes with the same c, y and block length, so it takes the
+    same steps as a walk that never paused.
     """
     steps = 0
     c = 0
-    stage1_due = True
-    power = None  # stage 1's 2^E mod n while stage 2 is due
+    # p-1's pauses in order: (rho steps before the pause, modular products
+    # it is charged, stage).  Each stage takes what the one before handed
+    # on, k for the first.
+    pauses = iter((
+        (_RHO_SHORT_LEG, (k * _pm1_powers()).bit_length(), _pm1_stage1),
+        (_RHO_LEG, _PM1_STAGE2_PRODUCTS, _pm1_stage2),
+    ))
+    pause, handed = next(pauses), k
     while steps < budget:
         c += 1
         y, r, q, g = 2, 1, 1, 1
@@ -486,21 +493,17 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
                 j += batch
                 steps += batch
             r *= 2
-            divisor = None
-            if g == 1 and stage1_due and steps >= _RHO_SHORT_LEG:
-                stage1_due = False
-                charge = _pm1_stage1_steps(k)
+            if g == 1 and pause and steps >= pause[0]:
+                _at, products, stage = pause
+                charge = _rho_steps(products, k)
+                pause = None
                 if budget - steps > charge:
                     steps += charge
-                    divisor, power = _pm1_stage1(n, k)
-            elif g == 1 and power is not None and steps >= _RHO_LEG:
-                charge = _pm1_stage2_steps(k)
-                if budget - steps > charge:
-                    steps += charge
-                    divisor = _pm1_stage2(n, power)
-                power = None
-            if divisor is not None:
-                return divisor, steps
+                    divisor, handed = stage(n, handed)
+                    if divisor is not None:
+                        return divisor, steps
+                    if handed is not None:
+                        pause = next(pauses, None)
         if g == n:
             # The last batch closed the walk modulo every prime of n at
             # once: retrace it one step at a time.
@@ -516,7 +519,8 @@ def _brent_rho(n: int, k: int, budget: int) -> tuple[int | None, int]:
 def _pm1_stage1(n: int, k: int) -> tuple[int | None, int | None]:
     """Stage 1 of Pollard's p-1 method on the composite odd n, with its
     exponent seeded by k: a proper divisor of n or None, and the power
-    a = 2^E mod n for stage 2, or None when stage 2 has nothing to find.
+    a = 2^E mod n it hands on to stage 2, or None when stage 2 has
+    nothing to find.
 
     Every prime p of n is 1 (mod k), so k divides p - 1.  E is k times
     every prime power up to `_PM1_B1`, and the stage finds p when the
@@ -530,9 +534,10 @@ def _pm1_stage1(n: int, k: int) -> tuple[int | None, int | None]:
     return (g if g < n else None), None
 
 
-def _pm1_stage2(n: int, a: int) -> int | None:
+def _pm1_stage2(n: int, a: int) -> tuple[int | None, None]:
     """Stage 2 of Pollard's p-1 method (Montgomery 1987, section 4) from
-    stage 1's power a = 2^E mod n: a proper divisor of n, or None.
+    stage 1's power a = 2^E mod n: a proper divisor of n or None, and
+    None, as no stage follows it.
 
     It finds a prime p of n when the order of 2 modulo p divides E times
     one prime s in (`_PM1_B1`, `_PM1_B2`].  Each such s is v*D -+ u for
@@ -575,11 +580,11 @@ def _pm1_stage2(n: int, a: int) -> int | None:
             if not left:
                 g = gcd(product, n)
                 if g != 1:
-                    return g if g < n else None
+                    return (g if g < n else None), None
                 left = _PM1_GCD_EVERY
         up, down = up * step % n, down * back % n
     g = gcd(product, n)
-    return g if 1 < g < n else None
+    return (g if 1 < g < n else None), None
 
 
 @cache
@@ -623,18 +628,6 @@ def _pm1_powers() -> int:
             power *= s
         powers *= power
     return powers
-
-
-def _pm1_stage1_steps(k: int) -> int:
-    """What `_pm1_stage1` is charged: one modular product per bit of its
-    exponent, in steps of rho over y -> y^k + c (`_rho_steps`)."""
-    return _rho_steps((k * _pm1_powers()).bit_length(), k)
-
-
-def _pm1_stage2_steps(k: int) -> int:
-    """What `_pm1_stage2` is charged: `_PM1_STAGE2_PRODUCTS` in steps of
-    rho over y -> y^k + c (`_rho_steps`)."""
-    return _rho_steps(_PM1_STAGE2_PRODUCTS, k)
 
 
 def _rho_steps(products: int, k: int) -> int:
@@ -743,5 +736,4 @@ __all__ = [
     "full_factorization",
     "hat_f",
     "is_probable_prime",
-    "target_value",
 ]

@@ -173,9 +173,6 @@ class IntPolynomial:
         """Leading coefficient; 0 for the zero polynomial."""
         return self._coeffs[-1] if self._coeffs else 0
 
-    def is_monic(self) -> bool:
-        return self.leading == 1
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -215,12 +212,6 @@ class IntPolynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):

@@ -61,7 +61,7 @@ def test_phi_degree_and_monic():
     for n in range(1, 80):
         p = phi_moebius(n)
         assert p.degree == euler_phi(n)
-        assert p.is_monic()
+        assert p.leading == 1
         if n > 1:
             assert p.coefficient(0) == 1
 
@@ -129,7 +129,7 @@ def _assert_matches_divisor_product(n, p, seed):
 def test_phi_in_place_at_many_primes(n):
     p = phi_moebius(n)
     assert p.degree == euler_phi(n)
-    assert p.is_monic()
+    assert p.leading == 1
     assert symmetry_class(p) == "palindromic"
     _assert_matches_divisor_product(n, p, seed=n)
 

@@ -27,7 +27,6 @@ from aurifeuille.factorizer import (
     full_factorization,
     hat_f,
     is_probable_prime,
-    target_value,
 )
 
 from _counting import count_calls
@@ -65,7 +64,8 @@ def test_hat_degenerate_small_points():
         assert 0.5 < float(h) < 1.5
         res = factor_by_rounding(n, 1)
         assert res.F_minus == 1
-        assert res.F_plus == res.F_value
+        f_val = cyclotomic.f_poly(n).evaluate_homogeneous(n, 1)
+        assert res.F_minus * res.F_plus == f_val
 
 
 def test_hat_matches_the_exact_series_sum():
@@ -108,7 +108,8 @@ def test_rounding_reproduces_classical_splits():
     ):
         res = factor_by_rounding(n, m)
         assert (res.F_minus, res.F_plus) == (lo, hi)
-        assert res.F_minus * res.F_plus == res.F_value
+        f_val = cyclotomic.f_poly(n).evaluate_homogeneous(m * m * n, 1)
+        assert res.F_minus * res.F_plus == f_val
         assert res.F_minus <= res.F_plus
         assert res.residual is not None and res.residual < 0.5
         assert res.int_minus == lo and res.int_plus == hi
@@ -245,7 +246,10 @@ def test_polynomials_match_fraction_horner(n, p, q):
     assert (res.F_minus, res.F_plus) == (lo, hi)
     scale = m.denominator ** (2 * pair.d)
     assert (res.int_minus, res.int_plus) == (lo * scale, hi * scale)
-    assert res.F_value == cyclotomic.f_poly(n)(x)
+    fn = cyclotomic.f_poly(n)
+    assert res.F_minus * res.F_plus == Fraction(
+        fn.evaluate_homogeneous(p * p * n, q * q), (q * q) ** fn.degree
+    )
 
 
 def test_polynomials_agree_with_rounding():
@@ -276,12 +280,13 @@ def test_polynomials_input_validation():
 
 
 def test_target_value_signs():
-    assert target_value(5, 1) == 5**5 - 1
-    assert target_value(13, 1) == 13**13 - 1
-    assert target_value(15, 1) == 15**15 + 1
-    assert target_value(2, 32) == 2**22 + 1
-    assert target_value(6, 1) == 6**6 + 1
-    assert target_value(7, Fraction(2, 5)) == 25**7 + 28**7
+    target = factorizer._target
+    assert target(5, Fraction(1)) == 5**5 - 1
+    assert target(13, Fraction(1)) == 13**13 - 1
+    assert target(15, Fraction(1)) == 15**15 + 1
+    assert target(2, Fraction(32)) == 2**22 + 1
+    assert target(6, Fraction(1)) == 6**6 + 1
+    assert target(7, Fraction(2, 5)) == 25**7 + 28**7
 
 
 def test_full_factorization_classical_examples():
@@ -330,7 +335,7 @@ def test_full_factorization_product_checks_hold_broadly():
         for m in (1, Fraction(3, 2)):
             _split, flist = full_factorization(n, m)
             assert flist.product() == flist.target
-            assert flist.target == target_value(n, m)
+            assert flist.target == factorizer._target(n, Fraction(m))
 
 
 def test_full_factorization_incomplete_is_flagged(monkeypatch):
@@ -420,7 +425,7 @@ def test_full_factorization_separates_probable_primes():
 def test_full_factorization_bases_pass_trial_division(n, m):
     _split, flist = full_factorization(n, m)
     assert flist.complete
-    assert flist.product() == flist.target == target_value(n, m)
+    assert flist.product() == flist.target == factorizer._target(n, Fraction(m))
     for base, _e in flist.factors:
         if base < 10**12:
             assert _prime_by_trial(base), (n, m, base)
@@ -452,10 +457,10 @@ def test_negative_target_refused_before_any_piece(monkeypatch):
     with pytest.raises(NegativeTarget):
         full_factorization(5, Fraction(2, 5))
     with pytest.raises(NegativeTarget):
-        target_value(13, Fraction(1, 4))
+        factorizer._target(13, Fraction(1, 4))
     assert pieces == []
     # The plus-sign targets stay positive for every m.
-    assert target_value(7, Fraction(1, 9)) > 0
+    assert factorizer._target(7, Fraction(1, 9)) > 0
 
 
 def test_full_factorization_input_validation():
@@ -578,7 +583,7 @@ def _prime_at_most(x):
 def _pollard_pm1(n, k):
     """Both stages of p-1 back to back, as `_brent_rho` runs them."""
     divisor, power = factorizer._pm1_stage1(n, k)
-    return divisor if power is None else factorizer._pm1_stage2(n, power)
+    return divisor if power is None else factorizer._pm1_stage2(n, power)[0]
 
 
 @settings(max_examples=10)
@@ -627,10 +632,10 @@ def test_pm1_stage_2_stops_at_its_first_factor(modulus, seed):
         divisor, power = factorizer._pm1_stage1(p * q, modulus)
         if divisor is None and power is not None:
             break
-    assert factorizer._pm1_stage2(p * q, power) == p
+    assert factorizer._pm1_stage2(p * q, power)[0] == p
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factorizer, "_PM1_GCD_EVERY", len(primes))
-        assert factorizer._pm1_stage2(p * q, power) is None
+        assert factorizer._pm1_stage2(p * q, power)[0] is None
 
 
 @settings(max_examples=10)
@@ -658,7 +663,7 @@ def test_pm1_stage_2_matches_the_prime_by_prime_reference(modulus, b, seed):
         if power is not None:
             break
     assert divisor is None
-    assert factorizer._pm1_stage2(p * q, power) == p
+    assert factorizer._pm1_stage2(p * q, power)[0] == p
     assert pm1_stage2_prime_by_prime(p * q, power) == p
 
 
@@ -703,7 +708,8 @@ def test_pm1_stage_1_splits_29_2_after_the_short_leg(monkeypatch):
     [piece] = [p for p in pieces if p["value"] % 15491408791 == 0]
     assert piece["stage1"] == [15491408791] and piece["stage2"] == []
     [held] = [used for n, used in piece["rho"] if n % 15491408791 == 0]
-    assert held == 510 + factorizer._pm1_stage1_steps(58)
+    # Stage 1's charge at k = 58 is 321 steps.
+    assert held == 510 + 321
 
 
 def test_pm1_splits_31_2_after_one_leg_of_rho(monkeypatch):
@@ -716,14 +722,10 @@ def test_pm1_splits_31_2_after_one_leg_of_rho(monkeypatch):
     [piece] = [p for p in pieces if p["value"] % 980949714209 == 0]
     assert piece["stage1"] == [None] and piece["stage2"] == [980949714209]
     # One survivor walks the long leg of rho, 8190 steps, paying for both
-    # stages, and stage 2 splits it; the piece's other survivors split
-    # within a few steps each.
+    # stages (289 and 8000 steps at k = 62), and stage 2 splits it; the
+    # piece's other survivors split within a few steps each.
     *quick, held = sorted(used for _n, used in piece["rho"])
-    assert held == (
-        8190
-        + factorizer._pm1_stage1_steps(62)
-        + factorizer._pm1_stage2_steps(62)
-    )
+    assert held == 8190 + 289 + 8000
     assert sum(quick) < 100
 
 
@@ -732,8 +734,7 @@ def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
     # exactly the steps of one walk that never paused, on the budget less
     # the charges.  A budget without room for stage 2 runs stage 1 only,
     # and one that ends before the short leg is paid for runs neither.
-    charge1 = factorizer._pm1_stage1_steps(62)
-    charge2 = factorizer._pm1_stage2_steps(62)
+    charge1, charge2 = 289, 8000  # the charges of the two stages at k = 62
     stage1 = count_calls(monkeypatch, factorizer, "_pm1_stage1")
     stage2 = count_calls(monkeypatch, factorizer, "_pm1_stage2")
     budgets = (1 << 20, 20000, 16000, 600)
@@ -758,6 +759,24 @@ def test_rho_resumes_the_walk_it_paused_for_pm1(monkeypatch):
     )
     assert walk(_HARD_62, 62, 16000 - charge1) == (4148291909, 12542)
     assert walk(_HARD_62, 62, 600) == (None, 600)
+
+
+def test_a_stage_that_hands_on_nothing_ends_the_schedule(monkeypatch):
+    # With the long leg just past the short one, stage 2 is due at the
+    # gcd point after stage 1.  Both p - 1 = 62 * 1021 * 1361 * 1627 * 1663
+    # and q - 1 = 62 * 461 * 617 * 1489 * 1913 divide the stage-1
+    # exponent, so stage 1's gcd is p * q and it hands on nothing: stage 2
+    # never runs.  On _HARD_62 stage 1 hands on its power and stage 2 runs
+    # once.  Rho splits neither within the budget.
+    stage1 = count_calls(monkeypatch, factorizer, "_pm1_stage1")
+    stage2 = count_calls(monkeypatch, factorizer, "_pm1_stage2")
+    monkeypatch.setattr(factorizer, "_RHO_LEG", factorizer._RHO_SHORT_LEG + 1)
+    staged = []
+    for n in (233107023479423 * 50232806949959, _HARD_62):
+        del stage1[:], stage2[:]
+        divisor = factorizer._brent_rho(n, 62, 20000)
+        staged.append((divisor, len(stage1), len(stage2)))
+    assert staged == [((None, 20000), 1, 0), ((None, 20000), 1, 1)]
 
 
 def test_pm1_charge_stays_inside_the_piece_budget(monkeypatch):
@@ -798,9 +817,9 @@ def _record_pieces(monkeypatch):
         return divisor, power
 
     def counted_stage2(n, a):
-        divisor = stage2(n, a)
+        divisor, handed = stage2(n, a)
         pieces[-1]["stage2"].append(divisor)
-        return divisor
+        return divisor, handed
 
     monkeypatch.setattr(factorizer, "_accumulate_factors", one_piece)
     monkeypatch.setattr(factorizer, "_brent_rho", counted_rho)
