@@ -17,7 +17,6 @@ from .errors import (
     NotSquareFree,
     NTooSmall,
     RoundingFailed,
-    SearchCapExceeded,
 )
 from .numthy import (
     ClassNumberData,

@@ -26,10 +26,6 @@ class BadResidueClass(AurifeuilleError):
     """The argument lies in a residue class the operation is not defined for."""
 
 
-class SearchCapExceeded(AurifeuilleError):
-    """A bounded search ran out of budget before finding its answer."""
-
-
 class InternalInconsistency(AurifeuilleError):
     """A cross-check that should hold by construction failed; likely a bug."""
 

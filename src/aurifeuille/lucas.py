@@ -66,7 +66,6 @@ class LucasPair:
 
     n: int
     n_prime: int
-    s_prime: int
     gamma: tuple[int, ...]
     delta: tuple[int, ...]
     d: int
@@ -113,7 +112,6 @@ def algorithm_l(n: int) -> LucasPair:
     return LucasPair(
         n=n,
         n_prime=ctx.n_prime,
-        s_prime=ctx.s_prime,
         gamma=tuple(gamma),
         delta=tuple(delta),
         d=d,

@@ -11,7 +11,6 @@ n >= 2 by `make_context`:
 
     n'  = n when n = 1 (mod 4), else 2n
     s   = -1 when n = 3 (mod 4), else +1
-    s'  = -1 when n = 5 (mod 8), else +1
 
 The Gauss pair (A_n, B_n) has degree d_gauss = phi(n)/2 (odd n); the Lucas
 pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
@@ -43,11 +42,8 @@ from .errors import (
     NonIntegerStep,
     NotSquareFree,
     NTooSmall,
-    SearchCapExceeded,
 )
 from .poly import _kronecker
-
-PELL_SEARCH_CAP = 10**6
 
 # Blocks of at most this many Newton steps are summed directly rather than
 # split further, since packing and unpacking tiny products costs more than
@@ -244,7 +240,6 @@ class NumTheoryContext:
     primes: tuple[int, ...]
     n_prime: int
     s: int
-    s_prime: int
     d_gauss: int | None
     d_lucas: int
 
@@ -260,7 +255,6 @@ def make_context(n: int) -> NumTheoryContext:
         primes=primes,
         n_prime=n if n % 4 == 1 else 2 * n,
         s=-1 if n % 4 == 3 else 1,
-        s_prime=-1 if n % 8 == 5 else 1,
         d_gauss=phi_n // 2 if n % 2 else None,
         d_lucas=phi_n // 2 if n % 2 else phi_n,
     )
@@ -310,7 +304,8 @@ def class_number_neg(n: int) -> ClassNumberData:
 
 @dataclass(frozen=True)
 class PellUnit:
-    """Fundamental unit (u + v*sqrt(n))/2 of the real field, u^2 - n*v^2 = 4."""
+    """The least unit (u + v*sqrt(n))/2 of norm +1, u^2 - n*v^2 = 4 with
+    u, v > 0: the real field's fundamental unit eps, or eps^2."""
 
     n: int
     u: int
@@ -318,29 +313,39 @@ class PellUnit:
 
 
 def fundamental_unit(n: int) -> PellUnit:
-    """Smallest-v solution of u^2 - n*v^2 = 4 for square-free n = 1 (mod 4).
+    """The least solution u, v > 0 of u^2 - n*v^2 = 4 for square-free
+    n = 1 (mod 4): eps or eps^2, whichever has norm +1.
 
-    Searches v = 1, 2, ... and stops at the first v with n*v^2 + 4 a
-    perfect square; raises SearchCapExceeded past `PELL_SEARCH_CAP`,
-    read at call time.
+    eps comes from the continued fraction of omega = (1 + sqrt(n))/2,
+    within one period (Lenstra, Notices AMS 2002; Cohen, GTM 138, 5.7).
+    Its complete quotients are (P + sqrt(n))/Q, from P = 1, Q = 2, and Q
+    returns to 2 first at the end of the period.  The convergent p/q
+    taken at that step gives eps = (2p - q + q*sqrt(n))/2, of norm
+    ((2p - q)^2 - n*q^2)/4 = +-1.
     """
     _require_squarefree(n)
     if n % 4 != 1:
         raise BadResidueClass(
             f"fundamental_unit needs n = 1 (mod 4), got n={n}"
         )
-    for v in range(1, PELL_SEARCH_CAP + 1):
-        t = n * v * v + 4
-        u = isqrt(t)
-        if u * u == t:
-            return PellUnit(n=n, u=u, v=v)
-    raise SearchCapExceeded(
-        f"no unit with v <= {PELL_SEARCH_CAP} for n={n}"
-    )
+    root = isqrt(n)
+    big_p, big_q = 1, 2
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    while True:
+        a = (big_p + root) // big_q
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        big_p = a * big_q - big_p
+        big_q = (n - big_p * big_p) // big_q
+        if big_q == 2:
+            break
+    u, v = 2 * p - q, q
+    if u * u - n * v * v == -4:
+        u, v = (u * u + n * v * v) // 2, u * v
+    return PellUnit(n=n, u=u, v=v)
 
 
 __all__ = [
-    "PELL_SEARCH_CAP",
     "ClassNumberData",
     "NumTheoryContext",
     "PellUnit",

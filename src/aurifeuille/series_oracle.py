@@ -308,7 +308,6 @@ def lucas_via_series(n: int) -> LucasPair:
     return LucasPair(
         n=n,
         n_prime=ctx.n_prime,
-        s_prime=ctx.s_prime,
         gamma=tuple(reversed(c_asc)),
         delta=tuple(reversed(d_asc)),
         d=d,

@@ -9,9 +9,10 @@ The schoolbook polynomial product is the reference for the library's
 packed one, the direct O(d^2) loop of Newton's identities is the
 reference for the divide-and-conquer kernel behind both factor pairs,
 the fixed-point loop of the rounding route's lambda sum is the
-reference for its exact sum by pairing, and the prime-by-prime stage 2
+reference for its exact sum by pairing, the prime-by-prime stage 2
 of Pollard's p-1 method is the reference for the factorizer's stage 2 by
-baby and giant steps.
+baby and giant steps, and the search over v = 1, 2, ... is the reference
+for the real-quadratic unit by continued fractions.
 The per-coefficient `Fraction` loops for the series product, square
 root and `series_exp_like` are the reference for the library's integer
 numerators over one denominator.  The reference routes to Phi_n live
@@ -31,7 +32,7 @@ the ratio law F+/F- -> exp(2/m) of the Aurifeuillian split
 import cmath
 from fractions import Fraction
 from itertools import islice
-from math import exp, gcd
+from math import exp, gcd, isqrt
 from operator import mul
 
 from aurifeuille.errors import BadConstantTerm, NonIntegerStep, NotSquareFree
@@ -193,6 +194,17 @@ def pm1_stage2_prime_by_prime(n, a):
         g = gcd(product, n)
         if g != 1:
             return g if g < n else None
+    return None
+
+
+def pell_unit_by_search(n, cap):
+    """The least v in 1..cap with n*v^2 + 4 a square u^2, as (u, v), or
+    None when there is none: `numthy.fundamental_unit` by search."""
+    for v in range(1, cap + 1):
+        t = n * v * v + 4
+        u = isqrt(t)
+        if u * u == t:
+            return u, v
     return None
 
 

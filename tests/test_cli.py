@@ -346,6 +346,9 @@ def test_classnum_unit(capsys):
     assert out == "fundamental unit: (3 + 1*sqrt(5))/2\n"
     code, out, _ = run(capsys, "classnum", "13", "--json")
     assert json.loads(out) == {"n": 13, "u": "11", "v": "3"}
+    code, out, _ = run(capsys, "classnum", "97", "--json")
+    assert code == 0
+    assert json.loads(out) == {"n": 97, "u": "125619266", "v": "12754704"}
 
 
 def test_classnum_rejects_even_unit_case(capsys):

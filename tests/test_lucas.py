@@ -166,9 +166,9 @@ def test_one_factorization_per_pair(monkeypatch):
 
 def test_context_fields_carried():
     pair = algorithm_l(15)
-    assert pair.n_prime == 30 and pair.s_prime == 1
+    assert pair.n_prime == 30
     pair = algorithm_l(13)
-    assert pair.n_prime == 13 and pair.s_prime == -1
+    assert pair.n_prime == 13
 
 
 def test_values_at_zero_and_one():

@@ -13,7 +13,6 @@ from aurifeuille.errors import (
     NonIntegerStep,
     NotSquareFree,
     NTooSmall,
-    SearchCapExceeded,
 )
 from aurifeuille.numthy import (
     class_number_neg,
@@ -29,6 +28,7 @@ from _oracles import (
     euler_phi,
     moebius,
     newton_pair_direct,
+    pell_unit_by_search,
     quadratic_residues,
     squarefree_range,
 )
@@ -135,7 +135,7 @@ def test_jacobi_rejects_even_modulus():
 def test_context_15():
     ctx = make_context(15)
     assert ctx.n_prime == 30
-    assert ctx.s == -1 and ctx.s_prime == 1
+    assert ctx.s == -1
     assert ctx.primes == (3, 5)
     assert ctx.d_gauss == 4 and ctx.d_lucas == 4
 
@@ -143,7 +143,7 @@ def test_context_15():
 def test_context_5():
     ctx = make_context(5)
     assert ctx.n_prime == 5
-    assert ctx.s == 1 and ctx.s_prime == -1
+    assert ctx.s == 1
     assert ctx.primes == (5,)
     assert ctx.d_gauss == 2 and ctx.d_lucas == 2
 
@@ -151,7 +151,7 @@ def test_context_5():
 def test_context_2():
     ctx = make_context(2)
     assert ctx.n_prime == 4
-    assert ctx.s == 1 and ctx.s_prime == 1
+    assert ctx.s == 1
     assert ctx.primes == (2,)
     assert ctx.d_gauss is None
     assert ctx.d_lucas == 1
@@ -322,10 +322,7 @@ def test_fundamental_unit_solves_pell_minimally():
     for n in squarefree_range(5, 200):
         if n % 4 != 1:
             continue
-        try:
-            unit = fundamental_unit(n)
-        except SearchCapExceeded:
-            continue  # e.g. n=97 needs v ~ 1.3e7, past the documented cap
+        unit = fundamental_unit(n)
         assert unit.u * unit.u - n * unit.v * unit.v == 4
         assert unit.u > 0 and unit.v > 0
         if unit.v <= 3000:
@@ -334,11 +331,25 @@ def test_fundamental_unit_solves_pell_minimally():
                 assert isqrt(t) ** 2 != t  # nothing smaller works
 
 
-def test_fundamental_unit_rejections(monkeypatch):
+@settings(max_examples=200)
+@given(
+    n=st.integers(1, 24999)
+    .map(lambda k: 4 * k + 1)
+    .filter(is_squarefree)
+)
+def test_fundamental_unit_matches_the_search(n):
+    # Up to 10^5 the unit's v runs to hundreds of digits, so the search
+    # only checks the units it reaches.
+    unit = fundamental_unit(n)
+    assert unit.u * unit.u - n * unit.v * unit.v == 4
+    assert unit.u > 0 and unit.v > 0
+    found = pell_unit_by_search(n, 10**4)
+    if found is not None:
+        assert (unit.u, unit.v) == found
+
+
+def test_fundamental_unit_rejections():
     with pytest.raises(BadResidueClass):
         fundamental_unit(7)
     with pytest.raises(NotSquareFree):
         fundamental_unit(45)
-    monkeypatch.setattr(numthy, "PELL_SEARCH_CAP", 2)
-    with pytest.raises(SearchCapExceeded):
-        fundamental_unit(61)

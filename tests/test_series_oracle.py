@@ -368,7 +368,8 @@ def check_ratio_identity(
 ) -> bool:
     """Numerical spot-check of the exponential ratio identity.
 
-    With L(x) = C_n(x^2) - s'*x*sqrt(n)*D_n(x^2) and its mirror
+    With s' = -1 when n = 5 (mod 8), else +1,
+    L(x) = C_n(x^2) - s'*x*sqrt(n)*D_n(x^2) and its mirror
     L~(x) = L(-x), the identity L~(x)/L(x) = exp(2*s'*sqrt(n)*g_n(x))
     holds for |x| < 1.  Both sides are evaluated in double precision,
     g_n truncated at `order`; returns True when they agree within `tol`
@@ -379,7 +380,7 @@ def check_ratio_identity(
     if abs(x0) >= 1:
         raise ValueError(f"need |x0| < 1, got {x0}")
     pair = algorithm_l(n)
-    sp = pair.s_prime
+    sp = -1 if n % 8 == 5 else 1
     root_n = sqrt(n)
     x2 = x0 * x0
     c_val = float(pair.poly_c().evaluate(x2))
