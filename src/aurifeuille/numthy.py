@@ -24,10 +24,16 @@ coefficient before it.  It computes them by divide and conquer, so a
 recurrence of d steps costs O(M(d) log d), with M(d) the cost of one
 packed product of d coefficients, in place of the d^2 coefficient
 products of the direct loop, which the tests keep as the reference.
-Blocks of at most `_LEAF` = 48 steps are summed directly.  Every packed
-product is `poly._kronecker`, whose slot width bounds every coefficient
-of the product and whose slot offsets go on before it cuts the wanted
-slots out, so no slot carries into or borrows from the next.
+Blocks of at most `_LEAF` = 48 steps are summed directly.
+
+Each solved block feeds the steps after it through three packed
+products, made by `poly`'s layouts (`poly._layout`) and read by them.
+Packing is linear, so the block's u and v are packed once, u + v is
+the sum of their packed values, and each of the two differences the
+sums need is read from one packed value.  The slot width bounds every
+coefficient of each difference, not of each product, and the offsets
+go on before the wanted slots are cut out, so no slot carries into or
+borrows from the next.  `_feed` derives the bound.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .errors import (
     NotSquareFree,
     NTooSmall,
 )
-from .poly import _kronecker
+from .poly import _layout
 
 # Blocks of at most this many Newton steps are summed directly rather than
 # split further, since packing and unpacking tiny products costs more than
@@ -156,29 +162,46 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
     in advance; Brent & Kung (J. ACM 1978) treat such series recurrences.
     To solve the steps [lo, hi): solve [lo, mid), add what u_j and v_j for
     j in [lo, mid) give to the sums of every k in [mid, hi), then solve
-    [mid, hi).  Those additions are three packed products per block, by
-    `poly._kronecker`, since
+    [mid, hi).  With w_j = u_j + v_j, cpq = c*p + q and rq = r + q,
 
-        sum (c*p*v - q*u) = sum (c*p + q)*v - sum q*(u + v),
-        sum (r*u - q*v)   = sum (r + q)*u   - sum q*(u + v),
+        sum (c*p*v - q*u) = sum cpq*v - sum q*w,
+        sum (r*u - q*v)   = sum rq*u  - sum q*w,
 
-    and a block of at most `_LEAF` steps is summed directly.  This costs
+    so those additions are one feed (`_feed`): the block's U, V and the
+    known Q, CPQ, RQ each packed once, at one slot width, the three
+    products B = (U+V)*Q, V*CPQ and U*RQ, and the two differences
+    V*CPQ - B and U*RQ - B read into the sums.  Packing is linear, so
+    U + V is the sum of the packed U and V, and each difference reads
+    back exactly once its slots fit.  For a block of m solved steps,
+    slot k of either difference sums at most m terms (m <= L, the length
+    of Q), so with |x| the largest entry of the list x,
+
+        |sum (cpq_i v_j - q_i w_j)| <= m (|v| |cpq| + (|u| + |v|) |q|),
+        |sum (rq_i u_j  - q_i w_j)| <= m (|u| |rq|  + (|u| + |v|) |q|),
+
+    since |w| <= |u| + |v|.  The feed's slot bound is the larger right
+    side, with every |x| taken as at least 1 so that it also bounds every
+    entry packed.  It exceeds one product's bound by the second term: a
+    slot one bit or one digit narrower can fail where u = v.
+
+    A block of at most `_LEAF` steps is summed directly, keeping w as a
+    running list: each step makes three dot products, the shared q.w,
+    cpq.v for u_k and rq.u for v_k, and adds r_0*u_k.  This costs
     O(M(d) log d) for d = k_u steps, with M(d) the cost of one product of
     d coefficients, against the direct loop's d^2 coefficient products.
-    Each `_kronecker` slot is wide enough for its coefficient of the
-    product and gets its offset before any slot is cut out, so no slot
-    carries or borrows.  Steps still run in increasing k, a step's sums
-    are complete when it reads them, and each coefficient is still one
-    exact division, so a failing step raises at the same k, with the same
-    sum, as the direct loop would.
+    Steps still run in increasing k, a step's sums are complete when it
+    reads them, and each coefficient is still one exact division of the
+    same sum, so a failing step raises at the same k, with the same
+    message, as the direct loop would.
     """
-    u, v = [u0], [v0]
+    u, v, w = [u0], [v0], [u0 + v0]  # w_j = u_j + v_j
     # su[k], sv[k]: the parts of step k's two sums from the j already folded
     # in by the products; the leaf containing k adds the rest.
     su = [0] * (k_u + 1)
     sv = [0] * (k_u + 1)
     cpq = [c * x + y for x, y in zip(p, q)]
     rq = list(map(add, r, q))
+    r0 = r[0]
     # The blocks still to do, last first.  (lo, hi, None) is a block to
     # solve; (lo, hi, mid) says that [lo, mid) is solved and must now feed
     # the steps [mid, hi).  A list, not a recursive inner function: that
@@ -191,41 +214,63 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
             # k - j runs over 1..hi-lo-1, and slot i of a product is step
             # lo + 1 + i.  rq may stop one entry short of hi - lo - 1 when
             # k_v < k_u: the entry it lacks only reaches sv[k_u], never read.
-            ub, vb = u[lo:mid], v[lo:mid]
-            first, last = mid - lo - 1, hi - lo - 1
-            both = _kronecker(list(map(add, ub, vb)), q[1 : hi - lo], first, last)
-            du = _kronecker(vb, cpq[1 : hi - lo], first, last)
-            dv = _kronecker(ub, rq[1 : hi - lo], first, last)
-            for k, x, y, z in zip(range(mid, hi), both, du, dv):
-                su[k] += y - x
-                sv[k] += z - x
+            du, dv = _feed(
+                u[lo:mid],
+                v[lo:mid],
+                q[1 : hi - lo],
+                cpq[1 : hi - lo],
+                rq[1 : hi - lo],
+                mid - lo - 1,
+                hi - lo - 1,
+            )
+            su[mid:hi] = map(add, su[mid:hi], du)
+            sv[mid:hi] = map(add, sv[mid:hi], dv)
         elif hi - lo > _LEAF:
             mid = (lo + hi) // 2
             todo += [(mid, hi, None), (lo, hi, mid), (lo, mid, None)]
         else:
             for k in range(max(lo, 1), hi):
-                q_rev = q[k - lo : 0 : -1]
-                acc = (
-                    su[k]
-                    + c * sum(map(mul, p[k - lo : 0 : -1], v[lo:]))
-                    - sum(map(mul, q_rev, u[lo:]))
-                )
+                both = sum(map(mul, q[k - lo : 0 : -1], w[lo:]))
+                acc = su[k] + sum(map(mul, cpq[k - lo : 0 : -1], v[lo:])) - both
                 div = 2 * k
                 if acc % div:
                     raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
-                u.append(acc // div)
+                uk = acc // div
+                u.append(uk)
                 if k > k_v:
                     break
-                acc = (
-                    sv[k]
-                    + sum(map(mul, r[k - lo :: -1], u[lo:]))
-                    - sum(map(mul, q_rev, v[lo:]))
-                )
+                # u[lo:] now ends in u_k, which r_0 multiplies; map stops
+                # at the shorter rq slice before it.
+                acc = sv[k] + sum(map(mul, rq[k - lo : 0 : -1], u[lo:])) - both + r0 * uk
                 div += odd
                 if acc % div:
                     raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
-                v.append(acc // div)
+                vk = acc // div
+                v.append(vk)
+                w.append(uk + vk)
     return u, v
+
+
+def _feed(ub, vb, q, cpq, rq, first, last):
+    """Slots first..last-1 of V*CPQ - B and of U*RQ - B, with B = (U+V)*Q,
+    for the coefficient lists ub, vb of U, V (of one length m) and q, cpq,
+    rq of Q, CPQ, RQ (q and cpq of one length L >= m, rq of L or L - 1):
+    the parts of the kernel's two sums that a solved block sends on.
+
+    Five packings, three products and two reads, at the slot bound of the
+    `_newton_pair` docstring.  B is formed first, and each difference in
+    turn, so only one product besides B is alive at a time.
+    """
+    mu, mv = max(map(abs, ub)) or 1, max(map(abs, vb)) or 1
+    mq, mc, mr = max(map(abs, q)) or 1, max(map(abs, cpq)) or 1, max(map(abs, rq)) or 1
+    size = min(len(ub), len(q))
+    slots = _layout(size * ((mu + mv) * mq + max(mv * mc, mu * mr)), size)
+    pu, pv = slots.pack(ub), slots.pack(vb)
+    both = slots.mul(slots.add(pu, pv), slots.pack(q))
+    length = len(ub) + len(q) - 1
+    du = slots.read(slots.sub(slots.mul(pv, slots.pack(cpq)), both), length, first, last)
+    dv = slots.read(slots.sub(slots.mul(pu, slots.pack(rq)), both), length, first, last)
+    return du, dv
 
 
 @dataclass(frozen=True)

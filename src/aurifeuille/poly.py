@@ -10,10 +10,11 @@ no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
 identity checks only multiply.
 
 The product of two polynomials is one big-integer multiplication
-(Kronecker substitution): each operand is packed into one number with its
-coefficients in fixed slots, the two numbers are multiplied (a square when
-both operands are the same object) and the slots of the product are read
-back as its coefficients.  The slot width is exact: coefficient k of
+(Kronecker substitution), in three steps: pack, multiply, read.  Each
+operand is packed into one number with its coefficients in fixed slots,
+the two numbers are multiplied (a square when both operands are the same
+object) and the slots of the product are read back as its coefficients.
+The slot width is exact: coefficient k of
 a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
 at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
 value, and so is every input coefficient.  Small products pack into
@@ -26,6 +27,17 @@ adding the half slot 2^(8W-1) or 5*10^(w-1) to every slot of the
 product leaves each slot in range, nothing carries from one slot into
 the next, and subtracting it from each slot gives the coefficients back
 exactly.
+
+Packing is linear: the packed value of f is f evaluated at the slot
+base (10^w, or the pair f(X), f(-X) of the int branch below), so
+packed(f) + packed(g) = packed(f + g), and a product of packed values
+is the packed product.  A sum or difference of
+packed products is therefore the packed value of the same sum or
+difference of polynomial products, and it reads back exactly, slot by
+slot, whenever each of its coefficients, not only each product's, is at
+most the bound: the reading never looks at how a slot's value arose.
+The recurrence kernel `numthy._newton_pair` relies on this to pack each
+of its operands once and read two differences of products.
 
 CPython multiplies ints by Karatsuba only, in O(N^1.585) for N bits, so
 the binary branch halves its operands by two-point Kronecker
@@ -57,10 +69,17 @@ and in base 2^8 below that.  The base-10 product stays one product at
 one point: at quasi-linear cost two products of half the size cost as
 much as one, and the second pass of packing and reading would only add
 to it.  Both branches cost far less than the d^2 coefficient products
-of the schoolbook loop, which the tests keep as the reference.  The
-packing lives in one private function, `_kronecker`, which `__mul__`
-calls for the whole product and the recurrence kernel
-`numthy._newton_pair` for a range of its slots.
+of the schoolbook loop, which the tests keep as the reference.
+
+`_layout` makes the choice from a slot bound and the size of the
+smaller operand, and returns one of two layouts with the same methods,
+`_TwoPoint` for ints and `_Base10`: ``pack``, the linear ``mul``,
+``add`` and ``sub`` on packed values, and ``read`` for a range of slots.
+`_kronecker`, which `__mul__` calls for the whole product, is pack,
+multiply and read through them; the kernel calls them itself, so there
+is one packing for both callers.  The int branch packs each slot in one
+pass, the coefficient plus the half slot, and subtracts the half slot
+from every slot at once.
 
 `evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -108,7 +127,7 @@ factor` at n <= 31 has at most 31 coefficients, so it is one block."""
 
 _DECIMAL_CUTOFF = 300_000
 """Bits of the smaller packed operand (its length times the bit length of
-the slot bound) from which `_kronecker` packs in base 10.  Base-10 time
+the slot bound) from which `_layout` packs in base 10.  Base-10 time
 over the two-point int time, best of 7, for squares / the kernel's shape
 (L x 2L, last L slots) on 20- to 1000-bit coefficients: 1.4-2.2 /
 1.5-2.3 at 50k bits, 1.2-1.7 / 0.8-1.6 at 100k, 1.2-1.7 / 0.8-1.1 at
@@ -307,79 +326,143 @@ class IntPolynomial:
 
 def _kronecker(a, b, start: int, stop: int) -> list[int]:
     """Coefficients start..stop-1 of the product of the coefficient
-    sequences a and b, by Kronecker substitution.
+    sequences a and b, by Kronecker substitution: pack, multiply, read.
 
     a and b are nonempty sequences of ints; zero entries are allowed, and
     an all-zero operand counts as all ones in the slot bound of the module
-    docstring, so every input coefficient fits its slot too.  Below
-    `_DECIMAL_CUTOFF` bits, the product is taken at X and -X as the module
-    docstring says: slots ceil(start/2)..ceil(stop/2)-1 of the even
-    quotient and floor(start/2)..floor(stop/2)-1 of the odd one are read
-    and interleaved, the first read from the even one when start is
-    even.  The offsets (the half slot) go onto slots 0..stop-1 of a
-    quotient (now counting its own slots) before anything is cut from it,
-    so no borrow crosses a slot, and slots from stop on (the product may
-    be longer) cannot reach the ones below.  A square, ``b is a``,
-    squares each packed number.
-
-    From `_DECIMAL_CUTOFF` bits on, the slots are decimal digits and the
-    product is taken at one point, in the context `_DECIMAL`.  There the
-    offset goes onto every slot of the product, so the whole is
-    nonnegative and its `str` holds every slot; a 1 above the top slot
-    fixes the length of that `str`.  Python caps int <-> str conversion at
-    `sys.get_int_max_str_digits()` digits (4300 by default); slots wider
-    than that convert through `Decimal`, which has no cap.
+    docstring, so every input coefficient fits its slot too.  A square,
+    ``b is a``, squares each packed number.
     """
-    bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * min(len(a), len(b))
-    if min(len(a), len(b)) * bound.bit_length() >= _DECIMAL_CUTOFF:
+    size = min(len(a), len(b))
+    slots = _layout((max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * size, size)
+    packed = slots.pack(a)
+    product = slots.mul(packed, packed if b is a else slots.pack(b))
+    return slots.read(product, len(a) + len(b) - 1, start, stop)
+
+
+def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
+    """The slots for products, and linear combinations of products, whose
+    every coefficient, input or output, is at most bound in absolute
+    value, the smaller packed operand having size coefficients: base 10
+    from `_DECIMAL_CUTOFF` bits of that operand on, two-point ints below.
+
+    Both layouts pack, multiply and read the same way.  ``pack(coeffs)``
+    gives the packed value of a coefficient sequence, ``mul``, ``add`` and
+    ``sub`` combine packed values, and ``read(value, slots, start,
+    stop)`` gives slots start..stop-1 of a packed value that occupies at
+    most ``slots`` slots.  Packing is linear, so a packed sum or
+    difference of products reads back as the sums or differences of their
+    coefficients, as long as those fit the bound."""
+    if size * bound.bit_length() >= _DECIMAL_CUTOFF:
+        return _Base10(bound)
+    return _TwoPoint(bound)
+
+
+class _TwoPoint:
+    """Slots of 2*sb bytes, a packed value being the pair (f(X), f(-X))
+    with X = 2^(8*sb), as the module docstring says."""
+
+    __slots__ = ("sb",)
+
+    def __init__(self, bound: int):
+        width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
+        self.sb = (width + 1) // 2  # slots of 2 sb >= w bytes
+
+    def pack(self, coeffs) -> tuple[int, int]:
+        """E + O and E - O, for the even part E = sum f_2i X^2i and the odd
+        part O = sum f_2i+1 X^(2i+1), each packed in slots of 2*sb bytes."""
+        width = 2 * self.sb
+        even = _pack(coeffs[::2], width)
+        odd = _pack(coeffs[1::2], width) << (8 * self.sb)
+        return even + odd, even - odd
+
+    @staticmethod
+    def mul(x, y):
+        return x[0] * y[0], x[1] * y[1]
+
+    @staticmethod
+    def add(x, y):
+        return x[0] + y[0], x[1] + y[1]
+
+    @staticmethod
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def read(self, value, slots: int, start: int, stop: int) -> list[int]:
+        """Slots ceil(start/2)..ceil(stop/2)-1 of the even quotient and
+        floor(start/2)..floor(stop/2)-1 of the odd one, interleaved, the
+        first from the even one when start is even.  Slots from stop on
+        are cut off unread, so ``slots`` is not needed."""
+        h_plus, h_minus = value
+        sb = self.sb
+        even = _slots((h_plus + h_minus) >> 1, 2 * sb, (start + 1) // 2, (stop + 1) // 2)
+        odd = _slots((h_plus - h_minus) >> (8 * sb + 1), 2 * sb, start // 2, stop // 2)
+        out = even + odd
+        out[start % 2 :: 2] = even
+        out[1 - start % 2 :: 2] = odd
+        return out
+
+
+class _Base10:
+    """Slots of w decimal digits, 2 * bound < 10^w, a packed value being a
+    `decimal.Decimal` in the context `_DECIMAL`.
+
+    Python caps int <-> str conversion at `sys.get_int_max_str_digits()`
+    digits (4300 by default); slots wider than that convert through
+    `Decimal`, which has no cap."""
+
+    __slots__ = ("width", "half", "to_str", "to_int")
+    mul = _DECIMAL.multiply
+    add = _DECIMAL.add
+    sub = _DECIMAL.subtract
+
+    def __init__(self, bound: int):
         # The least w with 2 * bound < 10^w: the digit count of 2 * bound.
-        width = _DECIMAL.create_decimal(2 * bound).adjusted() + 1
+        self.width = _DECIMAL.create_decimal(2 * bound).adjusted() + 1
+        self.half = 5 * 10 ** (self.width - 1)
         # A cap of 0 means none, as on Pythons that have no cap at all.
-        if 0 < getattr(sys, "get_int_max_str_digits", int)() < width:
-            to_str, to_int = _str_via_decimal, _int_via_decimal
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < self.width:
+            self.to_str, self.to_int = _str_via_decimal, _int_via_decimal
         else:
-            to_str, to_int = str, int
-        packed = _pack10(a, width, to_str)
-        slots = len(a) + len(b) - 1
-        # Half a slot on every slot, and a 1 above the top one, so the sum
-        # has exactly width * slots + 1 digits.
+            self.to_str, self.to_int = str, int
+
+    def pack(self, coeffs) -> decimal.Decimal:
+        """sum_j coeffs[j] * 10^(width*j): the positive and the negative
+        coefficients laid out apart, in width-digit slots, highest first,
+        and the two packed values subtracted.  Offsetting each coefficient
+        by the half slot instead, as `_pack` does, would write every slot
+        at its full width; the known operands of the kernel hold small
+        numbers in wide slots, and int -> str costs time quadratic in the
+        digits.  Each digit string is parsed as soon as it is joined, so
+        at most one is held at a time."""
+        width, to_str = self.width, self.to_str
+        empty = "0" * width
+        rev = coeffs[::-1]
+        pos = "".join([to_str(c).zfill(width) if c > 0 else empty for c in rev])
+        pos = _DECIMAL.create_decimal(pos)
+        neg = "".join([to_str(-c).zfill(width) if c < 0 else empty for c in rev])
+        return _DECIMAL.subtract(pos, _DECIMAL.create_decimal(neg))
+
+    def read(self, value, slots: int, start: int, stop: int) -> list[int]:
+        """The half slot goes onto every one of the ``slots`` slots, so the
+        whole is nonnegative and its `str` holds every slot; a 1 above the
+        top slot fixes the length of that `str`."""
+        width, half, to_int = self.width, self.half, self.to_int
         digits = str(
             _DECIMAL.add(
-                _DECIMAL.multiply(packed, packed if b is a else _pack10(b, width, to_str)),
-                _DECIMAL.create_decimal("1" + ("5" + "0" * (width - 1)) * slots),
+                value, _DECIMAL.create_decimal("1" + ("5" + "0" * (width - 1)) * slots)
             )
         )
-        half = 5 * 10 ** (width - 1)
         # Slot k is digits[e - width : e] with e = width * (slots - k) + 1.
         ends = range(width * (slots - start) + 1, width * (slots - stop) + 1, -width)
         return [to_int(digits[e - width : e]) - half for e in ends]
-    width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
-    sb = (width + 1) // 2  # X = 2^(8 sb); slots of 2 sb >= w bytes
-    a_plus, a_minus = _pack_pm(a, sb)
-    b_plus, b_minus = (a_plus, a_minus) if b is a else _pack_pm(b, sb)
-    h_plus, h_minus = a_plus * b_plus, a_minus * b_minus
-    even = _slots((h_plus + h_minus) >> 1, 2 * sb, (start + 1) // 2, (stop + 1) // 2)
-    odd = _slots((h_plus - h_minus) >> (8 * sb + 1), 2 * sb, start // 2, stop // 2)
-    out = even + odd
-    out[start % 2 :: 2] = even
-    out[1 - start % 2 :: 2] = odd
-    return out
-
-
-def _pack_pm(coeffs, sb: int) -> tuple[int, int]:
-    """f(X) and f(-X) for the polynomial f with these coefficients and
-    X = 2^(8*sb): the even and the odd coefficients packed apart in slots
-    of 2*sb bytes, E = sum f_2i X^2i and O = sum f_2i+1 X^(2i+1), give
-    E + O and E - O."""
-    even = _pack(coeffs[::2], 2 * sb)
-    odd = _pack(coeffs[1::2], 2 * sb) << (8 * sb)
-    return even + odd, even - odd
 
 
 def _slots(value: int, width: int, start: int, stop: int) -> list[int]:
     """Slots start..stop-1 of value = sum_k v_k 2^(8*width*k), each with
     |v_k| < 2^(8*width-1): the half slot goes onto slots 0..stop-1 before
-    anything is cut, so no borrow crosses a slot."""
+    anything is cut, so no borrow crosses a slot, and slots from stop on
+    cannot reach the ones below."""
     half = 1 << (8 * width - 1)
     value += int.from_bytes(half.to_bytes(width, "little") * stop, "little")
     value &= (1 << (8 * width * stop)) - 1
@@ -391,28 +474,14 @@ def _slots(value: int, width: int, start: int, stop: int) -> list[int]:
 
 
 def _pack(coeffs, width: int) -> int:
-    """sum_j coeffs[j] * 2^(8*width*j): the positive and the negative
-    coefficients are laid out in width-byte slots separately and the two
-    packed integers subtracted, so no slot holds a sign."""
-    empty = bytes(width)
-    pos = [c.to_bytes(width, "little") if c > 0 else empty for c in coeffs]
-    neg = [(-c).to_bytes(width, "little") if c < 0 else empty for c in coeffs]
-    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(
-        b"".join(neg), "little"
+    """sum_j coeffs[j] * 2^(8*width*j) in one pass, each |coeffs[j]| <
+    2^(8*width-1): each coefficient plus the half slot laid out in its
+    width-byte slot, and the half slot on every slot subtracted once."""
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - int.from_bytes(
+        half.to_bytes(width, "little") * len(coeffs), "little"
     )
-
-
-def _pack10(coeffs, width: int, to_str) -> decimal.Decimal:
-    """sum_j coeffs[j] * 10^(width*j), laid out as `_pack` does but in
-    width-digit slots, highest first, each written by ``to_str``.  Each
-    digit string is parsed as soon as it is joined, so at most one is
-    held at a time."""
-    empty = "0" * width
-    rev = coeffs[::-1]
-    pos = "".join([to_str(c).zfill(width) if c > 0 else empty for c in rev])
-    pos = _DECIMAL.create_decimal(pos)
-    neg = "".join([to_str(-c).zfill(width) if c < 0 else empty for c in rev])
-    return _DECIMAL.subtract(pos, _DECIMAL.create_decimal(neg))
 
 
 def _str_via_decimal(value: int) -> str:

@@ -1,6 +1,7 @@
 """Multiplicative functions, symbols, contexts, class numbers and units."""
 
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import aurifeuille.gauss as gauss
 import aurifeuille.lucas as lucas
 import aurifeuille.numthy as numthy
+import aurifeuille.poly as poly
 from aurifeuille.errors import (
     BadResidueClass,
     NonIntegerStep,
@@ -23,6 +25,7 @@ from aurifeuille.numthy import (
     jacobi,
     make_context,
 )
+from aurifeuille.poly import IntPolynomial
 
 from _oracles import (
     euler_phi,
@@ -30,6 +33,7 @@ from _oracles import (
     newton_pair_direct,
     pell_unit_by_search,
     quadratic_residues,
+    schoolbook_mul,
     squarefree_range,
 )
 
@@ -205,6 +209,28 @@ def test_newton_pair_equals_the_direct_loop(n):
         assert result == newton_pair_direct(*args)
 
 
+@settings(max_examples=60)
+@given(n=st.sampled_from(squarefree_range(2, 1201)))
+def test_newton_pair_equals_the_direct_loop_in_base_10(n):
+    # With the cutoff at 1 bit, every feed packs in base 10; the kernel
+    # reads the cutoff at each call, so patching it reaches every feed.
+    # The Lucas kernel makes one when its k_u = d_lucas/2 reaches a leaf.
+    layouts = []
+
+    def record(bound, size, layout=numthy._layout):
+        layouts.append(layout(bound, size))
+        return layouts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_DECIMAL_CUTOFF", 1)
+        mp.setattr(numthy, "_layout", record)
+        runs = kernel_runs(n)
+    assert len(layouts) >= (make_context(n).d_lucas // 2 >= LEAF)
+    assert all(isinstance(layout, poly._Base10) for layout in layouts)
+    for args, result in runs:
+        assert result == newton_pair_direct(*args)
+
+
 @pytest.mark.parametrize(
     "n, offset", [(191, -1), (193, 0), (197, 1), (389, LEAF + 1)]
 )
@@ -217,24 +243,37 @@ def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
         assert result == newton_pair_direct(*args)
 
 
+CUTOFF = poly._DECIMAL_CUTOFF
+
+
 @pytest.mark.parametrize(
-    "n, module, source, index, k, divisor",
+    "n, module, source, index, k, divisor, cutoff",
     [
-        (105, gauss, "_moebius_phi", 1, 2, 4),  # Gauss q_1
-        (105, gauss, "jacobi", 1, 2, 4),  # Gauss r_1 = p_1
-        (105, lucas, "_q", 1, 1, 2),  # Lucas q_1 = p_1 = r_0
-        (105, lucas, "_q", 3, 1, 3),  # Lucas q_3 = r_1: the delta step fails
-        # Lucas q_{2L+1} = r_L, first read at k = L through a packed product
-        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1),
+        (105, gauss, "_moebius_phi", 1, 2, 4, CUTOFF),  # Gauss q_1
+        (105, gauss, "jacobi", 1, 2, 4, CUTOFF),  # Gauss r_1 = p_1
+        (105, lucas, "_q", 1, 1, 2, CUTOFF),  # Lucas q_1 = p_1 = r_0
+        (105, lucas, "_q", 3, 1, 3, CUTOFF),  # Lucas q_3 = r_1: the delta step fails
+        # Lucas q_{2L+1} = r_L, first read at k = L through a packed product,
+        # packed as two-point ints and, with the cutoff at 1 bit, in base 10
+        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, CUTOFF),
+        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, 1),
     ],
-    ids=["gauss-q1", "gauss-r1", "lucas-q1", "lucas-r1", "lucas-r-past-a-leaf"],
+    ids=[
+        "gauss-q1",
+        "gauss-r1",
+        "lucas-q1",
+        "lucas-r1",
+        "lucas-r-past-a-leaf",
+        "lucas-r-past-a-leaf-base-10",
+    ],
 )
 def test_newton_pair_rejects_a_corrupt_power_sum(
-    monkeypatch, n, module, source, index, k, divisor
+    monkeypatch, n, module, source, index, k, divisor, cutoff
 ):
     # One power sum off by one makes some step's sum indivisible; the
     # kernel must raise there, naming n and k, and not round, at the same
     # step and with the same sum as the direct loop.
+    monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
     exact = getattr(module, source)
 
     def off_by_one(a, b):
@@ -257,6 +296,61 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
     with pytest.raises(NonIntegerStep) as direct:
         newton_pair_direct(*calls[0])
     assert str(raised.value) == str(direct.value)
+
+
+def feed_by_schoolbook(ub, vb, q, cpq, rq, first, last):
+    """`numthy._feed` by schoolbook products: slots first..last-1 of
+    V*CPQ - (U+V)*Q and of U*RQ - (U+V)*Q."""
+    u, v, w = IntPolynomial(ub), IntPolynomial(vb), IntPolynomial(map(add, ub, vb))
+    both = schoolbook_mul(w, IntPolynomial(q))
+    du = schoolbook_mul(v, IntPolynomial(cpq)) - both
+    dv = schoolbook_mul(u, IntPolynomial(rq)) - both
+    return (
+        [du.coefficient(k) for k in range(first, last)],
+        [dv.coefficient(k) for k in range(first, last)],
+    )
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["rq-full", "rq-short"])
+@pytest.mark.parametrize("same", [1, -1], ids=["u=v", "u=-v"])
+@pytest.mark.parametrize("cpq_over_q", [2, 0], ids=["cpq=2q", "cpq=1"])
+@pytest.mark.parametrize(
+    "cutoff, top",
+    [(inf, 2**e) for e in (16, 64, 1024)] + [(1, 10**e) for e in (4, 39, 400)],
+    ids=["int-16", "int-64", "int-1024", "base-10-4", "base-10-39", "base-10-400"],
+)
+def test_feed_at_its_slot_bound(monkeypatch, cutoff, top, cpq_over_q, same, short):
+    # One feed of the kernel's shape, m = 5 solved steps against L = 10
+    # known entries, every entry at its largest magnitude M or Q and the
+    # signs alternating, so that every term of slot m - 1 has one sign.
+    # With u = v the slot reaches the feed's bound m*(2MQ + max|cpq| * M)
+    # exactly; the bound sits just below `top`, a power of 2^16 for the
+    # two-point slots (of an even number of bytes) and of 10 for the
+    # decimal ones, so a width one bit or one digit short of it fails.
+    # With u = -v, B = (U+V)*Q vanishes and each difference is one
+    # product.  rq one entry short (k_v < k_u) lacks the entry whose
+    # term only the top slot of the second difference would hold.
+    monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
+    m, length = 5, 10
+
+    def bound(x):
+        return m * (2 * x * x + x * (cpq_over_q * x or 1))
+
+    x = isqrt((top - 1) // (m * (2 + cpq_over_q)))
+    while bound(x) >= top:
+        x -= 1
+    assert 2 * bound(x) >= top
+    big, small = x, cpq_over_q * x or 1
+    vb = [big * (-1) ** j for j in range(m)]
+    ub = [same * c for c in vb]
+    q = [-big * (-1) ** i for i in range(length)]
+    cpq = [small * (-1) ** i for i in range(length)]
+    rq = cpq[: length - short]
+    first, last = m - 1, length
+    du, dv = numthy._feed(ub, vb, q, cpq, rq, first, last)
+    assert (du, dv) == feed_by_schoolbook(ub, vb, q, cpq, rq, first, last)
+    if same == 1:
+        assert abs(du[0]) == abs(dv[0]) == bound(x)
 
 
 @settings(max_examples=20)
