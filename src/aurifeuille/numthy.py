@@ -24,16 +24,11 @@ coefficient before it.  It computes them by divide and conquer, so a
 recurrence of d steps costs O(M(d) log d), with M(d) the cost of one
 packed product of d coefficients, in place of the d^2 coefficient
 products of the direct loop, which the tests keep as the reference.
-Blocks of at most `_LEAF` = 48 steps are summed directly.
-
-Each solved block feeds the steps after it through three packed
-products, made by `poly`'s layouts (`poly._layout`) and read by them.
-Packing is linear, so the block's u and v are packed once, u + v is
-the sum of their packed values, and each of the two differences the
-sums need is read from one packed value.  The slot width bounds every
-coefficient of each difference, not of each product, and the offsets
-go on before the wanted slots are cut out, so no slot carries into or
-borrows from the next.  `_feed` derives the bound.
+Blocks of at most `_LEAF` = 48 steps are summed directly.  Each solved
+block feeds the steps after it through three packed products of
+`poly`'s layouts and two reads of their differences; the `poly` module
+docstring says why such differences read back exactly, and the
+`_newton_pair` docstring derives the slot bound.
 """
 
 from __future__ import annotations
@@ -170,9 +165,9 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
     so those additions are one feed (`_feed`): the block's U, V and the
     known Q, CPQ, RQ each packed once, at one slot width, the three
     products B = (U+V)*Q, V*CPQ and U*RQ, and the two differences
-    V*CPQ - B and U*RQ - B read into the sums.  Packing is linear, so
-    U + V is the sum of the packed U and V, and each difference reads
-    back exactly once its slots fit.  For a block of m solved steps,
+    V*CPQ - B and U*RQ - B read into the sums, U + V being the sum of
+    the packed U and V (packing is linear; see `poly`).  A difference
+    reads back exactly once its slots fit.  For a block of m solved steps,
     slot k of either difference sums at most m terms (m <= L, the length
     of Q), so with |x| the largest entry of the list x,
 

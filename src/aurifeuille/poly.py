@@ -10,11 +10,11 @@ no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
 identity checks only multiply.
 
 The product of two polynomials is one big-integer multiplication
-(Kronecker substitution), in three steps: pack, multiply, read.  Each
+(Kronecker substitution) in three steps, pack, multiply and read: each
 operand is packed into one number with its coefficients in fixed slots,
-the two numbers are multiplied (a square when both operands are the same
-object) and the slots of the product are read back as its coefficients.
-The slot width is exact: coefficient k of
+the two numbers are multiplied (a square when both operands are the
+same object) and the slots of the product are read back as its
+coefficients.  The slot width is exact: coefficient k of
 a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
 at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
 value, and so is every input coefficient.  Small products pack into
@@ -31,13 +31,13 @@ exactly.
 Packing is linear: the packed value of f is f evaluated at the slot
 base (10^w, or the pair f(X), f(-X) of the int branch below), so
 packed(f) + packed(g) = packed(f + g), and a product of packed values
-is the packed product.  A sum or difference of
-packed products is therefore the packed value of the same sum or
-difference of polynomial products, and it reads back exactly, slot by
-slot, whenever each of its coefficients, not only each product's, is at
-most the bound: the reading never looks at how a slot's value arose.
-The recurrence kernel `numthy._newton_pair` relies on this to pack each
-of its operands once and read two differences of products.
+is the packed product.  A sum or difference of packed products is
+therefore the packed value of the same sum or difference of polynomial
+products, and it reads back exactly, slot by slot, whenever each of its
+coefficients, not only each product's, is at most the bound: the
+reading never looks at how a slot's value arose.  The recurrence kernel
+`numthy._newton_pair` relies on this to pack each of its operands once
+and read two differences of products.
 
 CPython multiplies ints by Karatsuba only, in O(N^1.585) for N bits, so
 the binary branch halves its operands by two-point Kronecker
@@ -71,15 +71,11 @@ much as one, and the second pass of packing and reading would only add
 to it.  Both branches cost far less than the d^2 coefficient products
 of the schoolbook loop, which the tests keep as the reference.
 
-`_layout` makes the choice from a slot bound and the size of the
-smaller operand, and returns one of two layouts with the same methods,
-`_TwoPoint` for ints and `_Base10`: ``pack``, the linear ``mul``,
-``add`` and ``sub`` on packed values, and ``read`` for a range of slots.
 `_kronecker`, which `__mul__` calls for the whole product, is pack,
-multiply and read through them; the kernel calls them itself, so there
-is one packing for both callers.  The int branch packs each slot in one
-pass, the coefficient plus the half slot, and subtracts the half slot
-from every slot at once.
+multiply and read through the layout `_layout` picks; the kernel uses
+the layouts itself, so there is one packing for both callers.  Both
+lay the positive and the negative coefficients out apart and subtract
+the two packed values, so no slot holds a sign.
 
 `evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -346,13 +342,11 @@ def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
     value, the smaller packed operand having size coefficients: base 10
     from `_DECIMAL_CUTOFF` bits of that operand on, two-point ints below.
 
-    Both layouts pack, multiply and read the same way.  ``pack(coeffs)``
-    gives the packed value of a coefficient sequence, ``mul``, ``add`` and
-    ``sub`` combine packed values, and ``read(value, slots, start,
-    stop)`` gives slots start..stop-1 of a packed value that occupies at
-    most ``slots`` slots.  Packing is linear, so a packed sum or
-    difference of products reads back as the sums or differences of their
-    coefficients, as long as those fit the bound."""
+    Both layouts have the same methods: ``pack(coeffs)`` gives the packed
+    value of a coefficient sequence, ``mul``, ``add`` and ``sub`` combine
+    packed values, and ``read(value, slots, start, stop)`` gives slots
+    start..stop-1 of a packed value that occupies at most ``slots``
+    slots."""
     if size * bound.bit_length() >= _DECIMAL_CUTOFF:
         return _Base10(bound)
     return _TwoPoint(bound)
@@ -427,14 +421,9 @@ class _Base10:
             self.to_str, self.to_int = str, int
 
     def pack(self, coeffs) -> decimal.Decimal:
-        """sum_j coeffs[j] * 10^(width*j): the positive and the negative
-        coefficients laid out apart, in width-digit slots, highest first,
-        and the two packed values subtracted.  Offsetting each coefficient
-        by the half slot instead, as `_pack` does, would write every slot
-        at its full width; the known operands of the kernel hold small
-        numbers in wide slots, and int -> str costs time quadratic in the
-        digits.  Each digit string is parsed as soon as it is joined, so
-        at most one is held at a time."""
+        """sum_j coeffs[j] * 10^(width*j), laid out as `_pack` does but in
+        width-digit slots, highest first.  Each digit string is parsed as
+        soon as it is joined, so at most one is held at a time."""
         width, to_str = self.width, self.to_str
         empty = "0" * width
         rev = coeffs[::-1]
@@ -474,13 +463,14 @@ def _slots(value: int, width: int, start: int, stop: int) -> list[int]:
 
 
 def _pack(coeffs, width: int) -> int:
-    """sum_j coeffs[j] * 2^(8*width*j) in one pass, each |coeffs[j]| <
-    2^(8*width-1): each coefficient plus the half slot laid out in its
-    width-byte slot, and the half slot on every slot subtracted once."""
-    half = 1 << (8 * width - 1)
-    raw = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(raw, "little") - int.from_bytes(
-        half.to_bytes(width, "little") * len(coeffs), "little"
+    """sum_j coeffs[j] * 2^(8*width*j): the positive and the negative
+    coefficients are laid out in width-byte slots separately and the two
+    packed integers subtracted, so no slot holds a sign."""
+    empty = bytes(width)
+    pos = [c.to_bytes(width, "little") if c > 0 else empty for c in coeffs]
+    neg = [(-c).to_bytes(width, "little") if c < 0 else empty for c in coeffs]
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(
+        b"".join(neg), "little"
     )
 
 

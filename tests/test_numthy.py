@@ -181,6 +181,7 @@ def test_context_rejections():
 # The Newton-identity kernel behind both factor pairs.
 
 LEAF = numthy._LEAF
+CUTOFF = poly._DECIMAL_CUTOFF
 
 
 def kernel_runs(n):
@@ -202,19 +203,14 @@ def kernel_runs(n):
     return runs
 
 
-@settings(max_examples=20)
-@given(n=st.sampled_from(squarefree_range(2, 3001)))
-def test_newton_pair_equals_the_direct_loop(n):
-    for args, result in kernel_runs(n):
-        assert result == newton_pair_direct(*args)
-
-
-@settings(max_examples=60)
-@given(n=st.sampled_from(squarefree_range(2, 1201)))
-def test_newton_pair_equals_the_direct_loop_in_base_10(n):
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from(squarefree_range(2, 3001)),
+    cutoff=st.sampled_from([CUTOFF, 1]),
+)
+def test_newton_pair_equals_the_direct_loop(n, cutoff):
     # With the cutoff at 1 bit, every feed packs in base 10; the kernel
     # reads the cutoff at each call, so patching it reaches every feed.
-    # The Lucas kernel makes one when its k_u = d_lucas/2 reaches a leaf.
     layouts = []
 
     def record(bound, size, layout=numthy._layout):
@@ -222,11 +218,14 @@ def test_newton_pair_equals_the_direct_loop_in_base_10(n):
         return layouts[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_DECIMAL_CUTOFF", 1)
+        mp.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
         mp.setattr(numthy, "_layout", record)
         runs = kernel_runs(n)
-    assert len(layouts) >= (make_context(n).d_lucas // 2 >= LEAF)
-    assert all(isinstance(layout, poly._Base10) for layout in layouts)
+    if cutoff == 1:
+        # The Lucas kernel makes a feed once its k_u = d_lucas/2 passes a leaf.
+        if make_context(n).d_lucas // 2 >= LEAF:
+            assert layouts
+        assert all(isinstance(layout, poly._Base10) for layout in layouts)
     for args, result in runs:
         assert result == newton_pair_direct(*args)
 
@@ -241,9 +240,6 @@ def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
     assert make_context(n).d_lucas // 2 == LEAF + offset
     for args, result in kernel_runs(n):
         assert result == newton_pair_direct(*args)
-
-
-CUTOFF = poly._DECIMAL_CUTOFF
 
 
 @pytest.mark.parametrize(
