@@ -35,7 +35,12 @@ over packed products, in O(M(d) log d) rather than d^2 products.
 The primes of n are found once per pair, by `make_context`, and feed
 every q_k.  The identity check is the pair's own
 `GaussPair.identity_holds`, so a caller holding the pair never recomputes
-it; `verify_gauss(n)` applies it to `algorithm_d(n)`.
+it; `verify_gauss(n)` applies it to `algorithm_d(n)`.  The check builds no
+polynomial product: `poly._square_identity_holds` packs A_n, B_n, s*n and
+4*Phi_n once and tests the packed value of A_n^2 - s*n*B_n^2 - 4*Phi_n
+for zero.  For n > 3 the mirror symmetry above makes that test a proof
+at about half the slot width the coefficients of A_n^2 would need; A_3 =
+2x + 1 is not symmetric, and n = 3 takes the full width.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from .numthy import (
     jacobi,
     make_context,
 )
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _square_identity_holds
 from .cyclotomic import phi_moebius
 
 
@@ -75,10 +80,13 @@ class GaussPair:
         return IntPolynomial.from_descending(self.beta)
 
     def identity_holds(self) -> bool:
-        """Exact check of 4*Phi_n = A_n^2 - s*n*B_n^2 on this pair."""
-        a = self.poly_a()
-        b = self.poly_b()
-        return 4 * phi_moebius(self.n) == a * a - (self.s * self.n) * (b * b)
+        """Exact check of 4*Phi_n = A_n^2 - s*n*B_n^2 on this pair.  B_n
+        goes in with its zero x^d coefficient, so that it is as long as A_n
+        and its mirror symmetry shows."""
+        return _square_identity_holds(
+            self.alpha[::-1], (self.s * self.n,), self.beta[::-1],
+            [4 * c for c in phi_moebius(self.n).coeffs],
+        )
 
 
 def algorithm_d(n: int) -> GaussPair:

@@ -35,8 +35,12 @@ The primes of n are found once per pair, by `make_context`, and feed every
 q_k.  The identity check and the split are the pair's own
 `LucasPair.identity_holds` and `LucasPair.split_at`, so a caller holding
 the pair never recomputes it; `verify_lucas(n)` applies the check to
-`algorithm_l(n)`.  The split is evaluated on integers: `split_at(p, q)`
-gives it at x = (p/q)^2 * n scaled by q^(2d).
+`algorithm_l(n)`.  The check builds no polynomial product:
+`poly._square_identity_holds` packs C_n, D_n, n*x and F_n once and tests
+the packed value of C_n^2 - n*x*D_n^2 - F_n for zero.  C_n, D_n and F_n
+are palindromes, so that test is a proof at about half the slot width
+the coefficients of C_n^2 would need.  The split is evaluated on
+integers: `split_at(p, q)` gives it at x = (p/q)^2 * n scaled by q^(2d).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .numthy import (
     jacobi,
     make_context,
 )
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _square_identity_holds
 from .cyclotomic import phi_moebius
 
 _COS_QUARTER = (1, 0, -1, 0)  # cos(t*pi/2) for t = 0, 1, 2, 3 (mod 4)
@@ -78,10 +82,10 @@ class LucasPair:
 
     def identity_holds(self) -> bool:
         """Exact check of F_n = C_n^2 - n*x*D_n^2 on this pair."""
-        c = self.poly_c()
-        dd = self.poly_d()
-        x_dd2 = IntPolynomial((0, *(dd * dd).coeffs))  # x * D_n^2, a shift
-        return phi_moebius(self.n_prime) == c * c - self.n * x_dd2
+        return _square_identity_holds(
+            self.gamma[::-1], (0, self.n), self.delta[::-1],
+            phi_moebius(self.n_prime).coeffs,
+        )
 
     def split_at(self, p: int, q: int) -> tuple[int, int]:
         """The split at x = (p/q)^2 * n, scaled by q^(2d) to integers.

@@ -6,8 +6,12 @@ stores an empty tuple.  Printing follows the usual descending convention,
 e.g. ``x^4 + 8*x^3 + 13*x^2 + 8*x + 1``.
 
 All arithmetic is exact: addition, subtraction and multiplication, with
-no division — `cyclotomic.phi_moebius` builds Phi_n without one, and the
-identity checks only multiply.
+no division — `cyclotomic.phi_moebius` builds Phi_n without one.  The
+pair identities P^2 - S*Q^2 = R are checked by `_square_identity_holds`
+without building a polynomial: it packs P, Q, S and R, forms the packed
+value of P^2 - S*Q^2 - R and tests it for zero, in slots of about half
+the width its coefficients would need, which reciprocity makes enough
+(its docstring has the proof).
 
 The product of two polynomials is one big-integer multiplication
 (Kronecker substitution) in three steps, pack, multiply and read: each
@@ -72,10 +76,11 @@ to it.  Both branches cost far less than the d^2 coefficient products
 of the schoolbook loop, which the tests keep as the reference.
 
 `_kronecker`, which `__mul__` calls for the whole product, is pack,
-multiply and read through the layout `_layout` picks; the kernel uses
-the layouts itself, so there is one packing for both callers.  Both
-lay the positive and the negative coefficients out apart and subtract
-the two packed values, so no slot holds a sign.
+multiply and read through the layout `_layout` picks; the kernel and
+`_square_identity_holds` use the layouts themselves, so there is one
+packing for every caller.  Both layouts lay the positive and the
+negative coefficients out apart and subtract the two packed values, so
+no slot holds a sign.
 
 `evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
 arguments (and works fine with floats or complex numbers when
@@ -104,6 +109,7 @@ from __future__ import annotations
 import decimal
 import sys
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction, float, complex]
@@ -336,6 +342,69 @@ def _kronecker(a, b, start: int, stop: int) -> list[int]:
     return slots.read(product, len(a) + len(b) - 1, start, stop)
 
 
+def _square_identity_holds(p, s, q, r) -> bool:
+    """Whether P^2 - S*Q^2 = R, decided as one packed zero test.
+
+    p, q and r are ascending coefficient sequences of ints, p nonempty,
+    and s is the coefficient sequence of a monomial c*x^e, e = len(s) - 1.
+    Each is packed once through `_layout`; the packed value of
+    G = P^2 - S*Q^2 - R (two squares, one product by the packed monomial
+    and two differences) is compared with zero, and no slot is read.
+    Every coefficient of G is at most
+
+        B = len(P)*|P|^2 + |S|*len(Q)*|Q|^2 + |R|
+
+    in absolute value, |F| being the largest of F's.  X is the slot base:
+    10^w, or the two points +-X of the int layout.
+
+    In general the slots are for B.  The packed value of G then reads
+    back exactly (module docstring), and a zero value reads as zero
+    coefficients, so G = 0.
+
+    The inputs are reciprocal when P is a palindrome up to sign, Q is
+    one up to sign with e + len(Q) = len(P), so that S*Q^2 is centred on
+    degree N/2 = len(P) - 1 as P^2 is, and R is a palindrome of N + 1
+    coefficients.  Then G(x) = x^N * G(1/x), so each root y != 0 of G
+    gives the root 1/y.  Suppose G != 0.  G(X) = G(-X) = 0 gives the four roots
+    +-X, +-1/X, so the primitive (x^2 - X^2)(X^2 x^2 - 1) divides G, in
+    Z[x] by Gauss's lemma, and G's Mahler measure is M(G) >= X^4; in base
+    10, G(X) = 0 makes (x - X)(X x - 1) divide G and M(G) >= X^2.
+    Landau's inequality (Mignotte, *Mathematics for Computer Algebra*,
+    4.3) gives M(G) <= ||G||_2 <= sqrt(N + 1) * B.  Slots for a bound b
+    have X^2 = 2^(16 sb) >= 2^(8w) > 2b at two points and X = 10^w > 2b
+    in base 10, so X^4, or X^2, exceeds 4b^2, and b^2 >= sqrt(N + 1) * B
+    leaves no room for G != 0.  So reciprocal inputs take the slots for
+    b = isqrt(B * (isqrt(N + 1) + 1)) + 1, about half the bits of B, or
+    for their largest coefficient if that is more, so that each input
+    fits its slot.  The reciprocity is checked here, on the inputs.
+    """
+    hp, hs, hq, hr = (max(map(abs, f), default=0) for f in (p, s, q, r))
+    bound = len(p) * hp * hp + hs * len(q) * hq * hq + hr
+    terms = 2 * len(p) - 1  # N + 1
+    if (
+        len(s) - 1 + len(q) == len(p)
+        and len(r) == terms
+        and (_palindrome(p, 1) or _palindrome(p, -1))
+        and (_palindrome(q, 1) or _palindrome(q, -1))
+        and _palindrome(r, 1)
+    ):
+        bound = max(isqrt(bound * (isqrt(terms) + 1)) + 1, hp, hs, hq, hr)
+    slots = _layout(bound, min(len(p), len(q)))
+    packed_p, packed_q = slots.pack(p), slots.pack(q)
+    rhs = slots.mul(slots.pack(s), slots.mul(packed_q, packed_q))
+    return slots.is_zero(
+        slots.sub(slots.sub(slots.mul(packed_p, packed_p), rhs), slots.pack(r))
+    )
+
+
+def _palindrome(coeffs, sign: int) -> bool:
+    """Whether coeffs[j] = sign * coeffs[-1-j] for every j."""
+    mirror = coeffs[::-1]
+    if sign < 0:
+        mirror = [-c for c in mirror]
+    return list(coeffs) == list(mirror)
+
+
 def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
     """The slots for products, and linear combinations of products, whose
     every coefficient, input or output, is at most bound in absolute
@@ -344,9 +413,9 @@ def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
 
     Both layouts have the same methods: ``pack(coeffs)`` gives the packed
     value of a coefficient sequence, ``mul``, ``add`` and ``sub`` combine
-    packed values, and ``read(value, slots, start, stop)`` gives slots
+    packed values, ``read(value, slots, start, stop)`` gives slots
     start..stop-1 of a packed value that occupies at most ``slots``
-    slots."""
+    slots, and ``is_zero(value)`` tells whether a packed value is 0."""
     if size * bound.bit_length() >= _DECIMAL_CUTOFF:
         return _Base10(bound)
     return _TwoPoint(bound)
@@ -382,6 +451,10 @@ class _TwoPoint:
     def sub(x, y):
         return x[0] - y[0], x[1] - y[1]
 
+    @staticmethod
+    def is_zero(x):
+        return not any(x)
+
     def read(self, value, slots: int, start: int, stop: int) -> list[int]:
         """Slots ceil(start/2)..ceil(stop/2)-1 of the even quotient and
         floor(start/2)..floor(stop/2)-1 of the odd one, interleaved, the
@@ -409,6 +482,7 @@ class _Base10:
     mul = _DECIMAL.multiply
     add = _DECIMAL.add
     sub = _DECIMAL.subtract
+    is_zero = _DECIMAL.is_zero
 
     def __init__(self, bound: int):
         # The least w with 2 * bound < 10^w: the digit count of 2 * bound.

@@ -6,9 +6,10 @@ against quadratic residues, and so on.  The floating-point ones are only
 trusted at small sizes where float error cannot reach 0.5.
 
 The schoolbook polynomial product is the reference for the library's
-packed one, the direct O(d^2) loop of Newton's identities is the
-reference for the divide-and-conquer kernel behind both factor pairs,
-the fixed-point loop of the rounding route's lambda sum is the
+packed one and, in `square_identity_by_schoolbook`, for its packed zero
+test of P^2 - S*Q^2 - R; the direct O(d^2) loop of Newton's identities
+is the reference for the divide-and-conquer kernel behind both factor
+pairs, the fixed-point loop of the rounding route's lambda sum is the
 reference for its exact sum by pairing, the prime-by-prime stage 2
 of Pollard's p-1 method is the reference for the factorizer's stage 2 by
 baby and giant steps, and the search over v = 1, 2, ... is the reference
@@ -129,6 +130,30 @@ def schoolbook_mul(a, b):
         for j, y in enumerate(b.coeffs):
             out[i + j] += x * y
     return IntPolynomial(out)
+
+
+def square_identity_by_schoolbook(p, s, q, r):
+    """Whether P^2 - S*Q^2 - R = 0 for ascending coefficient sequences,
+    the two squares and the product by S by `schoolbook_mul`: the
+    reference for `poly._square_identity_holds`."""
+    p, s, q = (IntPolynomial(f) for f in (p, s, q))
+    square = schoolbook_mul(p, p).coeffs
+    product = schoolbook_mul(s, schoolbook_mul(q, q)).coeffs
+    size = max(len(square), len(product), len(r))
+    rows = (list(f) + [0] * (size - len(f)) for f in (square, product, r))
+    return all(a - b == c for a, b, c in zip(*rows))
+
+
+def pair_identity_terms(pair):
+    """(P, S, Q, R) of the identity P^2 - S*Q^2 = R of a Gauss or a Lucas
+    pair, as ascending coefficient tuples: (A_n, s*n, B_n, 4*Phi_n) with
+    B_n's zero x^d coefficient kept, or (C_n, n*x, D_n, F_n).  R is built
+    by `phi_moebius_loop`."""
+    if hasattr(pair, "alpha"):
+        r = tuple(4 * c for c in phi_moebius_loop(pair.n).coeffs)
+        return pair.alpha[::-1], (pair.s * pair.n,), pair.beta[::-1], r
+    r = phi_moebius_loop(pair.n_prime).coeffs
+    return pair.gamma[::-1], (0, pair.n), pair.delta[::-1], r
 
 
 def newton_pair_direct(n, u0, v0, c, p, q, r, odd, k_u, k_v):

@@ -62,10 +62,17 @@ def test_identity_fails_on_one_corrupt_coefficient(n):
     for field in ("alpha", "beta"):
         coeffs = getattr(pair, field)
         j = len(coeffs) // 2
-        for delta in (1, -1, big):
-            corrupt = coeffs[:j] + (coeffs[j] + delta,) + coeffs[j + 1 :]
+        corruptions = [(delta, {j: delta}) for delta in (1, -1, big)]
+        # Coefficients k and len - 1 - k changed together, by the
+        # polynomial's own mirror sign: the input stays reciprocal, so the
+        # check runs at the reduced width.
+        k = len(coeffs) // 4
+        sign = 1 if coeffs == coeffs[::-1] else -1
+        corruptions.append(("mirrored", {k: 1, len(coeffs) - 1 - k: sign}))
+        for label, change in corruptions:
+            corrupt = tuple(c + change.get(i, 0) for i, c in enumerate(coeffs))
             bad = dataclasses.replace(pair, **{field: corrupt})
-            assert not bad.identity_holds(), (field, delta)
+            assert not bad.identity_holds(), (field, label)
 
 
 def test_identity_expanded_by_hand_for_15():

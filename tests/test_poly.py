@@ -1,6 +1,7 @@
 """Exact integer polynomial arithmetic, and the tests' own polynomial
 helpers in `_oracles` (long division, P(x^k), P(-x), ...)."""
 
+import dataclasses
 import decimal
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 import aurifeuille.poly as poly
 from aurifeuille.gauss import algorithm_d
 from aurifeuille.lucas import algorithm_l
+from aurifeuille.numthy import is_squarefree
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
@@ -22,7 +24,9 @@ from _oracles import (
     exact_div,
     monomial,
     negate_arg,
+    pair_identity_terms,
     schoolbook_mul,
+    square_identity_by_schoolbook,
     symmetry_class,
 )
 
@@ -169,18 +173,122 @@ def test_square_matches_general_product(a):
     assert a * a == a * IntPolynomial(a.coeffs)
 
 
+def height(coeffs):
+    return max(map(abs, coeffs), default=0)
+
+
+def full_bound(p, s, q, r):
+    """B = len(P)*|P|^2 + |S|*len(Q)*|Q|^2 + |R|, the bound on every
+    coefficient of P^2 - S*Q^2 - R."""
+    return len(p) * height(p) ** 2 + height(s) * len(q) * height(q) ** 2 + height(r)
+
+
+def spy_layouts(monkeypatch):
+    """Record (bound, layout) for every `poly._layout` call."""
+    layouts = []
+    original = poly._layout
+
+    def layout(bound, size):
+        layouts.append((bound, original(bound, size)))
+        return layouts[-1][1]
+
+    monkeypatch.setattr(poly, "_layout", layout)
+    return layouts
+
+
 @pytest.mark.parametrize(
     "pair_of, n",
-    [(algorithm_d, 15), (algorithm_d, 1155), (algorithm_l, 15), (algorithm_l, 3001)],
+    [
+        (algorithm_d, 3),
+        (algorithm_d, 15),
+        (algorithm_d, 1155),
+        (algorithm_l, 15),
+        (algorithm_l, 3001),
+    ],
 )
 def test_identity_check_multiplies_two_squares(monkeypatch, pair_of, n):
-    # 4*Phi_n = A^2 - s*n*B^2 and F_n = C^2 - n*x*D^2 take two squares
-    # each; the factor x is a shift and n a scaling, not packed products.
+    # P^2 - S*Q^2 - R is formed from packed values and tested for zero, in
+    # either layout: two squares, one product by the packed monomial S, no
+    # read and no `_kronecker`.  A true pair at n > 3 is reciprocal and is
+    # packed for b = isqrt(B * (isqrt(2d + 1) + 1)) + 1, B being the full
+    # coefficient bound; A_3 = 2x + 1, and a pair whose leading coefficient
+    # is off by one, are not, and are packed for B itself.
     pair = pair_of(n)
-    calls = count_calls(monkeypatch, poly, "_kronecker")
-    assert pair.identity_holds()
-    assert len(calls) == 2
-    assert all(b is a for a, b, _, _ in calls)
+    field = "gamma" if pair_of is algorithm_l else "alpha"
+    coeffs = getattr(pair, field)
+    bad = dataclasses.replace(pair, **{field: (coeffs[0] + 1, *coeffs[1:])})
+    layouts, squares, reads = spy_layouts(monkeypatch), [], []
+
+    def spy_mul(mul):
+        def counted(x, y):
+            squares.append(x is y)
+            return mul(x, y)
+
+        return staticmethod(counted)
+
+    def spy_read(*args):
+        reads.append(args)
+
+    for kind in (poly._TwoPoint, poly._Base10):
+        monkeypatch.setattr(kind, "mul", spy_mul(kind.mul))
+        monkeypatch.setattr(kind, "read", spy_read)
+    kronecker = count_calls(monkeypatch, poly, "_kronecker")
+    for cutoff, kind in ((math.inf, poly._TwoPoint), (1, poly._Base10)):
+        monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
+        for candidate in (pair, bad):
+            p, s, q, r = pair_identity_terms(candidate)
+            full = full_bound(p, s, q, r)
+            half = math.isqrt(full * (math.isqrt(2 * len(p) - 1) + 1)) + 1
+            layouts.clear()
+            squares.clear()
+            assert candidate.identity_holds() is (candidate is pair)
+            [(bound, slots)] = layouts
+            assert bound == (half if candidate is pair and n > 3 else full)
+            assert type(slots) is kind
+            assert sorted(squares) == [False, True, True]
+    assert reads == [] and kronecker == []
+
+
+@pytest.mark.parametrize("broken", ["p", "q", "s", "r", "r-length"])
+def test_identity_check_takes_the_full_width_unless_reciprocal(monkeypatch, broken):
+    # C_15, 15x, D_15, F_15 with one condition of reciprocity broken: P or
+    # Q no palindrome, S = 15 so that S*Q^2 is centred off degree d, R no
+    # palindrome, or R given with a trailing zero, one coefficient longer
+    # than 2d + 1 (the identity still holds).  Each takes the full bound.
+    terms = dict(zip("psqr", pair_identity_terms(algorithm_l(15))))
+    if broken == "s":
+        terms["s"] = (15,)
+    elif broken == "r-length":
+        terms["r"] = (*terms["r"], 0)
+    else:
+        terms[broken] = (terms[broken][0] + 1, *terms[broken][1:])
+    layouts = spy_layouts(monkeypatch)
+    args = terms["p"], terms["s"], terms["q"], terms["r"]
+    holds = poly._square_identity_holds(*args)
+    assert holds == square_identity_by_schoolbook(*args) == (broken == "r-length")
+    assert [bound for bound, _ in layouts] == [full_bound(*args)]
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_identity_check_matches_the_schoolbook_reference(data):
+    # One coefficient of either polynomial of either pair is changed by
+    # +-1 or +-2^k; a symmetric change moves its mirror image too, by the
+    # polynomial's own sign, and keeps the input reciprocal.
+    n = data.draw(st.integers(2, 3000).filter(is_squarefree), label="n")
+    pair_of = data.draw(st.sampled_from([algorithm_l, algorithm_d] if n % 2 else [algorithm_l]))
+    pair = pair_of(n)
+    field = data.draw(st.sampled_from(["gamma", "delta"] if pair_of is algorithm_l else ["alpha", "beta"]))
+    coeffs = list(getattr(pair, field))
+    j = data.draw(st.integers(0, len(coeffs) - 1), label="j")
+    bits = height(coeffs).bit_length() + 2
+    delta = data.draw(st.sampled_from([1, -1])) << data.draw(st.one_of(st.just(0), st.integers(1, bits)))
+    coeffs[j] += delta
+    if data.draw(st.booleans(), label="symmetric") and 2 * j + 1 != len(coeffs):
+        sign = 1 if getattr(pair, field) == getattr(pair, field)[::-1] else -1
+        coeffs[-1 - j] += sign * delta
+    bad = dataclasses.replace(pair, **{field: tuple(coeffs)})
+    assert bad.identity_holds() == square_identity_by_schoolbook(*pair_identity_terms(bad))
 
 
 @given(
