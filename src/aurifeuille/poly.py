@@ -384,9 +384,9 @@ def _square_identity_holds(p, s, q, r) -> bool:
     if (
         len(s) - 1 + len(q) == len(p)
         and len(r) == terms
-        and (_palindrome(p, 1) or _palindrome(p, -1))
-        and (_palindrome(q, 1) or _palindrome(q, -1))
-        and _palindrome(r, 1)
+        and _mirror_sign(p)
+        and _mirror_sign(q)
+        and _mirror_sign(r) == 1
     ):
         bound = max(isqrt(bound * (isqrt(terms) + 1)) + 1, hp, hs, hq, hr)
     slots = _layout(bound, min(len(p), len(q)))
@@ -397,12 +397,13 @@ def _square_identity_holds(p, s, q, r) -> bool:
     )
 
 
-def _palindrome(coeffs, sign: int) -> bool:
-    """Whether coeffs[j] = sign * coeffs[-1-j] for every j."""
+def _mirror_sign(coeffs) -> int:
+    """1 if coeffs[j] = coeffs[-1-j] for every j, else -1 if
+    coeffs[j] = -coeffs[-1-j] for every j, else 0."""
     mirror = coeffs[::-1]
-    if sign < 0:
-        mirror = [-c for c in mirror]
-    return list(coeffs) == list(mirror)
+    if coeffs == mirror:
+        return 1
+    return -1 if all(a == -b for a, b in zip(coeffs, mirror)) else 0
 
 
 def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
