@@ -225,13 +225,13 @@ def _rounding_split(n: int, m: int, f_val: int, lam: int) -> AurifeuilleResult:
     # operation to the *current* working precision, not the operands'.
     with mpmath.workprec(bits):
         f_minus = int(mpmath.floor(hat + mpmath.mpf(1) / 2))
-        if f_minus < 1 or f_val % f_minus:
+        f_plus, rest = divmod(f_val, max(f_minus, 1))
+        if f_minus < 1 or rest:
             raise RoundingFailed(
                 f"rounded estimate {f_minus} does not divide "
                 f"F_{n}({m * m * n})"
             )
         residual = float(abs(hat - f_minus))
-    f_plus = f_val // f_minus
     return AurifeuilleResult(
         n=n,
         m_num=m,

@@ -19,21 +19,26 @@ the descending coefficients alpha_k of A_n and beta_k of B_n satisfy
     2k * beta_k  = sum_{j<k} ( r_{k-j}*alpha_j   - q_{k-j}*beta_j  ).
 
 This is the shared Newton-identity kernel `numthy._newton_pair` with
-c = s*n and p = r; every division by 2k is exact when the inputs are
-consistent, and a failed division is reported as `NonIntegerStep`, which
-means corrupted inputs or an implementation bug (it doubles as an
-overflow canary in ports to bounded integer types).
+c = s*n, p = r and odd = 0; every division by 2k is exact when the inputs
+are consistent, and a failed division is reported as `NonIntegerStep`,
+which means corrupted inputs or an implementation bug (it doubles as an
+overflow canary in ports to bounded integer types).  q_k is Ramanujan's
+sum c_n(k), which the kernel takes as residue classes, one per divisor
+of n up to the last step (`numthy._ramanujan_classes`); only r is a
+list.
 
 Both halves of each pair are symmetric up to sign, so the half
 recurrence runs k = 1..floor(d/2) and the rest is mirrored:
 alpha_k = (-1)^d alpha_{d-k} (n > 3), and beta_k = -beta_{d-k} when n is
 composite with n = 3 (mod 4), beta_k = beta_{d-k} otherwise.  For n = 3
 (d = 1) the half recurrence is the one step k = 1 and nothing is
-mirrored.  The kernel sums the half recurrence by divide and conquer
-over packed products, in O(M(d) log d) rather than d^2 products.
+mirrored.  The kernel sums the character half by divide and conquer
+over packed products, in O(M(d) log d) rather than d^2 products, and the
+Ramanujan half by one running residue-class sum per class; for a prime n
+that is one running sum, c_n(k) = -1 for k < n.
 
-The primes of n are found once per pair, by `make_context`, and feed
-every q_k.  The identity check is the pair's own
+The primes of n are found once per pair, by `make_context`, and give
+every class.  The identity check is the pair's own
 `GaussPair.identity_holds`, so a caller holding the pair never recomputes
 it; `verify_gauss(n)` applies it to `algorithm_d(n)`.  The check builds no
 polynomial product: `poly._square_identity_holds` packs A_n, B_n, s*n and
@@ -50,8 +55,8 @@ from dataclasses import dataclass
 from .errors import NotOddSquareFree, NotSquareFree
 from .numthy import (
     NumTheoryContext,
-    _moebius_phi,
     _newton_pair,
+    _ramanujan_classes,
     jacobi,
     make_context,
 )
@@ -94,9 +99,9 @@ def algorithm_d(n: int) -> GaussPair:
     ctx = _odd_context(n)
     d = ctx.d_gauss
     direct = max(1, d // 2)
-    q = [_moebius_phi(ctx.primes, k) for k in range(direct + 1)]
     r = [jacobi(k, n) for k in range(direct + 1)]  # r_0 = (0|n) = 0
-    alpha, beta = _newton_pair(n, 2, 0, ctx.s * n, r, q, r, 0, direct, direct)
+    q = _ramanujan_classes(ctx.primes, direct)
+    alpha, beta = _newton_pair(n, 2, 0, ctx.s * n, r, q, (1,), 0, direct, direct)
     sign_a = -1 if d % 2 else 1
     sign_b = -1 if (n % 4 == 3 and len(ctx.primes) > 1) else 1
     alpha += [sign_a * alpha[d - k] for k in range(direct + 1, d + 1)]

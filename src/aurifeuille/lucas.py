@@ -23,16 +23,26 @@ Writing C_n = sum gamma_j x^(d-j) and D_n = sum delta_j x^(d-1-j):
     (2k+1) * delta_k = gamma_k + sum_{j<k} ( q_{2k+1-2j} * gamma_j - q_{2k-2j} * delta_j ).
 
 This is the shared Newton-identity kernel `numthy._newton_pair` with
-c = n on the lists q_{2i-1}, q_{2i} and q_{2i+1} (its p_i, q_i and r_i);
-its j = k term q_1 * gamma_k = gamma_k is the lone gamma_k above.  All
-divisions are exact for consistent inputs (`NonIntegerStep` otherwise).
-Both polynomials are palindromic, so the half recurrence stops at
-gamma_{floor(d/2)} and delta_{floor((d-1)/2)} and the rest is mirrored.
-The kernel sums the half recurrence by divide and conquer over packed
-products, in O(M(d) log d) rather than d^2 products.
+c = n and odd = 1: its p_i = q_{2i-1} are Jacobi characters, its
+r_i = p_{i+1} = q_{2i+1} (the j = k term q_1 * gamma_k = gamma_k is the
+lone gamma_k above), and its q_i = q_{2i} is a Ramanujan sum times a sign,
+given as residue classes.  With h = n/2 for even n,
 
-The primes of n are found once per pair, by `make_context`, and feed every
-q_k.  The identity check and the split are the pair's own
+    q_{2i} = c_n(i)                    for n = 1 (mod 4),
+    q_{2i} = (-1)^i * c_n(i)           for n = 3 (mod 4),
+    q_{2i} = 2 * cos(i*pi/2) * c_h(i)  for even n,
+
+c_N(i) being Ramanujan's sum, one class per divisor of N; `_classes`
+says how the sign becomes the kernel's twist.  All divisions are exact
+for consistent inputs (`NonIntegerStep` otherwise).  Both polynomials
+are palindromic, so the half recurrence stops at gamma_{floor(d/2)} and
+delta_{floor((d-1)/2)} and the rest is mirrored.  The kernel sums the
+character half by divide and conquer over packed products, in
+O(M(d) log d) rather than d^2 products, and the Ramanujan half by one
+running residue-class sum per class.
+
+The primes of n are found once per pair, by `make_context`, and give
+every class.  The identity check and the split are the pair's own
 `LucasPair.identity_holds` and `LucasPair.split_at`, so a caller holding
 the pair never recomputes it; `verify_lucas(n)` applies the check to
 `algorithm_l(n)`.  The check builds no polynomial product:
@@ -49,15 +59,13 @@ from dataclasses import dataclass
 
 from .numthy import (
     NumTheoryContext,
-    _moebius_phi,
     _newton_pair,
+    _ramanujan_classes,
     jacobi,
     make_context,
 )
 from .poly import IntPolynomial, _square_identity_holds
 from .cyclotomic import phi_moebius
-
-_COS_QUARTER = (1, 0, -1, 0)  # cos(t*pi/2) for t = 0, 1, 2, 3 (mod 4)
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,11 @@ def algorithm_l(n: int) -> LucasPair:
     """Compute the Lucas pair (C_n, D_n) for square-free n >= 2."""
     ctx = make_context(n)
     d = ctx.d_lucas
-    q = [0] + [_q(ctx, k) for k in range(1, d + 1)]
-    q_odd = q[1::2]  # q_{2i+1}; q_odd[0] = q_1 = 1 gives delta_k its gamma_k
-    gamma, delta = _newton_pair(
-        n, 1, 1, n, [0] + q_odd, q[::2], q_odd, 1, d // 2, (d - 1) // 2
-    )
+    k_u = d // 2
+    # p_i = q_{2i-1} = (n|2i-1); r_0 = p_1 = q_1 = 1 gives delta_k its gamma_k.
+    p = [0] + [jacobi(n, k) for k in range(1, 2 * k_u + 2, 2)]
+    classes, twist = _classes(ctx, k_u)
+    gamma, delta = _newton_pair(n, 1, 1, n, p, classes, twist, 1, k_u, (d - 1) // 2)
     gamma += [gamma[d - k] for k in range(d // 2 + 1, d + 1)]
     delta += [delta[d - 1 - k] for k in range((d - 1) // 2 + 1, d)]
     return LucasPair(
@@ -127,17 +135,23 @@ def verify_lucas(n: int) -> bool:
     return algorithm_l(n).identity_holds()
 
 
-def _q(ctx: NumTheoryContext, k: int) -> int:
+def _classes(ctx: NumTheoryContext, last: int) -> tuple[list, tuple[int, ...]]:
+    """The residue classes and the twist that give the kernel's q_i =
+    q_{2i} for 1 <= i <= last.
+
+    For odd n, q_{2i} = c_n(i) times cos((n-1)*i*pi/2), which is 1 for
+    n = 1 (mod 4) and (-1)^i for n = 3 (mod 4), the twist (1, -1).  For
+    even n = 2h, q_{2i} = 2 * c_h(i) * cos(i*pi/2), which vanishes for odd
+    i; h is odd, so e | i with i even is 2e | i, and there the cosine is
+    (-1)^(i/2): classes (2e, 0, 2w) under the twist (1, 1, -1, -1), whose
+    sign (-1)^floor(i/2) splits over the even differences the classes
+    hold."""
     n = ctx.n
-    if k % 2:
-        return jacobi(n, k)
-    c = _COS_QUARTER[((n - 1) * (k // 2)) % 4]
-    if c == 0:
-        return 0
-    # mu(n'/g) * phi(g) with g = gcd(k, n').  For odd n the factor 2 of
-    # n' = 2n divides the even k and contributes phi(2) = 1.  For even n,
-    # c != 0 forces 4 | k, and 4 | n' contributes phi(4) = 2.
-    return _moebius_phi(ctx.primes, k) * c * (1 if n % 2 else 2)
+    if n % 2:
+        twist = (1,) if n % 4 == 1 else (1, -1)
+        return _ramanujan_classes(ctx.primes, last), twist
+    half = _ramanujan_classes(ctx.primes[1:], last // 2)
+    return [(2 * e, 0, 2 * w) for e, _, w in half], (1, 1, -1, -1)
 
 
 __all__ = [

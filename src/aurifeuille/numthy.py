@@ -15,20 +15,25 @@ n >= 2 by `make_context`:
 The Gauss pair (A_n, B_n) has degree d_gauss = phi(n)/2 (odd n); the Lucas
 pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
 lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
-n, found once by `make_context`, as do the power sums mu(N/g) * phi(g)
-that drive both recurrences (`_moebius_phi`), which are one kernel,
-`_newton_pair`.
+n, found once by `make_context`, and from the power sums that drive both
+recurrences, which are one kernel, `_newton_pair`.  Half of those power
+sums are Jacobi characters, lists of 0 and +-1.  The other half are
+Ramanujan sums c_N(k) = mu(N/g) * phi(g), g = gcd(k, N), times a sign in
+the Lucas case, and the kernel takes them as residue classes: c_N(k) is
+the sum of e * mu(N/e) over the divisors e of N that divide k
+(`_ramanujan_classes`).
 
 The kernel's Newton sums are online convolutions: step k needs every
-coefficient before it.  It computes them by divide and conquer, so a
-recurrence of d steps costs O(M(d) log d), with M(d) the cost of one
-packed product of d coefficients, in place of the d^2 coefficient
-products of the direct loop, which the tests keep as the reference.
-Blocks of at most `_LEAF` = 48 steps are summed directly.  Each solved
-block feeds the steps after it through three packed products of
-`poly`'s layouts and two reads of their differences; the `poly` module
-docstring says why such differences read back exactly, and the
-`_newton_pair` docstring derives the slot bound.
+coefficient before it.  The kernel sums the Ramanujan half by one
+running residue-class sum per class, and the character half by divide
+and conquer, so a recurrence of d steps costs O(M(d) log d), with M(d)
+the cost of one packed product of d coefficients, plus one update and
+one read of a running sum per class and step, in place of the d^2
+coefficient products of the direct loop, which the tests keep as the
+reference.  Blocks of at most `_LEAF` = 48 steps are summed directly.
+Each solved block feeds the steps after it through two packed products
+of `poly`'s layouts, read as two runs of slots; the `_newton_pair`
+docstring derives the slot bound.
 """
 
 from __future__ import annotations
@@ -129,74 +134,100 @@ def _require_squarefree(n: int, minimum: int = 2) -> tuple[int, ...]:
     return tuple(p for p, _ in factors)
 
 
-def _moebius_phi(primes: tuple[int, ...], k: int) -> int:
-    """mu(N/g) * phi(g) with g = gcd(k, N), for the square-free N whose
-    primes are given: each prime p of N contributes p - 1 when it divides
-    k and -1 when it does not."""
-    out = 1
+def _ramanujan_classes(
+    primes: tuple[int, ...], last: int
+) -> list[tuple[int, int, int]]:
+    """Ramanujan's sum c_N(k) for the square-free N whose primes are
+    given, as the kernel's residue classes: (e, 0, e * mu(N/e)) for each
+    divisor e <= last of N, since c_N(k) sums e * mu(N/e) over the
+    divisors e of gcd(k, N) (Ramanujan, Trans. Cambridge Philos. Soc.
+    1918).  For 1 <= k <= last the classes sum to c_N(k) = mu(N/g) * phi(g)
+    with g = gcd(k, N); a larger divisor divides no such k."""
+    classes = [(1, 0, (-1) ** len(primes))]
     for p in primes:
-        out *= p - 1 if k % p == 0 else -1
-    return out
+        # Moving p from N/e into e flips mu(N/e); a divisor past last
+        # has no multiple among the divisors still to be built.
+        classes += [(e * p, 0, -w * p) for e, _, w in classes if e * p <= last]
+    return classes
 
 
-def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
+def _newton_pair(n, u0, v0, c, p, classes, twist, odd, k_u, k_v):
     """The coefficient lists u_0..u_{k_u}, v_0..v_{k_v} (ints, with
     k_u - 1 <= k_v <= k_u) of a factor pair, by Newton's identities on its
-    power-sum lists p, q, r:
+    power sums p, q and r_i = p_{i+odd}:
 
         2k * u_k         = sum_{j<k} ( c*p_{k-j}*v_j - q_{k-j}*u_j ),
         (2k + odd) * v_k = sum_{j<=k} r_{k-j}*u_j - sum_{j<k} q_{k-j}*v_j.
 
-    p and q hold at least k_u + 1 entries and r at least k_v + 1; p[0]
-    and q[0] are never read, r[0] is.  Every division is exact for
-    consistent inputs, and a failed one raises `NonIntegerStep` naming n
-    and k.
+    p is a list of at least k_u + 1 + odd entries, characters (0 or +-1)
+    in both callers; p[0] is read only as r_0, when odd = 0.  q is given
+    by residue classes and a twist, a tuple of signs:
 
-    The sums are computed by divide and conquer, as in the relaxed
-    products of van der Hoeven (J. Symb. Comp. 2002) with one factor known
-    in advance; Brent & Kung (J. ACM 1978) treat such series recurrences.
-    To solve the steps [lo, hi): solve [lo, mid), add what u_j and v_j for
-    j in [lo, mid) give to the sums of every k in [mid, hi), then solve
-    [mid, hi).  With w_j = u_j + v_j, cpq = c*p + q and rq = r + q,
+        q_i = twist[i % len(twist)] * (sum of w over the classes (m, t, w)
+                                       with i = t (mod m)),
 
-        sum (c*p*v - q*u) = sum cpq*v - sum q*w,
-        sum (r*u - q*v)   = sum rq*u  - sum q*w,
+    where the twist sigma(i) must satisfy sigma(k - j) = sigma(k) sigma(j)
+    whenever a class holds k - j, as (1,) and (1, -1) always do.  Every
+    division is exact for consistent inputs, and a failed one raises
+    `NonIntegerStep` naming n and k.
 
-    so those additions are one feed (`_feed`): the block's U, V and the
-    known Q, CPQ, RQ each packed once, at one slot width, the three
-    products B = (U+V)*Q, V*CPQ and U*RQ, and the two differences
-    V*CPQ - B and U*RQ - B read into the sums, U + V being the sum of
-    the packed U and V (packing is linear; see `poly`).  A difference
-    reads back exactly once its slots fit.  For a block of m solved steps,
-    slot k of either difference sums at most m terms (m <= L, the length
-    of Q), so with |x| the largest entry of the list x,
+    The q half is never convolved.  With sigma(k - j) split,
 
-        |sum (cpq_i v_j - q_i w_j)| <= m (|v| |cpq| + (|u| + |v|) |q|),
-        |sum (rq_i u_j  - q_i w_j)| <= m (|u| |rq|  + (|u| + |v|) |q|),
+        sum_{j<k} q_{k-j} u_j = sigma(k) * sum over the classes of
+                                w * S[(k - t) mod m],
 
-    since |w| <= |u| + |v|.  The feed's slot bound is the larger right
-    side, with every |x| taken as at least 1 so that it also bounds every
-    entry packed.  It exceeds one product's bound by the second term: a
-    slot one bit or one digit narrower can fail where u = v.
+    S[i] being the sum of sigma(j) u_j over the j < k with j = i (mod m),
+    and the same for v.  The kernel keeps these running residue-class
+    sums, one pair of lists of m entries per class: each step adds
+    u_{k-1} and v_{k-1} to one entry of each and reads one entry of each.
+    Both callers pass at most one class per divisor of n, and only those
+    a step reaches, so for a prime n one running sum.
 
-    A block of at most `_LEAF` steps is summed directly, keeping w as a
-    running list: each step makes three dot products, the shared q.w,
-    cpq.v for u_k and rq.u for v_k, and adds r_0*u_k.  This costs
-    O(M(d) log d) for d = k_u steps, with M(d) the cost of one product of
-    d coefficients, against the direct loop's d^2 coefficient products.
-    Steps still run in increasing k, a step's sums are complete when it
-    reads them, and each coefficient is still one exact division of the
-    same sum, so a failing step raises at the same k, with the same
-    message, as the direct loop would.
+    The character half is computed by divide and conquer, as in the
+    relaxed products of van der Hoeven (J. Symb. Comp. 2002) with one
+    factor known in advance; Brent & Kung (J. ACM 1978) treat such series
+    recurrences.  To solve the steps [lo, hi): solve [lo, mid), add what
+    u_j and v_j for j in [lo, mid) give to sum c*p*v and sum r*u for
+    every k in [mid, hi), then solve [mid, hi).  Those additions are one
+    feed (`_feed`): the block's U and V and the known P packed once, at
+    one slot width, and the two products V*P and U*P each read as a run
+    of slots, the second one slot later when odd = 1, for which R is P
+    shifted by one: the one term this adds to a slot, p_1 times the U
+    entry of the slot's own index, lies past the end of U in every slot
+    read.  For a block of m solved steps, a slot of either product sums
+    at most m terms, so with |x| the largest entry of the list x,
+
+        |sum p_i v_j|, |sum p_i u_j| <= m * max(|u|, |v|) * |p|,
+
+    the feed's slot bound, with every |x| taken as at least 1 so that it
+    also bounds every entry packed.  It is reached where the entries are
+    at their largest and their signs align, so a slot one bit or one
+    digit narrower can fail.  The entries of p are characters, so the
+    slots need only the width of u and v; c multiplies the slots read.
+
+    A block of at most `_LEAF` steps is summed directly: each step makes
+    two dot products, p_1, p_2, ... against the block's v_j and
+    r_0, r_1, ... against its u_j, both last first; the two lists of p
+    are built once per call and the block's u_j and v_j are kept last
+    first, so no step slices a list.  This costs O(M(d) log d) for
+    d = k_u steps, with M(d) the cost of one product of d coefficients,
+    plus d times the number of classes for the running sums, against the
+    direct loop's d^2 coefficient products.  Steps still run in
+    increasing k, a step's sums are complete when it reads them, and each
+    coefficient is still one exact division of the same sum, so a failing
+    step raises at the same k, with the same message, as the direct loop
+    would.
     """
-    u, v, w = [u0], [v0], [u0 + v0]  # w_j = u_j + v_j
-    # su[k], sv[k]: the parts of step k's two sums from the j already folded
-    # in by the products; the leaf containing k adds the rest.
+    u, v = [u0], [v0]
+    # su[k], sv[k]: the parts of step k's character sums from the j
+    # already folded in by the products; the leaf containing k adds the rest.
     su = [0] * (k_u + 1)
     sv = [0] * (k_u + 1)
-    cpq = [c * x + y for x, y in zip(p, q)]
-    rq = list(map(add, r, q))
-    r0 = r[0]
+    p_1, r = p[1:], p[odd:]
+    # Each class's running sums of sigma(j) u_j and sigma(j) v_j, entry i
+    # over the j = i (mod m) already solved.
+    sums = [(m, t, w, [0] * m, [0] * m) for m, t, w in classes]
+    period = len(twist)
     # The blocks still to do, last first.  (lo, hi, None) is a block to
     # solve; (lo, hi, mid) says that [lo, mid) is solved and must now feed
     # the steps [mid, hi).  A list, not a recursive inner function: that
@@ -206,15 +237,12 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
     while todo:
         lo, hi, mid = todo.pop()
         if mid is not None:
-            # k - j runs over 1..hi-lo-1, and slot i of a product is step
-            # lo + 1 + i.  rq may stop one entry short of hi - lo - 1 when
-            # k_v < k_u: the entry it lacks only reaches sv[k_u], never read.
+            # Slot i of a product is step lo + 1 + i: p_1..p_{hi-lo-1+odd}.
             du, dv = _feed(
                 u[lo:mid],
                 v[lo:mid],
-                q[1 : hi - lo],
-                cpq[1 : hi - lo],
-                rq[1 : hi - lo],
+                p[1 : hi - lo + odd],
+                odd,
                 mid - lo - 1,
                 hi - lo - 1,
             )
@@ -224,9 +252,22 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
             mid = (lo + hi) // 2
             todo += [(mid, hi, None), (lo, hi, mid), (lo, mid, None)]
         else:
+            u_last, v_last = u[lo:][::-1], v[lo:][::-1]
             for k in range(max(lo, 1), hi):
-                both = sum(map(mul, q[k - lo : 0 : -1], w[lo:]))
-                acc = su[k] + sum(map(mul, cpq[k - lo : 0 : -1], v[lo:])) - both
+                x, y = u[-1], v[-1]
+                if twist[(k - 1) % period] < 0:
+                    x, y = -x, -y
+                qu = qv = 0
+                for m, t, w, sum_u, sum_v in sums:
+                    i = (k - 1) % m
+                    sum_u[i] += x
+                    sum_v[i] += y
+                    i = (k - t) % m
+                    qu += w * sum_u[i]
+                    qv += w * sum_v[i]
+                if twist[k % period] < 0:
+                    qu, qv = -qu, -qv
+                acc = c * (su[k] + sum(map(mul, p_1, v_last))) - qu
                 div = 2 * k
                 if acc % div:
                     raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
@@ -234,37 +275,33 @@ def _newton_pair(n, u0, v0, c, p, q, r, odd, k_u, k_v):
                 u.append(uk)
                 if k > k_v:
                     break
-                # u[lo:] now ends in u_k, which r_0 multiplies; map stops
-                # at the shorter rq slice before it.
-                acc = sv[k] + sum(map(mul, rq[k - lo : 0 : -1], u[lo:])) - both + r0 * uk
+                u_last.insert(0, uk)  # r_0 now meets u_k
+                acc = sv[k] + sum(map(mul, r, u_last)) - qv
                 div += odd
                 if acc % div:
                     raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
                 vk = acc // div
                 v.append(vk)
-                w.append(uk + vk)
+                v_last.insert(0, vk)
     return u, v
 
 
-def _feed(ub, vb, q, cpq, rq, first, last):
-    """Slots first..last-1 of V*CPQ - B and of U*RQ - B, with B = (U+V)*Q,
-    for the coefficient lists ub, vb of U, V (of one length m) and q, cpq,
-    rq of Q, CPQ, RQ (q and cpq of one length L >= m, rq of L or L - 1):
-    the parts of the kernel's two sums that a solved block sends on.
+def _feed(ub, vb, pb, odd, first, last):
+    """Slots first..last-1 of V*P and first+odd..last-1+odd of U*P, for
+    the coefficient lists ub, vb of U, V (of one length m) and pb of P:
+    the parts of the kernel's two character sums that a solved block
+    sends on.
 
-    Five packings, three products and two reads, at the slot bound of the
-    `_newton_pair` docstring.  B is formed first, and each difference in
-    turn, so only one product besides B is alive at a time.
+    Three packings, two products and two reads, at the slot bound of the
+    `_newton_pair` docstring.  P is packed once for both products.
     """
-    mu, mv = max(map(abs, ub)) or 1, max(map(abs, vb)) or 1
-    mq, mc, mr = max(map(abs, q)) or 1, max(map(abs, cpq)) or 1, max(map(abs, rq)) or 1
-    size = min(len(ub), len(q))
-    slots = _layout(size * ((mu + mv) * mq + max(mv * mc, mu * mr)), size)
-    pu, pv = slots.pack(ub), slots.pack(vb)
-    both = slots.mul(slots.add(pu, pv), slots.pack(q))
-    length = len(ub) + len(q) - 1
-    du = slots.read(slots.sub(slots.mul(pv, slots.pack(cpq)), both), length, first, last)
-    dv = slots.read(slots.sub(slots.mul(pu, slots.pack(rq)), both), length, first, last)
+    size = min(len(ub), len(pb))
+    top = max(max(map(abs, ub)), max(map(abs, vb)), 1)
+    slots = _layout(size * top * (max(map(abs, pb)) or 1), size)
+    packed = slots.pack(pb)
+    length = len(ub) + len(pb) - 1
+    du = slots.read(slots.mul(slots.pack(vb), packed), length, first, last)
+    dv = slots.read(slots.mul(slots.pack(ub), packed), length, first + odd, last + odd)
     return du, dv
 
 

@@ -39,9 +39,9 @@ is the packed product.  A sum or difference of packed products is
 therefore the packed value of the same sum or difference of polynomial
 products, and it reads back exactly, slot by slot, whenever each of its
 coefficients, not only each product's, is at most the bound: the
-reading never looks at how a slot's value arose.  The recurrence kernel
-`numthy._newton_pair` relies on this to pack each of its operands once
-and read two differences of products.
+reading never looks at how a slot's value arose.  The identity check
+`_square_identity_holds` relies on this to pack each of its operands
+once and test one combination of products.
 
 CPython multiplies ints by Karatsuba only, in O(N^1.585) for N bits, so
 the binary branch halves its operands by two-point Kronecker

@@ -9,7 +9,9 @@ The schoolbook polynomial product is the reference for the library's
 packed one and, in `square_identity_by_schoolbook`, for its packed zero
 test of P^2 - S*Q^2 - R; the direct O(d^2) loop of Newton's identities
 is the reference for the divide-and-conquer kernel behind both factor
-pairs, the fixed-point loop of the rounding route's lambda sum is the
+pairs, and the per-k formulas for the power sums (`moebius_phi`,
+`lucas_q`) are the reference for the residue classes the kernel takes
+in their place; the fixed-point loop of the rounding route's lambda sum is the
 reference for its exact sum by pairing, the prime-by-prime stage 2
 of Pollard's p-1 method is the reference for the factorizer's stage 2 by
 baby and giant steps, and the search over v = 1, 2, ... is the reference
@@ -176,6 +178,71 @@ def newton_pair_direct(n, u0, v0, c, p, q, r, odd, k_u, k_v):
             raise NonIntegerStep(f"n={n}, k={k}: {div} does not divide {acc}")
         v.append(acc // div)
     return u, v
+
+
+def expand_classes(classes, twist, count):
+    """The list [0, q_1, ..., q_count] that the kernel's residue classes
+    stand for: q_i is twist[i % len(twist)] times the sum of w over the
+    classes (m, t, w) with i = t (mod m).  q_0 is never read."""
+    q = [0] * (count + 1)
+    for m, t, w in classes:
+        for i in range(t % m or m, count + 1, m):
+            q[i] += w
+    return [twist[i % len(twist)] * x for i, x in enumerate(q)]
+
+
+def kernel_call(module, n):
+    """The arguments that `module.algorithm_d(n)`, for the module
+    `aurifeuille.gauss`, or `module.algorithm_l(n)`, for
+    `aurifeuille.lucas`, passes the kernel `_newton_pair`, which is not
+    run."""
+
+    class Stopped(Exception):
+        pass
+
+    def stop(*args):
+        raise Stopped(args)
+
+    algorithm = getattr(module, "algorithm_d", None) or module.algorithm_l
+    kernel, module._newton_pair = module._newton_pair, stop
+    try:
+        algorithm(n)
+    except Stopped as stopped:
+        return stopped.args[0]
+    finally:
+        module._newton_pair = kernel
+    raise AssertionError(f"{algorithm.__name__}({n}) made no kernel call")
+
+
+def moebius_phi(primes, k):
+    """mu(N/g) * phi(g) with g = gcd(k, N), for the square-free N whose
+    primes are given: each prime p of N contributes p - 1 when it divides
+    k and -1 when it does not."""
+    out = 1
+    for p in primes:
+        out *= p - 1 if k % p == 0 else -1
+    return out
+
+
+_COS_QUARTER = (1, 0, -1, 0)  # cos(t*pi/2) for t = 0, 1, 2, 3 (mod 4)
+
+
+def lucas_q(primes, k):
+    """The Lucas power sum q_k of the square-free n whose primes are
+    given: (n|k) for odd k, and mu(n'/g) * phi(g) * cos((n-1)*k*pi/4) with
+    g = gcd(k, n') for even k, the cosine from a quarter-period table."""
+    n = 1
+    for p in primes:
+        n *= p
+    if k % 2:
+        return jacobi(n, k)
+    c = _COS_QUARTER[((n - 1) * (k // 2)) % 4]
+    if c == 0:
+        return 0
+    # mu(n'/g) * phi(g) with g = gcd(k, n').  For odd n the factor 2 of
+    # n' = 2n divides the even k and contributes phi(2) = 1.  For even n,
+    # c != 0 forces 4 | k, and 4 | n' contributes phi(4) = 2.
+    return moebius_phi(primes, k) * c * (1 if n % 2 else 2)
 
 
 def lambda_sum_fixed_point(n, x, lam, frac_bits):

@@ -35,7 +35,7 @@ from aurifeuille.numthy import (
 from aurifeuille.poly import IntPolynomial
 from aurifeuille.series_oracle import gauss_via_series, lucas_via_series
 
-from _oracles import phi_bound, ratio_estimate, squarefree_range
+from _oracles import expand_classes, phi_bound, ratio_estimate, squarefree_range
 
 
 def _run(k, label, body):
@@ -89,9 +89,8 @@ def test_criterion_1_reference_coefficients():
 def test_criterion_2_worked_trace_fidelity():
     def body(failures):
         ctx = make_context(15)
-        qr = [
-            (numthy._moebius_phi(ctx.primes, k), jacobi(k, 15)) for k in (1, 2, 3, 4)
-        ]
+        gq = expand_classes(numthy._ramanujan_classes(ctx.primes, 4), (1,), 4)
+        qr = [(gq[k], jacobi(k, 15)) for k in (1, 2, 3, 4)]
         if [q for q, _ in qr] != [1, 1, -2, 1]:
             failures.append(f"gauss q_1..q_4 = {[q for q, _ in qr]}")
         if [r for _, r in qr] != [1, 1, 0, 1]:
@@ -105,7 +104,9 @@ def test_criterion_2_worked_trace_fidelity():
         ):
             if got != want:
                 failures.append(f"{name} = {got}, want {want}")
-        lq = [lucas._q(ctx, k) for k in (1, 2, 3, 4)]
+        # Lucas q_k: (15|k) for odd k, residue classes in i = k/2 for even k
+        even = expand_classes(*lucas._classes(ctx, 2), 2)
+        lq = [jacobi(15, k) if k % 2 else even[k // 2] for k in (1, 2, 3, 4)]
         if lq != [1, -1, 0, 1]:
             failures.append(f"lucas q_1..q_4 = {lq}")
         lpair = algorithm_l(15)

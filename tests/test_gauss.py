@@ -13,7 +13,7 @@ from aurifeuille.numthy import factorize, jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import euler_phi, squarefree_range
+from _oracles import euler_phi, expand_classes, squarefree_range
 
 
 def odd_squarefree(lo, hi):
@@ -104,9 +104,10 @@ def test_power_parts_against_half_sums():
     for n in (5, 7, 15, 21, 33):
         s = 1 if n % 4 == 1 else -1
         root_sn = complex(s * n) ** 0.5
-        ctx = make_context(n)
+        classes = numthy._ramanujan_classes(make_context(n).primes, 11)
+        qs = expand_classes(classes, (1,), 11)
         for k in range(1, 12):
-            q, r = numthy._moebius_phi(ctx.primes, k), jacobi(k, n)
+            q, r = qs[k], jacobi(k, n)
             total = sum(
                 complex(math.cos(2 * math.pi * a * k / n),
                         math.sin(2 * math.pi * a * k / n))

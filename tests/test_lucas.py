@@ -14,7 +14,14 @@ from aurifeuille.numthy import divisors, jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
-from _oracles import euler_phi, moebius, squarefree_range, symmetry_class
+from _oracles import (
+    euler_phi,
+    expand_classes,
+    kernel_call,
+    moebius,
+    squarefree_range,
+    symmetry_class,
+)
 
 
 def test_known_pairs():
@@ -83,22 +90,26 @@ def test_identity_expanded_for_15():
 
 
 def test_lucas_q_odd_is_jacobi():
+    # The odd-index power sums reach the kernel as its characters p_i =
+    # q_{2i-1}, and as r_i = p_{i+1} = q_{2i+1}.
     for n in squarefree_range(2, 40):
-        for k in range(1, 20, 2):
-            assert lucas._q(make_context(n), k) == jacobi(n, k)
+        p = kernel_call(lucas, n)[4]
+        for k in range(1, 2 * len(p) - 2, 2):
+            assert p[(k + 1) // 2] == jacobi(n, k)
 
 
 def test_lucas_q_even_matches_float_cosine():
-    # The even-index values come from a quarter-period cosine table; check
-    # the table and its indexing against the transcendental definition
+    # The even-index values come from residue classes with a twist; check
+    # them against the transcendental definition
     # mu(n'/g) * phi(g) * cos((n-1)*(k/2)*pi/2) with g = gcd(k, n').
     for n in squarefree_range(2, 40):
         n_prime = n if n % 4 == 1 else 2 * n
+        q = expand_classes(*lucas._classes(make_context(n), 12), 12)
         for k in range(2, 25, 2):
             g = math.gcd(k, n_prime)
             c = math.cos((n - 1) * (k // 2) * math.pi / 2.0)
             expected = round(moebius(n_prime // g) * euler_phi(g) * c)
-            assert lucas._q(make_context(n), k) == expected
+            assert q[k // 2] == expected
 
 
 def _rational_split(n, m):

@@ -1,10 +1,9 @@
 """Multiplicative functions, symbols, contexts, class numbers and units."""
 
 from math import gcd, inf, isqrt
-from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import aurifeuille.gauss as gauss
 import aurifeuille.lucas as lucas
@@ -29,7 +28,11 @@ from aurifeuille.poly import IntPolynomial
 
 from _oracles import (
     euler_phi,
+    expand_classes,
+    kernel_call,
+    lucas_q,
     moebius,
+    moebius_phi,
     newton_pair_direct,
     pell_unit_by_search,
     quadratic_residues,
@@ -184,16 +187,25 @@ LEAF = numthy._LEAF
 CUTOFF = poly._DECIMAL_CUTOFF
 
 
+def direct_args(args):
+    """A kernel call's arguments as `newton_pair_direct` takes them: q
+    expanded from its residue classes, and r = p shifted by odd."""
+    n, u0, v0, c, p, classes, twist, odd, k_u, k_v = args
+    q = expand_classes(classes, twist, k_u)
+    return n, u0, v0, c, p, q, p[odd:], odd, k_u, k_v
+
+
 def kernel_runs(n):
-    """(arguments, result) of each kernel call made by algorithm_l(n),
-    and by algorithm_d(n) for odd n."""
+    """(arguments for `newton_pair_direct`, result) of each kernel call
+    made by algorithm_l(n), and by algorithm_d(n) for odd n."""
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         for module in (gauss, lucas):
 
             def record(*args, kernel=module._newton_pair):
                 u, v = kernel(*args)
-                runs.append((args, (u[:], v[:])))  # the caller extends u, v
+                # the caller extends u and v
+                runs.append((direct_args(args), (u[:], v[:])))
                 return u, v
 
             mp.setattr(module, "_newton_pair", record)
@@ -201,6 +213,31 @@ def kernel_runs(n):
         if n % 2:
             gauss.algorithm_d(n)
     return runs
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 10**5).filter(is_squarefree))
+@example(n=2)
+@example(n=3)
+@example(n=15015)
+@example(n=30030)
+@example(n=99991)
+def test_power_sums_at_both_sites_expand_to_the_reference_lists(n):
+    # The classes and the twist each algorithm passes its kernel stand for
+    # exactly the power sums of the per-k formulas, at every step k <= k_u,
+    # and so does its list of characters.
+    primes = tuple(p for p, _ in factorize(n))
+    _, _, _, _, p, classes, twist, _, k_u, _ = kernel_call(lucas, n)
+    steps = range(1, k_u + 1)
+    expected = [lucas_q(primes, 2 * i) for i in steps]
+    assert expand_classes(classes, twist, k_u)[1:] == expected
+    assert p[1:] == [lucas_q(primes, 2 * i - 1) for i in range(1, k_u + 2)]
+    if n % 2 and n > 1:
+        _, _, _, _, r, classes, twist, _, k_u, _ = kernel_call(gauss, n)
+        steps = range(1, k_u + 1)
+        expected = [moebius_phi(primes, k) for k in steps]
+        assert expand_classes(classes, twist, k_u)[1:] == expected
+        assert r == [jacobi(k, n) for k in range(k_u + 1)]
 
 
 @settings(max_examples=40)
@@ -236,7 +273,7 @@ def test_newton_pair_equals_the_direct_loop(n, cutoff):
 def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
     # The last step k_u sits one short of, at, or one past a leaf's size,
     # or one past two leaves; for n = 193, 197 and 389 the Lucas v stops
-    # at k_u - 1, so r holds one entry less than p and q.
+    # at k_u - 1.
     assert make_context(n).d_lucas // 2 == LEAF + offset
     for args, result in kernel_runs(n):
         assert result == newton_pair_direct(*args)
@@ -245,14 +282,15 @@ def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
 @pytest.mark.parametrize(
     "n, module, source, index, k, divisor, cutoff",
     [
-        (105, gauss, "_moebius_phi", 1, 2, 4, CUTOFF),  # Gauss q_1
+        (105, gauss, "classes", 1, 2, 4, CUTOFF),  # Gauss q_1
         (105, gauss, "jacobi", 1, 2, 4, CUTOFF),  # Gauss r_1 = p_1
-        (105, lucas, "_q", 1, 1, 2, CUTOFF),  # Lucas q_1 = p_1 = r_0
-        (105, lucas, "_q", 3, 1, 3, CUTOFF),  # Lucas q_3 = r_1: the delta step fails
+        (105, lucas, "jacobi", 1, 1, 2, CUTOFF),  # Lucas q_1 = p_1 = r_0
+        # Lucas q_3 = r_1: the delta step fails
+        (105, lucas, "jacobi", 3, 1, 3, CUTOFF),
         # Lucas q_{2L+1} = r_L, first read at k = L through a packed product,
         # packed as two-point ints and, with the cutoff at 1 bit, in base 10
-        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, CUTOFF),
-        (3001, lucas, "_q", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, 1),
+        (3001, lucas, "jacobi", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, CUTOFF),
+        (3001, lucas, "jacobi", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, 1),
     ],
     ids=[
         "gauss-q1",
@@ -268,19 +306,25 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
 ):
     # One power sum off by one makes some step's sum indivisible; the
     # kernel must raise there, naming n and k, and not round, at the same
-    # step and with the same sum as the direct loop.
+    # step and with the same sum as the direct loop.  A Ramanujan sum is
+    # corrupted by one extra class that holds its index and no other up to
+    # k_u, a character through `jacobi`.
     monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
-    exact = getattr(module, source)
+    if source == "jacobi":
+        exact = module.jacobi
 
-    def off_by_one(a, b):
-        k_arg = a if source == "jacobi" else b  # jacobi(k, n), the rest (_, k)
-        return exact(a, b) + (k_arg == index)
+        def off_by_one(a, b):
+            k_arg = a if module is gauss else b  # gauss asks (k|n), lucas (n|k)
+            return exact(a, b) + (k_arg == index)
 
-    monkeypatch.setattr(module, source, off_by_one)
+        monkeypatch.setattr(module, "jacobi", off_by_one)
     calls = []
     kernel = module._newton_pair
 
     def record(*args):
+        if source == "classes":
+            k_u = args[8]
+            args = (*args[:5], [*args[5], (k_u + 1, index, 1)], *args[6:])
         calls.append(args)
         return kernel(*args)
 
@@ -290,63 +334,81 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
     with pytest.raises(NonIntegerStep, match=message) as raised:
         algorithm(n)
     with pytest.raises(NonIntegerStep) as direct:
-        newton_pair_direct(*calls[0])
+        newton_pair_direct(*direct_args(calls[0]))
     assert str(raised.value) == str(direct.value)
 
 
-def feed_by_schoolbook(ub, vb, q, cpq, rq, first, last):
-    """`numthy._feed` by schoolbook products: slots first..last-1 of
-    V*CPQ - (U+V)*Q and of U*RQ - (U+V)*Q."""
-    u, v, w = IntPolynomial(ub), IntPolynomial(vb), IntPolynomial(map(add, ub, vb))
-    both = schoolbook_mul(w, IntPolynomial(q))
-    du = schoolbook_mul(v, IntPolynomial(cpq)) - both
-    dv = schoolbook_mul(u, IntPolynomial(rq)) - both
+def feed_by_schoolbook(ub, vb, pb, odd, first, last):
+    """`numthy._feed` by schoolbook products: slots first..last-1 of V*P
+    and first+odd..last-1+odd of U*P."""
+    p = IntPolynomial(pb)
+    vp = schoolbook_mul(IntPolynomial(vb), p)
+    up = schoolbook_mul(IntPolynomial(ub), p)
     return (
-        [du.coefficient(k) for k in range(first, last)],
-        [dv.coefficient(k) for k in range(first, last)],
+        [vp.coefficient(k) for k in range(first, last)],
+        [up.coefficient(k + odd) for k in range(first, last)],
     )
 
 
-@pytest.mark.parametrize("short", [False, True], ids=["rq-full", "rq-short"])
+# The ids are the cases' established names: cpq=1 puts the entries of P
+# at 1, as the characters are, and cpq=2q at twice those of U and V;
+# rq-short reads U*P one slot later, R being P shifted by one (odd = 1).
+@pytest.mark.parametrize("odd", [0, 1], ids=["rq-full", "rq-short"])
 @pytest.mark.parametrize("same", [1, -1], ids=["u=v", "u=-v"])
-@pytest.mark.parametrize("cpq_over_q", [2, 0], ids=["cpq=2q", "cpq=1"])
+@pytest.mark.parametrize("p_over_u", [2, 0], ids=["cpq=2q", "cpq=1"])
 @pytest.mark.parametrize(
     "cutoff, top",
     [(inf, 2**e) for e in (16, 64, 1024)] + [(1, 10**e) for e in (4, 39, 400)],
     ids=["int-16", "int-64", "int-1024", "base-10-4", "base-10-39", "base-10-400"],
 )
-def test_feed_at_its_slot_bound(monkeypatch, cutoff, top, cpq_over_q, same, short):
+def test_feed_at_its_slot_bound(monkeypatch, cutoff, top, p_over_u, same, odd):
     # One feed of the kernel's shape, m = 5 solved steps against L = 10
-    # known entries, every entry at its largest magnitude M or Q and the
-    # signs alternating, so that every term of slot m - 1 has one sign.
-    # With u = v the slot reaches the feed's bound m*(2MQ + max|cpq| * M)
-    # exactly; the bound sits just below `top`, a power of 2^16 for the
-    # two-point slots (of an even number of bytes) and of 10 for the
-    # decimal ones, so a width one bit or one digit short of it fails.
-    # With u = -v, B = (U+V)*Q vanishes and each difference is one
-    # product.  rq one entry short (k_v < k_u) lacks the entry whose
-    # term only the top slot of the second difference would hold.
+    # known entries (L + odd of P), every entry of U and V at its largest
+    # magnitude M and every entry of P at its largest, 2M or 1, the signs
+    # alternating, so that every term of a slot has one sign.  The first
+    # slot read of each product then sums m terms and reaches the feed's
+    # bound m * M * max|p| exactly, with a sign that same and odd set.
+    # The bound sits just below `top`, a power of
+    # 2^16 for the two-point slots (of an even number of bytes) and of 10
+    # for the decimal ones, so a width one bit or one digit short of it
+    # fails.
     monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
     m, length = 5, 10
 
     def bound(x):
-        return m * (2 * x * x + x * (cpq_over_q * x or 1))
+        return m * x * (p_over_u * x or 1)
 
-    x = isqrt((top - 1) // (m * (2 + cpq_over_q)))
+    x = isqrt((top - 1) // (m * p_over_u)) if p_over_u else (top - 1) // m
     while bound(x) >= top:
         x -= 1
     assert 2 * bound(x) >= top
-    big, small = x, cpq_over_q * x or 1
-    vb = [big * (-1) ** j for j in range(m)]
+    vb = [x * (-1) ** j for j in range(m)]
     ub = [same * c for c in vb]
-    q = [-big * (-1) ** i for i in range(length)]
-    cpq = [small * (-1) ** i for i in range(length)]
-    rq = cpq[: length - short]
+    pb = [(p_over_u * x or 1) * (-1) ** i for i in range(length + odd)]
     first, last = m - 1, length
-    du, dv = numthy._feed(ub, vb, q, cpq, rq, first, last)
-    assert (du, dv) == feed_by_schoolbook(ub, vb, q, cpq, rq, first, last)
-    if same == 1:
-        assert abs(du[0]) == abs(dv[0]) == bound(x)
+    du, dv = numthy._feed(ub, vb, pb, odd, first, last)
+    assert (du, dv) == feed_by_schoolbook(ub, vb, pb, odd, first, last)
+    assert abs(du[0]) == abs(dv[0]) == bound(x)
+
+
+@pytest.mark.parametrize("wide", ["u", "v"])
+@pytest.mark.parametrize(
+    "cutoff, top", [(inf, 2**64), (1, 10**39)], ids=["int-64", "base-10-39"]
+)
+def test_feed_bound_takes_the_wider_of_u_and_v(monkeypatch, cutoff, top, wide):
+    # U and V of different widths, P of characters: the one product that
+    # carries the wider list reaches the bound m * max(|u|, |v|), just below
+    # `top`, whichever list it is.
+    monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
+    m, length = 5, 10
+    x = (top - 1) // m
+    big = [x * (-1) ** j for j in range(m)]
+    small = [(-1) ** j for j in range(m)]
+    ub, vb = (big, small) if wide == "u" else (small, big)
+    pb = [(-1) ** i for i in range(length)]
+    du, dv = numthy._feed(ub, vb, pb, 0, m - 1, length)
+    assert (du, dv) == feed_by_schoolbook(ub, vb, pb, 0, m - 1, length)
+    assert abs((dv if wide == "u" else du)[0]) == m * x
 
 
 @settings(max_examples=20)
