@@ -93,8 +93,8 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
-from .numthy import _require_squarefree, divisors, jacobi
-from .cyclotomic import f_poly, phi_moebius
+from .numthy import _require_squarefree, _symbols_n_over_odd_k, divisors
+from .cyclotomic import phi_moebius
 from .lucas import algorithm_l
 from .poly import _EVAL_LEAF
 
@@ -215,12 +215,15 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
     return _rounding_split(n, m, *_f_value_int(n, m))
 
 
-def _rounding_split(n: int, m: int, f_val: int, lam: int) -> AurifeuilleResult:
-    """`factor_by_rounding` from F_n(x) = f_val and lambda = lam, which
-    `full_factorization` takes from the F_n it builds with its pieces."""
+def _rounding_split(
+    n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]
+) -> AurifeuilleResult:
+    """`factor_by_rounding` from F_n(x) = f_val, lambda = lam and the
+    primes of n, which `full_factorization` takes from the F_n it builds
+    with its pieces and from its own check of n."""
     import mpmath  # loaded only by the routes that round
 
-    hat, bits = _estimate(n, m, f_val, lam)
+    hat, bits = _estimate(n, m, f_val, lam, primes)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
     with mpmath.workprec(bits):
@@ -328,7 +331,7 @@ def full_factorization(
     if m.denominator == 1:
         fn = phi_moebius(indices[-1])
         split = _rounding_split(
-            n, m.numerator, fn.evaluate_homogeneous(big_x, 1), fn.degree // 2
+            n, m.numerator, fn.evaluate_homogeneous(big_x, 1), fn.degree // 2, primes_n
         )
     else:
         split = factor_by_polynomials(n, m)
@@ -655,9 +658,9 @@ def _odd_sieve(limit: int) -> bytearray:
     return sieve
 
 
-def _estimate(n: int, m: int, f_val: int, lam: int):
-    """`hat_f` from F_n(x) = f_val with lambda = lam terms, and the
-    working precision it used.
+def _estimate(n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]):
+    """`hat_f` from F_n(x) = f_val with lambda = lam terms, n having the
+    given primes, and the working precision it used.
 
     The series is summed by `_lambda_sum` as one exact fraction and
     floored once at P = bits + 64 fraction bits, so s is within 1 of 2^P
@@ -667,26 +670,29 @@ def _estimate(n: int, m: int, f_val: int, lam: int):
 
     bits = f_val.bit_length() // 2 + 64
     frac_bits = bits + 64
-    s = _lambda_sum(n, m * m * n, lam, frac_bits)
+    s = _lambda_sum(primes, m * m * n, lam, frac_bits)
     with mpmath.workprec(bits):
         root = mpmath.sqrt(mpmath.mpf(f_val))
         expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))
         return root * expo, bits
 
 
-def _lambda_sum(n: int, x: int, lam: int, frac_bits: int) -> int:
+def _lambda_sum(primes: tuple[int, ...], x: int, lam: int, frac_bits: int) -> int:
     """floor(2^frac_bits * S) for S = sum_{j<lam} (n|2j+1) / ((2j+1) x^j),
-    lam >= 1, by the pairing of the module docstring.
+    lam >= 1, n having the given primes, by the pairing of the module
+    docstring.  The symbols (n|2j+1) come from `_symbols_n_over_odd_k`.
 
     A block of the terms a <= j < b is held as T and Q = prod (2j+1), with
     sum_{a<=j<b} (n|2j+1) / ((2j+1) x^(j-a)) = T / (Q * x^(b-1-a)).  A
     leaf adds its terms one at a time, each as a block of one term.
     """
+    symbols = _symbols_n_over_odd_k(primes, lam)
     tops, dens = [], []
     for start in range(0, lam, _EVAL_LEAF):
+        stop = min(start + _EVAL_LEAF, lam)
         t, q = 0, 1
-        for k in range(2 * start + 1, 2 * min(start + _EVAL_LEAF, lam), 2):
-            t = t * k * x + jacobi(n, k) * q
+        for k, symbol in zip(range(2 * start + 1, 2 * stop, 2), symbols[start:stop]):
+            t = t * k * x + symbol * q
             q *= k
         tops.append(t)
         dens.append(q)
@@ -715,12 +721,14 @@ def _lambda_sum(n: int, x: int, lam: int, frac_bits: int) -> int:
     return (tops[0] * x << frac_bits) // (dens[0] * xlast)
 
 
-def _f_value_int(n: int, m: int) -> tuple[int, int]:
-    """F_n(m^2 * n) and lambda = deg F_n / 2, from one F_n."""
+def _f_value_int(n: int, m: int) -> tuple[int, int, tuple[int, ...]]:
+    """F_n(m^2 * n), lambda = deg F_n / 2 and the primes of n, from one
+    check of n and one F_n, which is Phi_n' (`cyclotomic.f_poly`)."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need a positive integer m, got {m!r}")
-    fn = f_poly(n)
-    return fn.evaluate_homogeneous(m * m * n, 1), fn.degree // 2
+    primes = _require_squarefree(n)
+    fn = phi_moebius(n if n % 4 == 1 else 2 * n)
+    return fn.evaluate_homogeneous(m * m * n, 1), fn.degree // 2, primes
 
 
 def _as_int_if_possible(value: Fraction):

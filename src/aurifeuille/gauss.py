@@ -57,7 +57,7 @@ from .numthy import (
     NumTheoryContext,
     _newton_pair,
     _ramanujan_classes,
-    jacobi,
+    _symbols_k_over_n,
     make_context,
 )
 from .poly import IntPolynomial, _square_identity_holds
@@ -99,7 +99,7 @@ def algorithm_d(n: int) -> GaussPair:
     ctx = _odd_context(n)
     d = ctx.d_gauss
     direct = max(1, d // 2)
-    r = [jacobi(k, n) for k in range(direct + 1)]  # r_0 = (0|n) = 0
+    r = _symbols_k_over_n(ctx.primes, direct + 1)  # r_0 = (0|n) = 0
     q = _ramanujan_classes(ctx.primes, direct)
     alpha, beta = _newton_pair(n, 2, 0, ctx.s * n, r, q, (1,), 0, direct, direct)
     sign_a = -1 if d % 2 else 1

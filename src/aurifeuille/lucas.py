@@ -61,7 +61,7 @@ from .numthy import (
     NumTheoryContext,
     _newton_pair,
     _ramanujan_classes,
-    jacobi,
+    _symbols_n_over_odd_k,
     make_context,
 )
 from .poly import IntPolynomial, _square_identity_holds
@@ -116,7 +116,7 @@ def algorithm_l(n: int) -> LucasPair:
     d = ctx.d_lucas
     k_u = d // 2
     # p_i = q_{2i-1} = (n|2i-1); r_0 = p_1 = q_1 = 1 gives delta_k its gamma_k.
-    p = [0] + [jacobi(n, k) for k in range(1, 2 * k_u + 2, 2)]
+    p = [0] + _symbols_n_over_odd_k(ctx.primes, k_u + 1)
     classes, twist = _classes(ctx, k_u)
     gamma, delta = _newton_pair(n, 1, 1, n, p, classes, twist, 1, k_u, (d - 1) // 2)
     gamma += [gamma[d - k] for k in range(d // 2 + 1, d + 1)]

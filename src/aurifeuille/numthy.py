@@ -17,7 +17,9 @@ pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
 lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
 n, found once by `make_context`, and from the power sums that drive both
 recurrences, which are one kernel, `_newton_pair`.  Half of those power
-sums are Jacobi characters, lists of 0 and +-1.  The other half are
+sums are Jacobi characters, lists of 0 and +-1, built from the primes of
+n as products of per-prime tables of quadratic residues
+(`_symbols_k_over_n`, `_symbols_n_over_odd_k`).  The other half are
 Ramanujan sums c_N(k) = mu(N/g) * phi(g), g = gcd(k, N), times a sign in
 the Lucas case, and the kernel takes them as residue classes: c_N(k) is
 the sum of e * mu(N/e) over the divisors e of N that divide k
@@ -118,6 +120,55 @@ def jacobi(m: int, k: int) -> int:
             t = -t
         m %= k
     return t if k == 1 else 0
+
+
+def _symbols_k_over_n(primes: tuple[int, ...], count: int) -> list[int]:
+    """The Jacobi symbols (k|n), 0 <= k < count, for the odd square-free n
+    whose primes are given: the product of the Legendre symbols (k|p),
+    each a column of period p (`_legendre_columns`)."""
+    return _legendre_columns(primes, 0, 1, count)
+
+
+def _symbols_n_over_odd_k(primes: tuple[int, ...], count: int) -> list[int]:
+    """The Jacobi symbols (n|k) at the odd k = 1, 3, ..., 2*count - 1, for
+    the square-free n whose primes are given.
+
+    With n = 2^e * h, h odd, (n|k) = (2|k)^e * (h|k), and reciprocity
+    gives (h|k) = (k|h) * (-1)^((h-1)/2 * (k-1)/2) for coprime odd h, k
+    (both sides are 0 otherwise).  (2|k) is 1, -1, -1, 1 and the
+    reciprocity sign 1, -1, 1, -1 or always 1 (h = 3 or 1 mod 4) for
+    k = 1, 3, 5, 7 (mod 8), so (n|k) is that sign pattern, of period 4 in
+    (k-1)/2, times the columns of (k|h)."""
+    h = prod(p for p in primes if p != 2)
+    flip = -1 if h % 4 == 3 else 1
+    signs = (1, flip, 1, flip)
+    if primes[:1] == (2,):
+        signs = tuple(map(mul, signs, (1, -1, -1, 1)))
+    columns = _legendre_columns(primes, 1, 2, count)
+    return list(map(mul, columns, signs * (count // 4 + 1)))
+
+
+def _legendre_columns(
+    primes: tuple[int, ...], first: int, step: int, count: int
+) -> list[int]:
+    """prod over the odd primes p given of the Legendre symbol (k|p), for
+    the count values k = first + step*i, with 0 <= first < step <= 2.
+
+    Each prime's table of (k|p), 0 <= k < p, is marked from the squares
+    a^2 mod p, 0 < a <= p/2.  As k runs, (k|p) repeats with period p in
+    i, and one period is the table repeated step times, read from first
+    on in steps of step; that column, repeated, multiplies the list."""
+    out = [1] * count
+    for p in primes:
+        if p == 2:
+            continue
+        table = [-1] * p
+        table[0] = 0
+        for a in range(1, p // 2 + 1):
+            table[a * a % p] = 1
+        column = (table * step)[first::step]
+        out = list(map(mul, out, column * (count // p + 1)))
+    return out
 
 
 def _require_squarefree(n: int, minimum: int = 2) -> tuple[int, ...]:

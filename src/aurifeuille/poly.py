@@ -23,17 +23,18 @@ a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
 at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
 value, and so is every input coefficient.  Small products pack into
 ints with slots of bytes: with 8w - 1 >= bitlength(bound) every such
-value v has |v| < 2^(8w-1), so in a slot of W >= w bytes v + 2^(8W-1)
-lies in [0, 2^(8W)).  Large ones pack into a `decimal.Decimal` with
+value v has |v| < 2^(8w-1), so in a slot of w bytes v + 2^(8w-1)
+lies in [0, 2^(8w)).  Large ones pack into a `decimal.Decimal` with
 slots of w decimal digits: with 2 * bound < 10^w every such v has
 |v| < 5*10^(w-1), so v + 5*10^(w-1) lies in [0, 10^w).  Either way,
-adding the half slot 2^(8W-1) or 5*10^(w-1) to every slot of the
+adding the half slot 2^(8w-1) or 5*10^(w-1) to every slot of the
 product leaves each slot in range, nothing carries from one slot into
 the next, and subtracting it from each slot gives the coefficients back
 exactly.
 
 Packing is linear: the packed value of f is f evaluated at the slot
-base (10^w, or the pair f(X), f(-X) of the int branch below), so
+base (10^w, or the values at the four points X, -X, iX of the int
+branch below), so
 packed(f) + packed(g) = packed(f + g), and a product of packed values
 is the packed product.  A sum or difference of packed products is
 therefore the packed value of the same sum or difference of polynomial
@@ -44,26 +45,36 @@ reading never looks at how a slot's value arose.  The identity check
 once and test one combination of products.
 
 CPython multiplies ints by Karatsuba only, in O(N^1.585) for N bits, so
-the binary branch halves its operands by two-point Kronecker
+the binary branch quarters its operands by four-point Kronecker
 substitution (D. Harvey, *Faster polynomial multiplication via
-multipoint Kronecker substitution*, J. Symbolic Comput. 44 (2009)).
-With sb = ceil(w/2) and X = 2^(8 sb), each operand f is packed as its
-even part E = sum f_2i X^2i and its odd part O = sum f_2i+1 X^(2i+1),
-each in slots of 2 sb bytes, which gives f(X) = E + O and
-f(-X) = E - O.  The product h = f * g is then two products of about
-half the bits, h(X) = f(X) g(X) and h(-X) = f(-X) g(-X) (two squares
-for a square), and
+multipoint Kronecker substitution*, J. Symbolic Comput. 44 (2009)): it
+evaluates at X, -X, iX and -iX, with X = 2^(2w), so that X^4 = 2^(8w)
+is the base of slots of w bytes.  Each operand f is split by residue
+mod 4, f(x) = sum_r x^r F_r(x^4), and each F_r = sum_j f_(4j+r) X^4j is
+packed in slots of w bytes.  Shifts and adds give
 
-    (h(X) + h(-X)) / 2    = sum h_2i   X^2i,
-    (h(X) - h(-X)) / (2X) = sum h_2i+1 X^2i.
+    f(+-X) = F_0 + X^2 F_2 +- X (F_1 + X^2 F_3),
+    f(iX)  = F_0 - X^2 F_2 + i X (F_1 - X^2 F_3),
 
-Both divisions are exact, so two arithmetic shifts do them.  Each
-quotient holds the even, or the odd, coefficients of h in slots of
-W = 2 sb >= w bytes, so each is read back as above; a slot of w - 1
-bytes, which sb = floor(w/2) would give for odd w, could not hold the
-bound.  Two products of N/2 bits cost about
-2 * 2^-1.585 = 0.67 of one of N bits under Karatsuba; the packing and
-the reading stay linear.
+and f(-iX) is the conjugate of f(iX), so a packed value is the four
+ints f(X), f(-X), Re f(iX) and Im f(iX), each of about a quarter of the
+bits of one packed at X^4.  The product h = f * g is h(X) = f(X) g(X),
+h(-X) = f(-X) g(-X) and the Gaussian product h(iX) = f(iX) g(iX): with
+f(iX) = a + ib and g(iX) = c + id, Re = ac - bd and
+Im = (a + b)(c + d) - ac - bd, three products, and for a square
+Re = (a + b)(a - b) and Im = 2ab, two.  The size-4 transform is undone
+by exact divisions, so by arithmetic shifts:
+
+    E = (h(X) + h(-X)) / 2     = H_0 + X^2 H_2,
+    O = (h(X) - h(-X)) / (2X)  = H_1 + X^2 H_3,
+    H_0 = (E + Re h(iX)) / 2,        H_2 = (E - Re h(iX)) / (2X^2),
+    H_1 = (O + Im h(iX) / X) / 2,    H_3 = (O - Im h(iX) / X) / (2X^2).
+
+Each H_r holds the coefficients h_(4j+r) in slots of w bytes and is
+read back as above; the slots of the four are interleaved.  Five
+products of N/4 bits cost about 5 * 4^-1.585 = 0.56 of one of N bits
+under Karatsuba, and four (for a square) 0.44; the packing, the
+transform and the reading stay linear.
 
 The C `decimal` module (libmpdec) multiplies large operands by a
 number-theoretic transform in O(N log N), at the cost of converting
@@ -130,26 +141,28 @@ factor` at n <= 31 has at most 31 coefficients, so it is one block."""
 _DECIMAL_CUTOFF = 300_000
 """Bits of the smaller packed operand (its length times the bit length of
 the slot bound) from which `_layout` packs in base 10.  Base-10 time
-over the two-point int time, best of 7, for squares / the kernel's shape
-(L x 2L, last L slots) on 20- to 1000-bit coefficients: 1.4-2.2 /
-1.5-2.3 at 50k bits, 1.2-1.7 / 0.8-1.6 at 100k, 1.2-1.7 / 0.8-1.1 at
-150k, 1.0-1.2 / 0.8-0.9 at 200k, 0.8-1.2 / 0.6-0.8 at 250k, 0.9-1.2 /
-0.6-0.7 at 300k, 0.8-0.9 / 0.7-0.8 at 350k, 0.8-0.9 / 0.5-0.7 at 400k
-and 0.6-0.8 / 0.5 at 500k.  The kernel's shape crosses over lower
-because Karatsuba multiplies it as two L x L halves; the cutoff follows
-the squares.  Of the 465 products of one pass of the benchmark's
-`verify` workload, the 35 of 40k bits or more took 152.8 ms (per product
-best of 7) with the cutoff at 150k, 149.9 ms at 200k-250k, 146.5 ms at
-300k-350k and 153.3 ms at 400k, against 166.2 ms for the one-point int
-product with its cutoff at 150k; the 26 squares among them are all the
-products above 60k bits.  At n = 30011, where the kernel's products are
-large too, the products of `aurif verify 30011` took 3.67 s at 150k,
-3.81 s at 250k and 3.83 s at 300k (per product best of 5), against
-3.91 s for the one-point int product at 150k.  Far above the cutoff
-the int product falls behind: a square of 2000 700-bit coefficients
-takes 0.33 s at two points (0.61 s at one) against 0.10 s in base 10;
-far below it, 100 x 40-bit squares take 0.24 ms (0.23 ms) against
-0.53 ms (shared 2-core Xeon, Python 3.11, libmpdec 2.5.1)."""
+over the four-point int time, best of 7 in each of two runs, for
+squares / the kernel's feed shape (L coefficients of c bits against 2L
+characters, last L slots read), c = 20, 100, 400 and 1000: 1.1-2.2 /
+0.9-1.6 at 100k bits, 1.2-2.2 / 0.9-2.1 at 150k, 1.2-2.1 / 1.0-1.2 at
+200k, 1.1-1.3 / 0.8-1.0 at 250k, 1.2-1.4 / 0.8-1.0 at 300k, 0.9-1.2 /
+0.7-1.3 at 350k, 0.9-1.2 / 0.7-0.9 at 400k and 0.8-1.1 / 0.6-1.0 at
+500k.  The two shapes pull apart: the int branch keeps the squares to
+about 400k, and the feed shape, which Karatsuba multiplies as two
+L x L halves, crosses over near 250k.  One cutoff serves both, and no
+cutoff from 200k to 500k measurably beat another end to end
+(interleaved, best of 9): `algorithm_l(30030)` 193-211 ms,
+`algorithm_l(15015)` 56-59 ms, `algorithm_d(15015)` 42-45 ms, and the
+identity checks of 15015, packing 389k and 593k bits, 22-26 and
+41-44 ms; at n = 30011, best of 3, `algorithm_l` took 670, 650 and
+707 ms at 250k, 300k and 400k.  So the cutoff stays at 300k, where
+every identity check of the benchmark's `verify` workload, up to the
+219k bits of n = 5005, and every kernel feed of its n packs as ints.
+Far above the cutoff the int product falls behind: a square of 2000
+700-bit coefficients takes 175 ms at four points (379 ms at two)
+against 77 ms in base 10; far below it, 100 x 40-bit squares take
+0.22 ms (0.19 ms at two points) against 0.48 ms (shared 2-core Xeon,
+Python 3.11, libmpdec 2.5.1)."""
 
 _DECIMAL = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -354,8 +367,8 @@ def _square_identity_holds(p, s, q, r) -> bool:
 
         B = len(P)*|P|^2 + |S|*len(Q)*|Q|^2 + |R|
 
-    in absolute value, |F| being the largest of F's.  X is the slot base:
-    10^w, or the two points +-X of the int layout.
+    in absolute value, |F| being the largest of F's.  X is the slot base
+    10^w, or the X of the int layout's four points +-X, +-iX.
 
     In general the slots are for B.  The packed value of G then reads
     back exactly (module docstring), and a zero value reads as zero
@@ -365,15 +378,16 @@ def _square_identity_holds(p, s, q, r) -> bool:
     one up to sign with e + len(Q) = len(P), so that S*Q^2 is centred on
     degree N/2 = len(P) - 1 as P^2 is, and R is a palindrome of N + 1
     coefficients.  Then G(x) = x^N * G(1/x), so each root y != 0 of G
-    gives the root 1/y.  Suppose G != 0.  G(X) = G(-X) = 0 gives the four roots
-    +-X, +-1/X, so the primitive (x^2 - X^2)(X^2 x^2 - 1) divides G, in
-    Z[x] by Gauss's lemma, and G's Mahler measure is M(G) >= X^4; in base
-    10, G(X) = 0 makes (x - X)(X x - 1) divide G and M(G) >= X^2.
-    Landau's inequality (Mignotte, *Mathematics for Computer Algebra*,
-    4.3) gives M(G) <= ||G||_2 <= sqrt(N + 1) * B.  Slots for a bound b
-    have X^2 = 2^(16 sb) >= 2^(8w) > 2b at two points and X = 10^w > 2b
-    in base 10, so X^4, or X^2, exceeds 4b^2, and b^2 >= sqrt(N + 1) * B
-    leaves no room for G != 0.  So reciprocal inputs take the slots for
+    gives the root 1/y.  Suppose G != 0.  G(+-X) = G(+-iX) = 0 gives the
+    eight roots +-X, +-iX, +-1/X, +-i/X, so the primitive
+    (x^4 - X^4)(X^4 x^4 - 1) divides G, in Z[x] by Gauss's lemma, and
+    G's Mahler measure is M(G) >= X^8; in base 10, G(X) = 0 makes
+    (x - X)(X x - 1) divide G and M(G) >= X^2.  Landau's inequality
+    (Mignotte, *Mathematics for Computer Algebra*, 4.3) gives
+    M(G) <= ||G||_2 <= sqrt(N + 1) * B.  Slots for a bound b have
+    X^4 = 2^(8w) > 2b at four points and X = 10^w > 2b in base 10, so
+    X^8, or X^2, exceeds 4b^2, and b^2 >= sqrt(N + 1) * B leaves no room
+    for G != 0.  So reciprocal inputs take the slots for
     b = isqrt(B * (isqrt(N + 1) + 1)) + 1, about half the bits of B, or
     for their largest coefficient if that is more, so that each input
     fits its slot.  The reciprocity is checked here, on the inputs.
@@ -406,11 +420,14 @@ def _mirror_sign(coeffs) -> int:
     return -1 if all(a == -b for a, b in zip(coeffs, mirror)) else 0
 
 
-def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
+def _layout(bound: int, size: int) -> "_FourPoint | _Base10":
     """The slots for products, and linear combinations of products, whose
     every coefficient, input or output, is at most bound in absolute
     value, the smaller packed operand having size coefficients: base 10
-    from `_DECIMAL_CUTOFF` bits of that operand on, two-point ints below.
+    from `_DECIMAL_CUTOFF` bits of that operand on, four-point ints below.
+    Either layout's slots hold bound; a zero test at four points sees the
+    eight roots +-X, +-iX and, for reciprocal input, their inverses, and
+    in base 10 the two roots X and 1/X (`_square_identity_holds`).
 
     Both layouts have the same methods: ``pack(coeffs)`` gives the packed
     value of a coefficient sequence, ``mul``, ``add`` and ``sub`` combine
@@ -419,55 +436,77 @@ def _layout(bound: int, size: int) -> "_TwoPoint | _Base10":
     slots, and ``is_zero(value)`` tells whether a packed value is 0."""
     if size * bound.bit_length() >= _DECIMAL_CUTOFF:
         return _Base10(bound)
-    return _TwoPoint(bound)
+    return _FourPoint(bound)
 
 
-class _TwoPoint:
-    """Slots of 2*sb bytes, a packed value being the pair (f(X), f(-X))
-    with X = 2^(8*sb), as the module docstring says."""
+class _FourPoint:
+    """Slots of w bytes, a packed value being the four ints f(X), f(-X),
+    Re f(iX) and Im f(iX) with X = 2^(2w), so X^4 = 2^(8w), as the module
+    docstring says."""
 
-    __slots__ = ("sb",)
+    __slots__ = ("width",)
 
     def __init__(self, bound: int):
-        width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
-        self.sb = (width + 1) // 2  # slots of 2 sb >= w bytes
+        self.width = bound.bit_length() // 8 + 1  # least w with 8w - 1 >= bitlen
 
-    def pack(self, coeffs) -> tuple[int, int]:
-        """E + O and E - O, for the even part E = sum f_2i X^2i and the odd
-        part O = sum f_2i+1 X^(2i+1), each packed in slots of 2*sb bytes."""
-        width = 2 * self.sb
-        even = _pack(coeffs[::2], width)
-        odd = _pack(coeffs[1::2], width) << (8 * self.sb)
-        return even + odd, even - odd
+    def pack(self, coeffs) -> tuple[int, int, int, int]:
+        """From the residue packs F_r = sum_j f_(4j+r) X^4j, each in slots of
+        w bytes: f(+-X) = F_0 + X^2 F_2 +- X (F_1 + X^2 F_3), and
+        f(iX) = F_0 - X^2 F_2 + i X (F_1 - X^2 F_3)."""
+        width = self.width
+        f0, f1, f2, f3 = (_pack(coeffs[r::4], width) for r in range(4))
+        f2 <<= 4 * width
+        f3 <<= 4 * width
+        even, odd = f0 + f2, (f1 + f3) << (2 * width)
+        return even + odd, even - odd, f0 - f2, (f1 - f3) << (2 * width)
 
     @staticmethod
     def mul(x, y):
-        return x[0] * y[0], x[1] * y[1]
+        """h(X) and h(-X) by two products, h(iX) by a Gaussian product:
+        three products, or two for a square."""
+        if x is y:
+            a, b = x[2], x[3]
+            return x[0] * x[0], x[1] * x[1], (a + b) * (a - b), (a * b) << 1
+        a, b, c, d = x[2], x[3], y[2], y[3]
+        ac, bd = a * c, b * d
+        return x[0] * y[0], x[1] * y[1], ac - bd, (a + b) * (c + d) - ac - bd
 
     @staticmethod
     def add(x, y):
-        return x[0] + y[0], x[1] + y[1]
+        return x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
 
     @staticmethod
     def sub(x, y):
-        return x[0] - y[0], x[1] - y[1]
+        return x[0] - y[0], x[1] - y[1], x[2] - y[2], x[3] - y[3]
 
     @staticmethod
     def is_zero(x):
         return not any(x)
 
     def read(self, value, slots: int, start: int, stop: int) -> list[int]:
-        """Slots ceil(start/2)..ceil(stop/2)-1 of the even quotient and
-        floor(start/2)..floor(stop/2)-1 of the odd one, interleaved, the
-        first from the even one when start is even.  Slots from stop on
-        are cut off unread, so ``slots`` is not needed."""
-        h_plus, h_minus = value
-        sb = self.sb
-        even = _slots((h_plus + h_minus) >> 1, 2 * sb, (start + 1) // 2, (stop + 1) // 2)
-        odd = _slots((h_plus - h_minus) >> (8 * sb + 1), 2 * sb, start // 2, stop // 2)
-        out = even + odd
-        out[start % 2 :: 2] = even
-        out[1 - start % 2 :: 2] = odd
+        """The residue packs H_r of the product, by the inverse transform
+        of the module docstring, then slots ceil((start-r)/4) ..
+        ceil((stop-r)/4) - 1 of each, interleaved so that slot j of H_r
+        is coefficient 4j + r.  Slots from stop on are cut off unread, so
+        ``slots`` is not needed."""
+        h_plus, h_minus, re, im = value
+        width = self.width
+        quarter = 2 * width  # X = 2^quarter
+        even = (h_plus + h_minus) >> 1  # H_0 + X^2 H_2
+        odd = (h_plus - h_minus) >> (quarter + 1)  # H_1 + X^2 H_3
+        im >>= quarter  # H_1 - X^2 H_3
+        out = [0] * (stop - start)
+        for r, packed in enumerate(
+            (
+                (even + re) >> 1,
+                (odd + im) >> 1,
+                (even - re) >> (2 * quarter + 1),
+                (odd - im) >> (2 * quarter + 1),
+            )
+        ):
+            out[(r - start) % 4 :: 4] = _slots(
+                packed, width, (start - r + 3) // 4, (stop - r + 3) // 4
+            )
         return out
 
 

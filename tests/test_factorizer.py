@@ -19,7 +19,7 @@ from aurifeuille.errors import (
     RoundingFailed,
 )
 from aurifeuille.lucas import algorithm_l
-from aurifeuille.numthy import jacobi
+from aurifeuille.numthy import factorize, jacobi
 from aurifeuille.factorizer import (
     FactorList,
     factor_by_polynomials,
@@ -123,6 +123,10 @@ def _frac_bits(n, m):
     return f_val.bit_length() // 2 + 128
 
 
+def primes_of(n):
+    return tuple(p for p, _ in factorize(n))
+
+
 def test_lambda_sum_is_the_floor_of_the_exact_sum():
     # The pairing sums lambda terms as one fraction and floors it once;
     # lambda runs from 1 to 99 here, past three leaves of _EVAL_LEAF.
@@ -136,7 +140,7 @@ def test_lambda_sum_is_the_floor_of_the_exact_sum():
                     for j in range(lam)
                 )
                 expected = math.floor(exact * 2**frac_bits)
-                assert factorizer._lambda_sum(n, x, lam, frac_bits) == expected
+                assert factorizer._lambda_sum(primes_of(n), x, lam, frac_bits) == expected
 
 
 @pytest.mark.parametrize("n", [1001, 1501, 2002, 2003, 3001])
@@ -144,7 +148,7 @@ def test_lambda_sum_is_the_floor_of_the_exact_sum():
 def test_lambda_sum_is_within_lambda_of_the_fixed_point_loop(n, m):
     lam = cyclotomic.f_poly(n).degree // 2
     frac_bits = _frac_bits(n, m)
-    fast = factorizer._lambda_sum(n, m * m * n, lam, frac_bits)
+    fast = factorizer._lambda_sum(primes_of(n), m * m * n, lam, frac_bits)
     assert abs(fast - lambda_sum_fixed_point(n, m * m * n, lam, frac_bits)) <= lam
 
 
@@ -158,8 +162,8 @@ def test_rounding_guard_detects_corrupted_estimate(monkeypatch):
     # hat_f wraps, from the F_n(x) it already holds.
     true_estimate = factorizer._estimate
 
-    def corrupted(n, m, f_val, lam):
-        hat, bits = true_estimate(n, m, f_val, lam)
+    def corrupted(*args):
+        hat, bits = true_estimate(*args)
         return hat + 10, bits
 
     monkeypatch.setattr(factorizer, "_estimate", corrupted)
@@ -168,7 +172,8 @@ def test_rounding_guard_detects_corrupted_estimate(monkeypatch):
 
 
 def test_rounding_factors_n_once(monkeypatch):
-    # f_poly validates n and builds Phi_30; lambda is half its degree.
+    # Checking n gives the primes of the lambda sum; F_15 = Phi_30, and
+    # lambda is half its degree.
     calls = count_calls(monkeypatch, numthy, "factorize")
     assert factor_by_rounding(15, 1).F_minus == 19231
     assert calls == [(15,), (30,)]
@@ -188,10 +193,11 @@ def test_rounding_equals_polynomials_with_margin(n, m):
     assert 0.5 - rounded.residual > 0
 
 
-def test_rounding_builds_f_poly_once(monkeypatch):
-    calls = count_calls(monkeypatch, cyclotomic, "f_poly")
+def test_rounding_builds_f_n_once(monkeypatch):
+    # F_15 = Phi_30, built once; it serves the value, lambda and the division.
+    calls = count_calls(monkeypatch, cyclotomic, "phi_moebius")
     assert factor_by_rounding(15, 1).F_minus == 19231
-    assert len(calls) == 1
+    assert calls == [(30,)]
 
 
 # --- exact polynomial route ---------------------------------------------

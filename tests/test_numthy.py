@@ -132,6 +132,44 @@ def test_jacobi_multiplicative_in_both_arguments(a, b, k, l):
     assert jacobi(a, k * l) == jacobi(a, k) * jacobi(a, l)
 
 
+def symbol_tables_against_jacobi(n, count, positions):
+    """Both tables of Jacobi symbols for n, at count entries, against
+    `jacobi` at the given positions: (k|n) at k = i for odd n, and (n|k)
+    at k = 2i + 1."""
+    primes = tuple(p for p, _ in factorize(n))
+    odd_k = numthy._symbols_n_over_odd_k(primes, count)
+    assert len(odd_k) == count
+    assert [odd_k[i] for i in positions] == [jacobi(n, 2 * i + 1) for i in positions]
+    if n % 2:
+        k_over_n = numthy._symbols_k_over_n(primes, count)
+        assert len(k_over_n) == count
+        assert [k_over_n[i] for i in positions] == [jacobi(i, n) for i in positions]
+
+
+def test_symbol_tables_equal_jacobi_below_2000():
+    # n + 2 entries cover every residue of every prime of n, every residue
+    # of k mod 8 and the first repeat of each column.
+    for n in squarefree_range(2, 1999):
+        symbol_tables_against_jacobi(n, n + 2, range(n + 2))
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 10**5).filter(is_squarefree),
+    data=st.data(),
+)
+@example(n=99991, data=None)
+@example(n=2 * 3 * 5 * 7 * 11 * 13, data=None)
+def test_symbol_tables_equal_jacobi_up_to_10_5(n, data):
+    # Past n the columns repeat; 3n entries reach the second repeat of the
+    # largest prime's column.  Every entry near the ends of the first
+    # period and of the list is checked, and 300 drawn ones besides.
+    count = 3 * n
+    ends = [*range(64), *range(n - 64, n + 64), *range(count - 64, count)]
+    drawn = [] if data is None else data.draw(st.lists(st.integers(0, count - 1), max_size=300))
+    symbol_tables_against_jacobi(n, count, sorted({i for i in ends + drawn if 0 <= i < count}))
+
+
 def test_jacobi_rejects_even_modulus():
     with pytest.raises(ValueError):
         jacobi(3, 4)
@@ -283,14 +321,14 @@ def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
     "n, module, source, index, k, divisor, cutoff",
     [
         (105, gauss, "classes", 1, 2, 4, CUTOFF),  # Gauss q_1
-        (105, gauss, "jacobi", 1, 2, 4, CUTOFF),  # Gauss r_1 = p_1
-        (105, lucas, "jacobi", 1, 1, 2, CUTOFF),  # Lucas q_1 = p_1 = r_0
+        (105, gauss, "symbols", 1, 2, 4, CUTOFF),  # Gauss r_1 = p_1
+        (105, lucas, "symbols", 1, 1, 2, CUTOFF),  # Lucas q_1 = p_1 = r_0
         # Lucas q_3 = r_1: the delta step fails
-        (105, lucas, "jacobi", 3, 1, 3, CUTOFF),
+        (105, lucas, "symbols", 3, 1, 3, CUTOFF),
         # Lucas q_{2L+1} = r_L, first read at k = L through a packed product,
-        # packed as two-point ints and, with the cutoff at 1 bit, in base 10
-        (3001, lucas, "jacobi", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, CUTOFF),
-        (3001, lucas, "jacobi", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, 1),
+        # packed as four-point ints and, with the cutoff at 1 bit, in base 10
+        (3001, lucas, "symbols", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, CUTOFF),
+        (3001, lucas, "symbols", 2 * LEAF + 1, LEAF, 2 * LEAF + 1, 1),
     ],
     ids=[
         "gauss-q1",
@@ -308,16 +346,20 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
     # kernel must raise there, naming n and k, and not round, at the same
     # step and with the same sum as the direct loop.  A Ramanujan sum is
     # corrupted by one extra class that holds its index and no other up to
-    # k_u, a character through `jacobi`.
+    # k_u, a character through the list of Jacobi symbols it is read from:
+    # Gauss's (k|n) from k = 0, Lucas's (n|k) at the odd k from k = 1.
     monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
-    if source == "jacobi":
-        exact = module.jacobi
+    if source == "symbols":
+        helper = "_symbols_k_over_n" if module is gauss else "_symbols_n_over_odd_k"
+        exact = getattr(module, helper)
+        at = index if module is gauss else (index - 1) // 2
 
-        def off_by_one(a, b):
-            k_arg = a if module is gauss else b  # gauss asks (k|n), lucas (n|k)
-            return exact(a, b) + (k_arg == index)
+        def off_by_one(primes, count):
+            symbols = exact(primes, count)
+            symbols[at] += 1
+            return symbols
 
-        monkeypatch.setattr(module, "jacobi", off_by_one)
+        monkeypatch.setattr(module, helper, off_by_one)
     calls = []
     kernel = module._newton_pair
 
@@ -369,9 +411,8 @@ def test_feed_at_its_slot_bound(monkeypatch, cutoff, top, p_over_u, same, odd):
     # slot read of each product then sums m terms and reaches the feed's
     # bound m * M * max|p| exactly, with a sign that same and odd set.
     # The bound sits just below `top`, a power of
-    # 2^16 for the two-point slots (of an even number of bytes) and of 10
-    # for the decimal ones, so a width one bit or one digit short of it
-    # fails.
+    # 2^8 for the four-point slots of whole bytes and of 10 for the
+    # decimal ones, so a width one byte or one digit short of it fails.
     monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
     m, length = 5, 10
 

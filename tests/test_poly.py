@@ -229,11 +229,11 @@ def test_identity_check_multiplies_two_squares(monkeypatch, pair_of, n):
     def spy_read(*args):
         reads.append(args)
 
-    for kind in (poly._TwoPoint, poly._Base10):
+    for kind in (poly._FourPoint, poly._Base10):
         monkeypatch.setattr(kind, "mul", spy_mul(kind.mul))
         monkeypatch.setattr(kind, "read", spy_read)
     kronecker = count_calls(monkeypatch, poly, "_kronecker")
-    for cutoff, kind in ((math.inf, poly._TwoPoint), (1, poly._Base10)):
+    for cutoff, kind in ((math.inf, poly._FourPoint), (1, poly._Base10)):
         monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
         for candidate in (pair, bad):
             p, s, q, r = pair_identity_terms(candidate)
@@ -267,6 +267,19 @@ def test_identity_check_takes_the_full_width_unless_reciprocal(monkeypatch, brok
     holds = poly._square_identity_holds(*args)
     assert holds == square_identity_by_schoolbook(*args) == (broken == "r-length")
     assert [bound for bound, _ in layouts] == [full_bound(*args)]
+
+
+def test_identity_check_needs_the_points_plus_and_minus_i_x(monkeypatch):
+    # P = 17(x^2 - 1), Q = 15(x^2 + 1) and S = 1 give the reciprocal
+    # G = P^2 - Q^2 = 4(x^2 - 16)(16x^2 - 1), which the reduced bound packs
+    # in one-byte slots at X = 4: G(4) = G(-4) = 0, but G(4i) = 2 * 16448.
+    layouts = spy_layouts(monkeypatch)
+    args = [-17, 0, 17], (1,), [15, 0, 15], [0] * 5
+    assert poly._square_identity_holds(*args) is False
+    assert square_identity_by_schoolbook(*args) is False
+    [(_, slots)] = layouts
+    assert type(slots) is poly._FourPoint
+    assert 1 << (2 * slots.width) == 4
 
 
 @settings(max_examples=20)
@@ -310,9 +323,10 @@ def test_mul_at_the_slot_bound(m, len_a, len_b, sign_a, sign_b):
     assert a * a == schoolbook_mul(a, a)
 
 
-# Below `poly._DECIMAL_CUTOFF` bits, `_kronecker` multiplies at the two
-# points X and -X, X = 2^(8*sb), and reads the even and the odd slots of
-# the product apart (two-point Kronecker substitution).
+# Below `poly._DECIMAL_CUTOFF` bits, `_kronecker` multiplies at the four
+# points X, -X, iX and -iX, X = 2^(2w) for slots of w bytes, and reads
+# the slots of the product apart by residue mod 4 (four-point Kronecker
+# substitution).
 
 
 def int_branch(a, b, start, stop):
@@ -339,18 +353,19 @@ def binary_products(draw):
 
 
 @settings(max_examples=60)
-@pytest.mark.parametrize("stop_parity", [0, 1])
-@pytest.mark.parametrize("start_parity", [0, 1])
+@pytest.mark.parametrize("stop_residue", [0, 1, 2, 3])
+@pytest.mark.parametrize("start_residue", [0, 1, 2, 3])
 @given(product=binary_products(), data=st.data())
-def test_kronecker_binary_branch_matches_schoolbook(start_parity, stop_parity, product, data):
-    # Every slice [start, stop) of the product, with start and stop of each
-    # parity: an odd start reads an odd slot first.
+def test_kronecker_binary_branch_matches_schoolbook(start_residue, stop_residue, product, data):
+    # Every slice [start, stop) of the product, with start and stop in each
+    # residue class mod 4: the first slot read belongs to the residue
+    # start mod 4, and each residue's slots end where stop cuts them.
     a, b = product
     length = len(a) + len(b) - 1
-    starts = range(start_parity, length, 2)
+    starts = range(start_residue, length, 4)
     assume(starts)
     start = data.draw(st.sampled_from(starts))
-    stops = range(start + 1 + (start + 1 + stop_parity) % 2, length + 1, 2)
+    stops = range(start + 1 + (stop_residue - start - 1) % 4, length + 1, 4)
     assume(stops)
     stop = data.draw(st.sampled_from(stops))
     full = list(schoolbook_mul(IntPolynomial(a), IntPolynomial(b)).coeffs)
