@@ -5,27 +5,29 @@ normalized so the last stored coefficient is nonzero; the zero polynomial
 stores an empty tuple.  Printing follows the usual descending convention,
 e.g. ``x^4 + 8*x^3 + 13*x^2 + 8*x + 1``.
 
-All arithmetic is exact: addition, subtraction and multiplication, with
-no division — `cyclotomic.phi_moebius` builds Phi_n without one.  The
-pair identities P^2 - S*Q^2 = R are checked by `_square_identity_holds`
-without building a polynomial: it packs P, Q, S and R, forms the packed
-value of P^2 - S*Q^2 - R and tests it for zero, in slots of about half
-the width its coefficients would need, which reciprocity makes enough
-(its docstring has the proof).
+The class does no arithmetic: `cyclotomic.phi_moebius` builds Phi_n in
+place, and every polynomial product the library makes is a packed one,
+in the Newton kernel's feeds (`numthy._feed`) and in the check of the
+pair identities P^2 - S*Q^2 = R.  `_square_identity_holds` decides that
+identity without building a polynomial: it packs P, Q, S and R, forms
+the packed value of P^2 - S*Q^2 - R and tests it for zero, in slots of
+about half the width its coefficients would need, which reciprocity
+makes enough (its docstring has the proof).
 
-The product of two polynomials is one big-integer multiplication
-(Kronecker substitution) in three steps, pack, multiply and read: each
-operand is packed into one number with its coefficients in fixed slots,
-the two numbers are multiplied (a square when both operands are the
-same object) and the slots of the product are read back as its
-coefficients.  The slot width is exact: coefficient k of
-a * b is a sum of at most min(len a, len b) products a_i * b_j, so it is
-at most bound = max|a_i| * max|b_j| * min(len a, len b) in absolute
-value, and so is every input coefficient.  Small products pack into
-ints with slots of bytes: with 8w - 1 >= bitlength(bound) every such
-value v has |v| < 2^(8w-1), so in a slot of w bytes v + 2^(8w-1)
-lies in [0, 2^(8w)).  Large ones pack into a `decimal.Decimal` with
-slots of w decimal digits: with 2 * bound < 10^w every such v has
+A product of two polynomials is one big-integer multiplication
+(Kronecker substitution) in three steps through the layout `_layout`
+picks, pack, multiply and read: each operand is packed into one number
+with its coefficients in fixed slots, the two numbers are multiplied (a
+square when both operands are the same object) and the slots of the
+product are read back as its coefficients.  The caller passes the slot
+bound.  For one product it is exact: coefficient k of a * b is a sum of
+at most min(len a, len b) products a_i * b_j, so it is at most
+bound = max|a_i| * max|b_j| * min(len a, len b) in absolute value, and
+so is every input coefficient.  Small products pack into ints with
+slots of bytes: with 8w - 1 >= bitlength(bound) every such value v has
+|v| < 2^(8w-1), so in a slot of w bytes v + 2^(8w-1) lies in
+[0, 2^(8w)).  Large ones pack into a `decimal.Decimal` with slots of w
+decimal digits: with 2 * bound < 10^w every such v has
 |v| < 5*10^(w-1), so v + 5*10^(w-1) lies in [0, 10^w).  Either way,
 adding the half slot 2^(8w-1) or 5*10^(w-1) to every slot of the
 product leaves each slot in range, nothing carries from one slot into
@@ -78,7 +80,7 @@ transform and the reading stay linear.
 
 The C `decimal` module (libmpdec) multiplies large operands by a
 number-theoretic transform in O(N log N), at the cost of converting
-each coefficient to and from decimal digits.  So `_kronecker` packs in
+each coefficient to and from decimal digits.  So `_layout` packs in
 base 10 once the smaller packed operand reaches `_DECIMAL_CUTOFF` bits,
 and in base 2^8 below that.  The base-10 product stays one product at
 one point: at quasi-linear cost two products of half the size cost as
@@ -86,18 +88,14 @@ much as one, and the second pass of packing and reading would only add
 to it.  Both branches cost far less than the d^2 coefficient products
 of the schoolbook loop, which the tests keep as the reference.
 
-`_kronecker`, which `__mul__` calls for the whole product, is pack,
-multiply and read through the layout `_layout` picks; the kernel and
-`_square_identity_holds` use the layouts themselves, so there is one
-packing for every caller.  Both layouts lay the positive and the
+The kernel and `_square_identity_holds` share the two layouts, so there
+is one packing for every caller.  Both layouts lay the positive and the
 negative coefficients out apart and subtract the two packed values, so
 no slot holds a sign.
 
-`evaluate` is scalar Horner and is exact for int and `fractions.Fraction`
-arguments (and works fine with floats or complex numbers when
-approximation is wanted).  `evaluate_homogeneous` gives y^degree * P(x/y)
-for integers x, y without leaving the integers, which is how the library
-evaluates at an integer (y = 1) and at a rational point p/q.  It runs on
+`evaluate_homogeneous` gives y^degree * P(x/y) for integers x, y without
+leaving the integers, which is how the library evaluates at an integer
+(y = 1) and at a rational point p/q.  It runs on
 a product tree rather than Horner: Horner on N coefficients makes N
 steps on an accumulator that grows to the full width of the result, so
 it costs O(N^2 b) bit operations for a b-bit x.  The tree runs Horner on
@@ -119,11 +117,8 @@ from __future__ import annotations
 
 import decimal
 import sys
-from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Union
-
-Scalar = Union[int, Fraction, float, complex]
+from typing import Iterable
 
 _EVAL_LEAF = 32
 """Most coefficients one Horner block of `evaluate_homogeneous` takes,
@@ -224,51 +219,6 @@ class IntPolynomial:
             raise IndexError("negative power")
         return self._coeffs[j] if j < len(self._coeffs) else 0
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self._coeffs)
-
-    def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return IntPolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(other * c for c in self._coeffs)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return IntPolynomial()
-        return IntPolynomial(_kronecker(a, b, 0, len(a) + len(b) - 1))
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: Scalar) -> Scalar:
-        """Scalar Horner evaluation; exact for int and Fraction arguments.
-        Integers go faster through ``evaluate_homogeneous(x, 1)``."""
-        acc = x * 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    __call__ = evaluate
-
     def evaluate_homogeneous(self, x: int, y: int) -> int:
         """y^degree * P(x/y) on integers, by the product tree of the module
         docstring: the coefficient of x^j enters multiplied by
@@ -337,22 +287,6 @@ class IntPolynomial:
             "order": "ascending",
             "coeffs": [str(c) for c in self._coeffs],
         }
-
-
-def _kronecker(a, b, start: int, stop: int) -> list[int]:
-    """Coefficients start..stop-1 of the product of the coefficient
-    sequences a and b, by Kronecker substitution: pack, multiply, read.
-
-    a and b are nonempty sequences of ints; zero entries are allowed, and
-    an all-zero operand counts as all ones in the slot bound of the module
-    docstring, so every input coefficient fits its slot too.  A square,
-    ``b is a``, squares each packed number.
-    """
-    size = min(len(a), len(b))
-    slots = _layout((max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * size, size)
-    packed = slots.pack(a)
-    product = slots.mul(packed, packed if b is a else slots.pack(b))
-    return slots.read(product, len(a) + len(b) - 1, start, stop)
 
 
 def _square_identity_holds(p, s, q, r) -> bool:
@@ -430,8 +364,8 @@ def _layout(bound: int, size: int) -> "_FourPoint | _Base10":
     in base 10 the two roots X and 1/X (`_square_identity_holds`).
 
     Both layouts have the same methods: ``pack(coeffs)`` gives the packed
-    value of a coefficient sequence, ``mul``, ``add`` and ``sub`` combine
-    packed values, ``read(value, slots, start, stop)`` gives slots
+    value of a coefficient sequence, ``mul`` and ``sub`` combine packed
+    values, ``read(value, slots, start, stop)`` gives slots
     start..stop-1 of a packed value that occupies at most ``slots``
     slots, and ``is_zero(value)`` tells whether a packed value is 0."""
     if size * bound.bit_length() >= _DECIMAL_CUTOFF:
@@ -470,10 +404,6 @@ class _FourPoint:
         a, b, c, d = x[2], x[3], y[2], y[3]
         ac, bd = a * c, b * d
         return x[0] * y[0], x[1] * y[1], ac - bd, (a + b) * (c + d) - ac - bd
-
-    @staticmethod
-    def add(x, y):
-        return x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]
 
     @staticmethod
     def sub(x, y):
@@ -520,7 +450,6 @@ class _Base10:
 
     __slots__ = ("width", "half", "to_str", "to_int")
     mul = _DECIMAL.multiply
-    add = _DECIMAL.add
     sub = _DECIMAL.subtract
     is_zero = _DECIMAL.is_zero
 
@@ -596,12 +525,4 @@ def _int_via_decimal(digits: str) -> int:
     return int(_DECIMAL.create_decimal(digits))
 
 
-def _coerce(value) -> IntPolynomial | None:
-    if isinstance(value, IntPolynomial):
-        return value
-    if isinstance(value, int):
-        return IntPolynomial([value])
-    return None
-
-
-__all__ = ["IntPolynomial", "Scalar"]
+__all__ = ["IntPolynomial"]

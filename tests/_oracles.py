@@ -5,9 +5,12 @@ are multiplied out in complex floating point, characters are checked
 against quadratic residues, and so on.  The floating-point ones are only
 trusted at small sizes where float error cannot reach 0.5.
 
-The schoolbook polynomial product is the reference for the library's
-packed one and, in `square_identity_by_schoolbook`, for its packed zero
-test of P^2 - S*Q^2 - R; the direct O(d^2) loop of Newton's identities
+The library has no polynomial arithmetic beyond its packed products, so
+the tests do theirs on coefficient lists here: a sum, a difference, a
+Horner evaluation, and the schoolbook product, which is the reference
+for the packed products of `poly`'s layouts and, in
+`square_identity_by_schoolbook`, for its packed zero test of
+P^2 - S*Q^2 - R; the direct O(d^2) loop of Newton's identities
 is the reference for the divide-and-conquer kernel behind both factor
 pairs, and the per-k formulas for the power sums (`moebius_phi`,
 `lucas_q`) are the reference for the residue classes the kernel takes
@@ -121,29 +124,55 @@ def quadratic_residues(p):
 
 
 def schoolbook_mul(a, b):
-    """a * b by the O(len a * len b) double loop over coefficient pairs:
-    the reference for `IntPolynomial.__mul__`'s packed product."""
+    """The coefficients of a * b, for ascending coefficient sequences a and
+    b, by the O(len a * len b) double loop over coefficient pairs: the
+    reference for the packed products of `poly`'s layouts.  An empty
+    operand gives []; otherwise the list has len a + len b - 1 entries."""
     if not a or not b:
-        return IntPolynomial()
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x == 0:
             continue
-        for j, y in enumerate(b.coeffs):
+        for j, y in enumerate(b):
             out[i + j] += x * y
-    return IntPolynomial(out)
+    return out
+
+
+def add_coeffs(a, b):
+    """The coefficients of a + b, for ascending coefficient sequences, as
+    long as the longer one."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, c in enumerate(b):
+        out[j] += c
+    return out
+
+
+def sub_coeffs(a, b):
+    """The coefficients of a - b, for ascending coefficient sequences, as
+    long as the longer one."""
+    return add_coeffs(a, [-c for c in b])
+
+
+def horner(coeffs, x):
+    """The ascending coefficient sequence evaluated at x by Horner's rule:
+    exact at an int or a `Fraction`, approximate at a float or a complex
+    number."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def square_identity_by_schoolbook(p, s, q, r):
     """Whether P^2 - S*Q^2 - R = 0 for ascending coefficient sequences,
     the two squares and the product by S by `schoolbook_mul`: the
     reference for `poly._square_identity_holds`."""
-    p, s, q = (IntPolynomial(f) for f in (p, s, q))
-    square = schoolbook_mul(p, p).coeffs
-    product = schoolbook_mul(s, schoolbook_mul(q, q)).coeffs
-    size = max(len(square), len(product), len(r))
-    rows = (list(f) + [0] * (size - len(f)) for f in (square, product, r))
-    return all(a - b == c for a, b, c in zip(*rows))
+    square = schoolbook_mul(p, p)
+    product = schoolbook_mul(s, schoolbook_mul(q, q))
+    return not any(sub_coeffs(sub_coeffs(square, product), r))
 
 
 def pair_identity_terms(pair):
@@ -518,7 +547,7 @@ def f_by_substitution(n):
         p = phi_recursive(n)
         return p if n % 4 == 1 else negate_arg(p)
     half = compose_power(negate_arg(phi_recursive(n // 2)), 2)
-    return -half if euler_phi(n // 2) % 2 else half
+    return IntPolynomial(-c for c in half.coeffs) if euler_phi(n // 2) % 2 else half
 
 
 def phi_value_mod(n, x, modulus=MERSENNE_61):

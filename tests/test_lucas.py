@@ -17,9 +17,12 @@ from _counting import count_calls
 from _oracles import (
     euler_phi,
     expand_classes,
+    horner,
     kernel_call,
     moebius,
+    schoolbook_mul,
     squarefree_range,
+    sub_coeffs,
     symmetry_class,
 )
 
@@ -82,9 +85,10 @@ def test_identity_fails_on_one_corrupt_coefficient(n):
 
 def test_identity_expanded_for_15():
     pair = algorithm_l(15)
-    c, dd = pair.poly_c(), pair.poly_d()
-    x = IntPolynomial([0, 1])
-    assert f_poly(15) == c * c - 15 * (x * dd * dd)
+    c, dd = pair.poly_c().coeffs, pair.poly_d().coeffs
+    x = [0, 1]
+    n_x_dd_dd = [15 * v for v in schoolbook_mul(x, schoolbook_mul(dd, dd))]
+    assert f_poly(15) == IntPolynomial(sub_coeffs(schoolbook_mul(c, c), n_x_dd_dd))
     assert pair.poly_c() == IntPolynomial.from_descending([1, 8, 13, 8, 1])
     assert pair.poly_d() == IntPolynomial.from_descending([1, 3, 3, 1])
 
@@ -136,7 +140,7 @@ def test_eval_split_multiplies_back():
         for m in (1, 2, 3, Fraction(3, 2), Fraction(2, 5)):
             x = m * m * n
             lo, hi = _rational_split(n, m)
-            assert lo * hi == f(Fraction(x))
+            assert lo * hi == horner(f.coeffs, Fraction(x))
             assert lo <= hi
 
 
@@ -154,7 +158,8 @@ def test_split_at_is_the_scaled_split():
             # C_n(x) -+ sqrt(n*x) * D_n(x) at x = (p/q)^2 * n, where
             # sqrt(n*x) = p*n/q.
             x = Fraction(p * p * n, q * q)
-            c_val, d_val = pair.poly_c()(x), pair.poly_d()(x)
+            c_val = horner(pair.poly_c().coeffs, x)
+            d_val = horner(pair.poly_d().coeffs, x)
             root = Fraction(p * n, q)
             scale = q ** (2 * pair.d)
             assert (Fraction(lo, scale), Fraction(hi, scale)) == (
@@ -195,7 +200,8 @@ def test_values_at_zero_and_one():
     # cases are n' prime and n' = 4 (i.e. n = 2).
     for n in squarefree_range(2, 60):
         pair = algorithm_l(n)
-        assert pair.poly_c()(0) == 1 and pair.poly_d()(0) == 1
+        c, d = pair.poly_c().coeffs, pair.poly_d().coeffs
+        assert horner(c, 0) == 1 and horner(d, 0) == 1
         n_prime = n if n % 4 == 1 else 2 * n
         if n == 2:
             expected = 2
@@ -203,5 +209,5 @@ def test_values_at_zero_and_one():
             expected = n_prime
         else:
             expected = 1
-        c1, d1 = pair.poly_c()(1), pair.poly_d()(1)
+        c1, d1 = horner(c, 1), horner(d, 1)
         assert c1 * c1 - n * d1 * d1 == expected

@@ -383,9 +383,8 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
 def feed_by_schoolbook(ub, vb, pb, odd, first, last):
     """`numthy._feed` by schoolbook products: slots first..last-1 of V*P
     and first+odd..last-1+odd of U*P."""
-    p = IntPolynomial(pb)
-    vp = schoolbook_mul(IntPolynomial(vb), p)
-    up = schoolbook_mul(IntPolynomial(ub), p)
+    vp = IntPolynomial(schoolbook_mul(vb, pb))
+    up = IntPolynomial(schoolbook_mul(ub, pb))
     return (
         [vp.coefficient(k) for k in range(first, last)],
         [up.coefficient(k + odd) for k in range(first, last)],

@@ -34,6 +34,7 @@ from _counting import count_calls
 from _oracles import (
     cyclotomic_power_sums,
     euler_phi,
+    horner,
     series_exp_like_fractions,
     series_mul_fractions,
     series_sqrt_fractions,
@@ -383,8 +384,8 @@ def check_ratio_identity(
     sp = -1 if n % 8 == 5 else 1
     root_n = sqrt(n)
     x2 = x0 * x0
-    c_val = float(pair.poly_c().evaluate(x2))
-    d_val = float(pair.poly_d().evaluate(x2))
+    c_val = float(horner(pair.poly_c().coeffs, x2))
+    d_val = float(horner(pair.poly_d().coeffs, x2))
     wing = sp * float(x0) * root_n * d_val
     denom = c_val - wing
     if denom == 0.0:
