@@ -25,8 +25,8 @@ every square-free n:
     F_n(x) = (-1)^phi(n/2) * Phi_{n/2}(-x^2)   for even n,
 
 with s = -1 for n = 3 (mod 4) and +1 otherwise.  For square-free n this
-equals Phi_{n'}, with n' = n for n = 1 (mod 4) and 2n otherwise, and
-that is how `f_poly` builds it.
+equals Phi_{n'}, with n' = n for n = 1 (mod 4) and 2n otherwise (the
+`numthy.make_context` convention), and that is how `f_poly` builds it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, sub
 
-from .numthy import _require_squarefree, factorize
+from .numthy import factorize, make_context
 from .poly import IntPolynomial
 
 
@@ -73,9 +73,8 @@ def phi_moebius(n: int) -> IntPolynomial:
 
 def f_poly(n: int) -> IntPolynomial:
     """The degree-phi(2n) polynomial F_n for square-free n >= 2, as
-    Phi_{n'} with n' = n for n = 1 (mod 4) and 2n otherwise."""
-    _require_squarefree(n)
-    return phi_moebius(n if n % 4 == 1 else 2 * n)
+    Phi_{n'}, n' being the context's (`numthy.make_context`)."""
+    return phi_moebius(make_context(n).n_prime)
 
 
 __all__ = [

@@ -29,21 +29,15 @@ with lambda = deg F_n / 2 = phi(2n)/2, computed with mpmath at a working
 precision of bits = bitlength(F_n(x))/2 + 64, derived from the one
 evaluation of F_n(x) that also serves the exact division.  The sum
 S = sum_{j<lambda} (n|2j+1) / ((2j+1) x^j) is taken exactly, as one
-fraction T / (Q * x^(lambda-1)) with Q = prod_{j<lambda} (2j+1), by the
-bottom-up pairing that `IntPolynomial.evaluate_homogeneous` uses (binary
-splitting; Haible & Papanikolaou, ANTS 1998).  Blocks of `_EVAL_LEAF`
-terms are summed directly; then neighbouring blocks L and R pair level
-by level as
-
-    T = T_L * Q_R * x^span(R) + T_R * Q_L,   Q = Q_L * Q_R,
-
-where span counts a block's terms and x^span is squared once per level.
-That costs O(M(N) log lambda) for the N-bit T, in place of lambda
-sequential divisions of a number as wide as the result.  One division
-then gives s = floor(2^P * T / (Q * x^(lambda-1))) with P = bits + 64
-fraction bits, so |s - 2^P * S| < 1, and -s / (m * 2^P) goes to mpmath's
-exp.  Since F^ < sqrt(F_n(x)) < 2^(bits - 63), that moves F^ by less
-than about 2^-127, far inside the 1/2 rounding window.  Rounding F^ and
+fraction: S * x^(lambda-1) = sum_j (n|2j+1)/(2j+1) * x^(lambda-1-j) is a
+homogeneous sum at the point (1, x), and `poly._pair_blocks` sums it by
+binary splitting, each block carrying the product of its odd
+denominators.  That costs O(M(N) log lambda) for the N-bit result, in
+place of lambda sequential divisions of a number as wide as the result.
+One division then gives s = floor(2^P * S) with P = bits + 64 fraction
+bits, so |s - 2^P * S| < 1, and -s / (m * 2^P) goes to mpmath's exp.
+Since F^ < sqrt(F_n(x)) < 2^(bits - 63), that moves F^ by less than
+about 2^-127, far inside the 1/2 rounding window.  Rounding F^ and
 dividing F_n(x) exactly by the result remain the proof.
 
 `full_factorization` assembles the whole integer: every cyclotomic piece
@@ -93,10 +87,10 @@ from math import gcd, isqrt
 from operator import itemgetter
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
-from .numthy import _require_squarefree, _symbols_n_over_odd_k, divisors
+from .numthy import NumTheoryContext, _symbols_n_over_odd_k, divisors, make_context
 from .cyclotomic import phi_moebius
 from .lucas import algorithm_l
-from .poly import _EVAL_LEAF
+from .poly import _pair_blocks
 
 RHO_STEP_LIMIT = 1 << 20
 """Most steps of Brent's rho for one cyclotomic piece, summed over its
@@ -219,8 +213,8 @@ def _rounding_split(
     n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]
 ) -> AurifeuilleResult:
     """`factor_by_rounding` from F_n(x) = f_val, lambda = lam and the
-    primes of n, which `full_factorization` takes from the F_n it builds
-    with its pieces and from its own check of n."""
+    primes of n (`_f_value`), which `full_factorization` takes from its
+    own check of n."""
     import mpmath  # loaded only by the routes that round
 
     hat, bits = _estimate(n, m, f_val, lam, primes)
@@ -317,25 +311,22 @@ def full_factorization(
     m = Fraction(m)
     if m <= 0:
         raise ValueError(f"need m > 0, got {m}")
-    primes_n = _require_squarefree(n)
+    ctx = make_context(n)
     target = _target(n, m)
     big_x, big_y = m.numerator**2 * n, m.denominator**2
-    indices = _cyclotomic_indices(n)
+    indices = _cyclotomic_indices(ctx)
     pieces = [
         (phi_moebius(e).evaluate_homogeneous(big_x, big_y), e)
         for e in indices[:-1]
     ]
     # The top piece F_n(x) is the product of the split; since
     # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
-    # split that does not multiply to it.  F_n is Phi_n', n' = indices[-1].
+    # split that does not multiply to it.
     if m.denominator == 1:
-        fn = phi_moebius(indices[-1])
-        split = _rounding_split(
-            n, m.numerator, fn.evaluate_homogeneous(big_x, 1), fn.degree // 2, primes_n
-        )
+        split = _rounding_split(n, m.numerator, *_f_value(ctx, big_x))
     else:
         split = factor_by_polynomials(n, m)
-    pieces += [(split.int_minus, indices[-1]), (split.int_plus, indices[-1])]
+    pieces += [(split.int_minus, ctx.n_prime), (split.int_plus, ctx.n_prime)]
     check = 1
     for piece, _e in pieces:
         check *= piece
@@ -343,7 +334,7 @@ def full_factorization(
         raise InternalInconsistency(
             f"piece product {check} != target {target} at n={n}, m={m}"
         )
-    primes_2n = sorted({2, *primes_n})
+    primes_2n = sorted({2, *ctx.primes})
     counts: dict[int, int] = {}
     probable: set[int] = set()
     complete = True
@@ -387,19 +378,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _cyclotomic_indices(n: int) -> list[int]:
-    """The indices e with x^n -+ 1 = prod Phi_e(x), top (F_n) piece last.
+def _cyclotomic_indices(ctx: NumTheoryContext) -> list[int]:
+    """The indices e with x^n -+ 1 = prod Phi_e(x), ascending, so that
+    the top piece F_n(x) = Phi_n'(x) comes last.
 
-    n = 1 (mod 4): x^n - 1 and e runs over the divisors of n.
-    n = 3 (mod 4): x^n + 1 and e = 2*d over the divisors d of n.
-    n = 2 (mod 4): x^n + 1 and e = 4*d over the divisors d of n/2.
-    The last index is n' or 2n as appropriate and its piece is F_n(x).
+    For n' = n, which is n = 1 (mod 4), the number is x^n - 1 and e runs
+    over the divisors of n.  Otherwise n' = 2n, the number is
+    x^n + 1 = (x^(2n) - 1) / (x^n - 1), and e runs over the divisors of
+    2n that do not divide n.
     """
-    if n % 4 == 1:
-        return divisors(n)
-    if n % 2:
-        return [2 * d for d in divisors(n)]
-    return [4 * d for d in divisors(n // 2)]
+    n, top = ctx.n, ctx.n_prime
+    return [e for e in divisors(top) if top == n or n % e]
 
 
 def _accumulate_factors(
@@ -679,56 +668,44 @@ def _estimate(n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]):
 
 def _lambda_sum(primes: tuple[int, ...], x: int, lam: int, frac_bits: int) -> int:
     """floor(2^frac_bits * S) for S = sum_{j<lam} (n|2j+1) / ((2j+1) x^j),
-    lam >= 1, n having the given primes, by the pairing of the module
-    docstring.  The symbols (n|2j+1) come from `_symbols_n_over_odd_k`.
+    lam >= 1, n having the given primes, by the binary splitting of the
+    module docstring.  The symbols (n|2j+1) come from
+    `_symbols_n_over_odd_k`.
 
-    A block of the terms a <= j < b is held as T and Q = prod (2j+1), with
-    sum_{a<=j<b} (n|2j+1) / ((2j+1) x^(j-a)) = T / (Q * x^(b-1-a)).  A
-    leaf adds its terms one at a time, each as a block of one term.
+    A leaf of the terms a <= j < b is T and D = prod (2j+1), with
+    sum_{a<=j<b} (n|2j+1) / ((2j+1) x^(j-a)) = T / (D * x^(b-1-a)), and
+    adds its terms one at a time.
     """
     symbols = _symbols_n_over_odd_k(primes, lam)
-    tops, dens = [], []
-    for start in range(0, lam, _EVAL_LEAF):
-        stop = min(start + _EVAL_LEAF, lam)
-        t, q = 0, 1
+
+    def leaf(start, stop):
+        t, d = 0, 1
         for k, symbol in zip(range(2 * start + 1, 2 * stop, 2), symbols[start:stop]):
-            t = t * k * x + symbol * q
-            q *= k
-        tops.append(t)
-        dens.append(q)
-    # x^span of the trailing block, the only one that can be short, and
-    # of every other block.
-    xlast = x ** (lam - _EVAL_LEAF * (len(tops) - 1))
-    xspan = x**_EVAL_LEAF
-    while len(tops) > 1:
-        last = len(tops) - 1
-        pairs = range(0, last, 2)
-        paired = [
-            tops[i] * dens[i + 1] * (xlast if i + 1 == last else xspan)
-            + tops[i + 1] * dens[i]
-            for i in pairs
-        ]
-        dens_paired = [dens[i] * dens[i + 1] for i in pairs]
-        if last % 2 == 0:
-            paired.append(tops[last])
-            dens_paired.append(dens[last])
-        else:
-            xlast *= xspan
-        tops, dens = paired, dens_paired
-        if len(tops) > 1:
-            xspan *= xspan
-    # xlast is now x^lam, so S = T * x / (Q * x^lam).
-    return (tops[0] * x << frac_bits) // (dens[0] * xlast)
+            t = t * k * x + symbol * d
+            d *= k
+        return t, d
+
+    # S * x^(lam-1) = T / D, the terms' homogeneous value at (1, x).
+    top, den, x_lam = _pair_blocks(lam, leaf, 1, x)
+    return (top * x << frac_bits) // (den * x_lam)
 
 
 def _f_value_int(n: int, m: int) -> tuple[int, int, tuple[int, ...]]:
-    """F_n(m^2 * n), lambda = deg F_n / 2 and the primes of n, from one
-    check of n and one F_n, which is Phi_n' (`cyclotomic.f_poly`)."""
+    """`_f_value` at x = m^2 * n, from one check of n."""
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"need a positive integer m, got {m!r}")
-    primes = _require_squarefree(n)
-    fn = phi_moebius(n if n % 4 == 1 else 2 * n)
-    return fn.evaluate_homogeneous(m * m * n, 1), fn.degree // 2, primes
+    return _f_value(make_context(n), m * m * n)
+
+
+def _f_value(ctx: NumTheoryContext, x: int) -> tuple[int, int, tuple[int, ...]]:
+    """F_n(x) at the integer x, lambda = deg F_n / 2 and the primes of n,
+    from the context of n: F_n is Phi_n' (`cyclotomic.f_poly`), built
+    once, and lambda = phi(n')/2 is the context's d_lucas."""
+    return (
+        phi_moebius(ctx.n_prime).evaluate_homogeneous(x, 1),
+        ctx.d_lucas,
+        ctx.primes,
+    )
 
 
 def _as_int_if_possible(value: Fraction):

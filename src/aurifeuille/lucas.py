@@ -143,7 +143,7 @@ def _classes(ctx: NumTheoryContext, last: int) -> tuple[list, tuple[int, ...]]:
     n = 1 (mod 4) and (-1)^i for n = 3 (mod 4), the twist (1, -1).  For
     even n = 2h, q_{2i} = 2 * c_h(i) * cos(i*pi/2), which vanishes for odd
     i; h is odd, so e | i with i even is 2e | i, and there the cosine is
-    (-1)^(i/2): classes (2e, 0, 2w) under the twist (1, 1, -1, -1), whose
+    (-1)^(i/2): classes (2e, 2w) under the twist (1, 1, -1, -1), whose
     sign (-1)^floor(i/2) splits over the even differences the classes
     hold."""
     n = ctx.n
@@ -151,7 +151,7 @@ def _classes(ctx: NumTheoryContext, last: int) -> tuple[list, tuple[int, ...]]:
         twist = (1,) if n % 4 == 1 else (1, -1)
         return _ramanujan_classes(ctx.primes, last), twist
     half = _ramanujan_classes(ctx.primes[1:], last // 2)
-    return [(2 * e, 0, 2 * w) for e, _, w in half], (1, 1, -1, -1)
+    return [(2 * e, 2 * w) for e, w in half], (1, 1, -1, -1)
 
 
 __all__ = [

@@ -187,18 +187,18 @@ def _require_squarefree(n: int, minimum: int = 2) -> tuple[int, ...]:
 
 def _ramanujan_classes(
     primes: tuple[int, ...], last: int
-) -> list[tuple[int, int, int]]:
+) -> list[tuple[int, int]]:
     """Ramanujan's sum c_N(k) for the square-free N whose primes are
-    given, as the kernel's residue classes: (e, 0, e * mu(N/e)) for each
+    given, as the kernel's residue classes: (e, e * mu(N/e)) for each
     divisor e <= last of N, since c_N(k) sums e * mu(N/e) over the
     divisors e of gcd(k, N) (Ramanujan, Trans. Cambridge Philos. Soc.
     1918).  For 1 <= k <= last the classes sum to c_N(k) = mu(N/g) * phi(g)
     with g = gcd(k, N); a larger divisor divides no such k."""
-    classes = [(1, 0, (-1) ** len(primes))]
+    classes = [(1, (-1) ** len(primes))]
     for p in primes:
         # Moving p from N/e into e flips mu(N/e); a divisor past last
         # has no multiple among the divisors still to be built.
-        classes += [(e * p, 0, -w * p) for e, _, w in classes if e * p <= last]
+        classes += [(e * p, -w * p) for e, w in classes if e * p <= last]
     return classes
 
 
@@ -214,8 +214,8 @@ def _newton_pair(n, u0, v0, c, p, classes, twist, odd, k_u, k_v):
     in both callers; p[0] is read only as r_0, when odd = 0.  q is given
     by residue classes and a twist, a tuple of signs:
 
-        q_i = twist[i % len(twist)] * (sum of w over the classes (m, t, w)
-                                       with i = t (mod m)),
+        q_i = twist[i % len(twist)] * (sum of w over the classes (m, w)
+                                       with m | i),
 
     where the twist sigma(i) must satisfy sigma(k - j) = sigma(k) sigma(j)
     whenever a class holds k - j, as (1,) and (1, -1) always do.  Every
@@ -225,7 +225,7 @@ def _newton_pair(n, u0, v0, c, p, classes, twist, odd, k_u, k_v):
     The q half is never convolved.  With sigma(k - j) split,
 
         sum_{j<k} q_{k-j} u_j = sigma(k) * sum over the classes of
-                                w * S[(k - t) mod m],
+                                w * S[k mod m],
 
     S[i] being the sum of sigma(j) u_j over the j < k with j = i (mod m),
     and the same for v.  The kernel keeps these running residue-class
@@ -277,7 +277,7 @@ def _newton_pair(n, u0, v0, c, p, classes, twist, odd, k_u, k_v):
     p_1, r = p[1:], p[odd:]
     # Each class's running sums of sigma(j) u_j and sigma(j) v_j, entry i
     # over the j = i (mod m) already solved.
-    sums = [(m, t, w, [0] * m, [0] * m) for m, t, w in classes]
+    sums = [(m, w, [0] * m, [0] * m) for m, w in classes]
     period = len(twist)
     # The blocks still to do, last first.  (lo, hi, None) is a block to
     # solve; (lo, hi, mid) says that [lo, mid) is solved and must now feed
@@ -309,11 +309,11 @@ def _newton_pair(n, u0, v0, c, p, classes, twist, odd, k_u, k_v):
                 if twist[(k - 1) % period] < 0:
                     x, y = -x, -y
                 qu = qv = 0
-                for m, t, w, sum_u, sum_v in sums:
+                for m, w, sum_u, sum_v in sums:
                     i = (k - 1) % m
                     sum_u[i] += x
                     sum_v[i] += y
-                    i = (k - t) % m
+                    i = k % m
                     qu += w * sum_u[i]
                     qv += w * sum_v[i]
                 if twist[k % period] < 0:

@@ -95,22 +95,10 @@ no slot holds a sign.
 
 `evaluate_homogeneous` gives y^degree * P(x/y) for integers x, y without
 leaving the integers, which is how the library evaluates at an integer
-(y = 1) and at a rational point p/q.  It runs on
-a product tree rather than Horner: Horner on N coefficients makes N
-steps on an accumulator that grows to the full width of the result, so
-it costs O(N^2 b) bit operations for a b-bit x.  The tree runs Horner on
-blocks of `_EVAL_LEAF` coefficients, each homogeneous in its own span
-(its count of coefficients), then pairs neighbouring blocks level by
-level,
-
-    H = H_lo * y^span(hi) + H_hi * x^span(lo),
-
-with x^span and y^span squared once per level.  An unpaired trailing
-block carries up unchanged; the trailing block is the only one that can
-be short, and it takes y to its own span.  Each level costs about one
-product of the result's size, so the whole costs O(M(N b) log N).  At
-most `_EVAL_LEAF` coefficients make one block, and that is one Horner
-pass.
+(y = 1) and at a rational point p/q.  It runs Horner on blocks of
+`_EVAL_LEAF` coefficients and sums the blocks by the product tree of
+`_pair_blocks`, which the rounding route's lambda sum shares
+(`factorizer._lambda_sum`).
 """
 
 from __future__ import annotations
@@ -121,16 +109,73 @@ from math import isqrt
 from typing import Iterable
 
 _EVAL_LEAF = 32
-"""Most coefficients one Horner block of `evaluate_homogeneous` takes,
-and most terms one leaf of the rounding route's lambda sum
-(`factorizer._lambda_sum`).  On F_30011 at x = 30011, leaves of 16, 32,
-64, 128 and 256 took 0.073, 0.070, 0.071, 0.071 and 0.078 s against
-0.84 s for one Horner pass; on 1000 random 11-bit coefficients at
-x = 4004, y = 25, leaves of 32, 64, 128 and 256 took 583, 615, 678 and
-816 us against 1554 us.  The lambda sum at n = 30011 took 0.36-0.40 s
-for every leaf from 8 to 128 terms, most of it in its one final
-division (shared 2-core Xeon, Python 3.11).  Every piece of `aurif
-factor` at n <= 31 has at most 31 coefficients, so it is one block."""
+"""Most terms one leaf of `_pair_blocks` holds: coefficients of one
+Horner block of `evaluate_homogeneous`, or terms of the rounding route's
+lambda sum (`factorizer._lambda_sum`).  On F_30011 at x = 30011, leaves
+of 16, 32, 64, 128 and 256 took 0.073, 0.070, 0.071, 0.071 and 0.078 s
+against 0.84 s for one Horner pass; on 1000 random 11-bit coefficients
+at x = 4004, y = 25, leaves of 32, 64, 128 and 256 took 583, 615, 678
+and 816 us against 1554 us.  The lambda sum at n = 30011 took
+0.36-0.40 s for every leaf from 8 to 128 terms, most of it in its one
+final division (shared 2-core Xeon, Python 3.11).  Every piece of
+`aurif factor` at n <= 31 has at most 31 coefficients, so it is one
+block."""
+
+
+def _pair_blocks(count, leaf, x, y):
+    """Sum count terms by binary splitting (Haible & Papanikolaou, ANTS
+    1998): T, D and y^count with T / D = sum_j a_j x^j y^(count-1-j), the
+    homogeneous value of the terms a_0 .. a_(count-1) at the point (x, y).
+
+    The terms are cut into blocks of `_EVAL_LEAF`, the trailing one
+    possibly short.  ``leaf(start, stop)`` gives the block of the terms
+    start .. stop-1 over its own span s = stop - start, as T and D with
+    T / D = sum_j a_(start+j) x^j y^(s-1-j).  Neighbouring blocks
+    L and R pair level by level as
+
+        T = T_L * D_R * y^s(R) + T_R * D_L * x^s(L),   D = D_L * D_R,
+
+    which is the block of the terms of both over s(L) + s(R).  x^s and
+    y^s of the full span are squared once per level; y^s of the trailing
+    block is kept apart, an unpaired trailing block carries up
+    unchanged, and a pair that takes it in is the new trailing block.
+    Each level costs about one product of the result's size, so N terms
+    of b bits cost O(M(N b) log N), against O(N^2 b) for N Horner steps
+    on an accumulator that grows to the result's width.  With no terms
+    it gives T = 0, D = 1 and y^0 = 1.
+
+    `IntPolynomial.evaluate_homogeneous` sums its coefficients with every
+    D = 1; `factorizer._lambda_sum` sums its series at the point (1, x),
+    each D the product of its block's odd denominators.
+    """
+    blocks = [
+        leaf(start, min(start + _EVAL_LEAF, count))
+        for start in range(0, count, _EVAL_LEAF)
+    ]
+    if not blocks:
+        return 0, 1, 1
+    tops, dens = zip(*blocks)
+    last = y ** (count - _EVAL_LEAF * (len(blocks) - 1))
+    xspan, yspan = x**_EVAL_LEAF, y**_EVAL_LEAF
+    while len(tops) > 1:
+        end = len(tops) - 1
+        pairs = range(0, end, 2)
+        paired = [
+            tops[i] * (dens[i + 1] * (last if i + 1 == end else yspan))
+            + tops[i + 1] * (dens[i] * xspan)
+            for i in pairs
+        ]
+        dens_paired = [dens[i] * dens[i + 1] for i in pairs]
+        if end % 2 == 0:
+            paired.append(tops[end])
+            dens_paired.append(dens[end])
+        else:
+            last *= yspan
+        tops, dens = paired, dens_paired
+        if len(tops) > 1:
+            xspan *= xspan
+            yspan *= yspan
+    return tops[0], dens[0], last
 
 
 _DECIMAL_CUTOFF = 300_000
@@ -220,39 +265,19 @@ class IntPolynomial:
         return self._coeffs[j] if j < len(self._coeffs) else 0
 
     def evaluate_homogeneous(self, x: int, y: int) -> int:
-        """y^degree * P(x/y) on integers, by the product tree of the module
-        docstring: the coefficient of x^j enters multiplied by
-        y^(degree - j)."""
+        """y^degree * P(x/y) on integers: the coefficient of x^j enters
+        multiplied by y^(degree - j).  Horner on each block of
+        `_pair_blocks`, whose denominators are all 1."""
         cs = self._coeffs
-        blocks = []
-        for start in range(0, len(cs), _EVAL_LEAF):
+
+        def horner(start, stop):
             acc, ypow = 0, 1
-            for c in reversed(cs[start : start + _EVAL_LEAF]):
+            for c in reversed(cs[start:stop]):
                 acc = acc * x + c * ypow
                 ypow *= y
-            blocks.append(acc)
-        if len(blocks) < 2:
-            return blocks[0] if blocks else 0
-        # ypow is y^span of the trailing block; every other block spans
-        # the full width, whose powers are xspan and yspan.
-        ylast = ypow
-        xspan, yspan = x**_EVAL_LEAF, y**_EVAL_LEAF
-        while len(blocks) > 1:
-            last = len(blocks) - 1
-            paired = [
-                blocks[i] * (ylast if i + 1 == last else yspan)
-                + blocks[i + 1] * xspan
-                for i in range(0, last, 2)
-            ]
-            if last % 2 == 0:
-                paired.append(blocks[last])
-            else:
-                ylast *= yspan
-            blocks = paired
-            if len(blocks) > 1:
-                xspan *= xspan
-                yspan *= yspan
-        return blocks[0]
+            return acc, 1
+
+        return _pair_blocks(len(cs), horner, x, y)[0]
 
     def to_text(self) -> str:
         """Human form, descending powers: ``2*x^4 - x^3 - 4*x^2 - x + 2``."""

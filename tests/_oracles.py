@@ -212,10 +212,10 @@ def newton_pair_direct(n, u0, v0, c, p, q, r, odd, k_u, k_v):
 def expand_classes(classes, twist, count):
     """The list [0, q_1, ..., q_count] that the kernel's residue classes
     stand for: q_i is twist[i % len(twist)] times the sum of w over the
-    classes (m, t, w) with i = t (mod m).  q_0 is never read."""
+    classes (m, w) with m | i.  q_0 is never read."""
     q = [0] * (count + 1)
-    for m, t, w in classes:
-        for i in range(t % m or m, count + 1, m):
+    for m, w in classes:
+        for i in range(m, count + 1, m):
             q[i] += w
     return [twist[i % len(twist)] * x for i, x in enumerate(q)]
 

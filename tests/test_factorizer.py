@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import aurifeuille.cyclotomic as cyclotomic
 import aurifeuille.factorizer as factorizer
 import aurifeuille.numthy as numthy
+import aurifeuille.poly as poly
 from aurifeuille.errors import (
     InternalInconsistency,
     NegativeTarget,
@@ -142,6 +143,29 @@ def test_lambda_sum_is_the_floor_of_the_exact_sum():
                 )
                 expected = math.floor(exact * 2**frac_bits)
                 assert factorizer._lambda_sum(primes_of(n), x, lam, frac_bits) == expected
+
+
+_LEAF = poly._EVAL_LEAF
+
+
+@pytest.mark.parametrize(
+    "lam", [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 33 * _LEAF + 1]
+)
+@pytest.mark.parametrize("m", [1, 7])
+def test_lambda_sum_is_the_floor_of_the_exact_sum_across_leaves(lam, m):
+    # One block one term short of a leaf, one full leaf, a full leaf and
+    # a trailing block of one term, three blocks with one carried up a
+    # level, and 34 blocks over six levels, the last of one term.  At
+    # the widest fraction bits the floor sees the last term, which for
+    # n = 22 is nonzero at every lambda here.
+    n = 22
+    x = m * m * n
+    exact = sum(
+        Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j) for j in range(lam)
+    )
+    for frac_bits in (0, 61, lam * x.bit_length() + 64):
+        expected = math.floor(exact * 2**frac_bits)
+        assert factorizer._lambda_sum(primes_of(n), x, lam, frac_bits) == expected
 
 
 @pytest.mark.parametrize("n", [1001, 1501, 2002, 2003, 3001])

@@ -344,10 +344,12 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
 ):
     # One power sum off by one makes some step's sum indivisible; the
     # kernel must raise there, naming n and k, and not round, at the same
-    # step and with the same sum as the direct loop.  A Ramanujan sum is
-    # corrupted by one extra class that holds its index and no other up to
-    # k_u, a character through the list of Jacobi symbols it is read from:
-    # Gauss's (k|n) from k = 0, Lucas's (n|k) at the odd k from k = 1.
+    # step and with the same sum as the direct loop.  The Ramanujan sum
+    # q_1 is corrupted by the extra classes (m, mu(m)) for m <= k_u, which
+    # by Moebius inversion add 1 at index 1 and nothing at any other index
+    # up to k_u.  A character is corrupted through the list of Jacobi
+    # symbols it is read from: Gauss's (k|n) from k = 0, Lucas's (n|k) at
+    # the odd k from k = 1.
     monkeypatch.setattr(poly, "_DECIMAL_CUTOFF", cutoff)
     if source == "symbols":
         helper = "_symbols_k_over_n" if module is gauss else "_symbols_n_over_odd_k"
@@ -366,7 +368,8 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
     def record(*args):
         if source == "classes":
             k_u = args[8]
-            args = (*args[:5], [*args[5], (k_u + 1, index, 1)], *args[6:])
+            extra = [(m, moebius(m)) for m in range(1, k_u + 1) if moebius(m)]
+            args = (*args[:5], [*args[5], *extra], *args[6:])
         calls.append(args)
         return kernel(*args)
 
