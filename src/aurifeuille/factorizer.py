@@ -78,13 +78,13 @@ proven prime; a larger one is only a probable prime and is listed in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
 from math import gcd, isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
 from .numthy import NumTheoryContext, _symbols_n_over_odd_k, divisors, make_context
@@ -140,8 +140,7 @@ _PM1_GCD_EVERY = 1024
 _PM1_STAGE2_PRODUCTS = 80_000
 
 
-@dataclass(frozen=True)
-class AurifeuilleResult:
+class AurifeuilleResult(NamedTuple):
     """One Aurifeuillian split F_n(x) = F- * F+ at x = (m_num/m_den)^2 * n.
 
     `F_minus`, `F_plus` are exact (integers when m is an integer), and
@@ -163,8 +162,7 @@ class AurifeuilleResult:
     residual: float | None = None
 
 
-@dataclass(frozen=True)
-class FactorList:
+class FactorList(NamedTuple):
     """A factorization target = prod base^exp, ascending bases.
 
     When `complete` is True every base is prime: proven, except the

@@ -50,7 +50,7 @@ at about half the slot width the coefficients of A_n^2 would need; A_3 =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotOddSquareFree, NotSquareFree
 from .numthy import (
@@ -64,8 +64,7 @@ from .poly import IntPolynomial, _square_identity_holds
 from .cyclotomic import phi_moebius
 
 
-@dataclass(frozen=True)
-class GaussPair:
+class GaussPair(NamedTuple):
     """A_n and B_n held as descending coefficient tuples.
 
     ``alpha[j]`` multiplies x^(d-j) in A_n; ``beta[j]`` likewise in B_n

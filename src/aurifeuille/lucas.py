@@ -55,7 +55,7 @@ integers: `split_at(p, q)` gives it at x = (p/q)^2 * n scaled by q^(2d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numthy import (
     NumTheoryContext,
@@ -68,8 +68,7 @@ from .poly import IntPolynomial, _square_identity_holds
 from .cyclotomic import phi_moebius
 
 
-@dataclass(frozen=True)
-class LucasPair:
+class LucasPair(NamedTuple):
     """C_n and D_n held as descending coefficient tuples.
 
     ``gamma[j]`` multiplies x^(d-j) in C_n; ``delta[j]`` multiplies

@@ -40,9 +40,9 @@ docstring derives the slot bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt, prod
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import (
     BadResidueClass,
@@ -356,8 +356,7 @@ def _feed(ub, vb, pb, odd, first, last):
     return du, dv
 
 
-@dataclass(frozen=True)
-class NumTheoryContext:
+class NumTheoryContext(NamedTuple):
     """The bundle of derived quantities attached to a square-free n >= 2.
 
     `primes` are the primes of n, ascending.  `d_gauss` only makes sense
@@ -388,8 +387,7 @@ def make_context(n: int) -> NumTheoryContext:
     )
 
 
-@dataclass(frozen=True)
-class ClassNumberData:
+class ClassNumberData(NamedTuple):
     """Class number of the imaginary quadratic field of discriminant -n.
 
     `sigma` is the weighted character sum over a period,
@@ -430,8 +428,7 @@ def class_number_neg(n: int) -> ClassNumberData:
     return ClassNumberData(n=n, sigma=sigma, h=h, w=2)
 
 
-@dataclass(frozen=True)
-class PellUnit:
+class PellUnit(NamedTuple):
     """The least unit (u + v*sqrt(n))/2 of norm +1, u^2 - n*v^2 = 4 with
     u, v > 0: the real field's fundamental unit eps, or eps^2."""
 

@@ -260,31 +260,57 @@ def test_main_restores_the_callers_int_str_cap(capsys, limit):
         sys.set_int_max_str_digits(before)
 
 
-def test_mpmath_is_loaded_only_by_the_rounding_route():
-    # A fresh interpreter: importing the package and verifying identities
-    # never touch mpmath; factoring at integer m rounds, and loads it.
-    script = "; ".join(
-        (
-            "import sys",
-            "import aurifeuille",
-            "assert 'mpmath' not in sys.modules",
-            "from aurifeuille.cli import main",
-            "assert main(['verify', '15']) == 0",
-            "assert 'mpmath' not in sys.modules",
-            "assert main(['factor', '7', '2']) == 0",
-            "assert 'mpmath' in sys.modules",
-        )
-    )
+def run_fresh(*statements):
+    """Run the statements in a fresh interpreter that imports the package
+    under test; return its exit code and standard error."""
     src = str(Path(aurifeuille.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", "; ".join(statements)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    return done.returncode, done.stderr
+
+
+def test_mpmath_is_loaded_only_by_the_rounding_route():
+    # A fresh interpreter: importing the package and verifying identities
+    # never touch mpmath; factoring at integer m rounds, and loads it.
+    code, err = run_fresh(
+        "import sys",
+        "import aurifeuille",
+        "assert 'mpmath' not in sys.modules",
+        "from aurifeuille.cli import main",
+        "assert main(['verify', '15']) == 0",
+        "assert 'mpmath' not in sys.modules",
+        "assert main(['factor', '7', '2']) == 0",
+        "assert 'mpmath' in sys.modules",
+    )
+    assert code == 0, err
+
+
+def test_commands_load_neither_dataclasses_nor_mpmath():
+    # Start-up stays free of the dataclasses import and its code
+    # generation, and of mpmath, on every route that does not round.
+    # (inspect is not checked: Python 3.13's standard library loads it.)
+    commands = [
+        ["phi", "105"],
+        ["gauss", "105"],
+        ["lucas", "105", "--json"],
+        ["verify", "105"],
+        ["factor", "7", "--rational", "2/5", "--json"],
+    ]
+    code, err = run_fresh(
+        "import sys",
+        "import aurifeuille",
+        "from aurifeuille.cli import main",
+        f"assert [main(argv) for argv in {commands!r}] == [0] * {len(commands)}",
+        "assert 'dataclasses' not in sys.modules, 'dataclasses'",
+        "assert 'mpmath' not in sys.modules, 'mpmath'",
+    )
+    assert code == 0, err
 
 
 def test_verify_single_and_range(capsys):

@@ -1,6 +1,5 @@
 """Aurifeuillian factorization: estimates, rounding, assembly, ratios."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -475,7 +474,7 @@ def test_full_factorization_rejects_a_split_off_by_one(monkeypatch):
 
         def corrupted(*args, true_split=true_split):
             split = true_split(*args)
-            return dataclasses.replace(split, int_minus=split.int_minus + 1)
+            return split._replace(int_minus=split.int_minus + 1)
 
         monkeypatch.setattr(factorizer, route, corrupted)
         with pytest.raises(InternalInconsistency):

@@ -1,6 +1,5 @@
 """The Gauss factor pair (A_n, B_n) with 4*Phi_n = A^2 - s*n*B^2."""
 
-import dataclasses
 import math
 
 import pytest
@@ -78,7 +77,7 @@ def test_identity_fails_on_one_corrupt_coefficient(n):
         corruptions.append(("mirrored", {k: 1, len(coeffs) - 1 - k: sign}))
         for label, change in corruptions:
             corrupt = tuple(c + change.get(i, 0) for i, c in enumerate(coeffs))
-            bad = dataclasses.replace(pair, **{field: corrupt})
+            bad = pair._replace(**{field: corrupt})
             assert not bad.identity_holds(), (field, label)
 
 

@@ -1,6 +1,5 @@
 """The Lucas factor pair (C_n, D_n) with F_n = C^2 - n*x*D^2."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -79,7 +78,7 @@ def test_identity_fails_on_one_corrupt_coefficient(n):
         corruptions.append(("mirrored", {k: 1, len(coeffs) - 1 - k: sign}))
         for label, change in corruptions:
             corrupt = tuple(c + change.get(i, 0) for i, c in enumerate(coeffs))
-            bad = dataclasses.replace(pair, **{field: corrupt})
+            bad = pair._replace(**{field: corrupt})
             assert not bad.identity_holds(), (field, label)
 
 

@@ -2,7 +2,6 @@
 own polynomial helpers in `_oracles` (long division, P(x^k), P(-x),
 ...)."""
 
-import dataclasses
 import decimal
 import math
 import random
@@ -223,7 +222,7 @@ def test_identity_check_multiplies_two_squares(monkeypatch, pair_of, n):
     pair = pair_of(n)
     field = "gamma" if pair_of is algorithm_l else "alpha"
     coeffs = getattr(pair, field)
-    bad = dataclasses.replace(pair, **{field: (coeffs[0] + 1, *coeffs[1:])})
+    bad = pair._replace(**{field: (coeffs[0] + 1, *coeffs[1:])})
     layouts, squares, reads = spy_layouts(monkeypatch), [], []
 
     def spy_mul(mul):
@@ -306,7 +305,7 @@ def test_identity_check_matches_the_schoolbook_reference(data):
     if data.draw(st.booleans(), label="symmetric") and 2 * j + 1 != len(coeffs):
         sign = 1 if getattr(pair, field) == getattr(pair, field)[::-1] else -1
         coeffs[-1 - j] += sign * delta
-    bad = dataclasses.replace(pair, **{field: tuple(coeffs)})
+    bad = pair._replace(**{field: tuple(coeffs)})
     assert bad.identity_holds() == square_identity_by_schoolbook(*pair_identity_terms(bad))
 
 
