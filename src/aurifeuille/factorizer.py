@@ -36,9 +36,23 @@ denominators.  That costs O(M(N) log lambda) for the N-bit result, in
 place of lambda sequential divisions of a number as wide as the result.
 One division then gives s = floor(2^P * S) with P = bits + 64 fraction
 bits, so |s - 2^P * S| < 1, and -s / (m * 2^P) goes to mpmath's exp.
-Since F^ < sqrt(F_n(x)) < 2^(bits - 63), that moves F^ by less than
-about 2^-127, far inside the 1/2 rounding window.  Rounding F^ and
-dividing F_n(x) exactly by the result remain the proof.
+
+The error budget, with S > 0, so F^ < sqrt(F_n(x)) < 2^(bits - 63),
+and |S| < 5/4:
+
+  * the floor moves the argument of exp by less than 2^-P, and F^ by
+    less than 2^-127;
+  * mpmath.mpf(-s) rounds s to bits bits, dropping the 64 extra
+    fraction bits, and the division by m, exp, sqrt and the final
+    product round to bits bits as well (so does mpf(F_n(x)) once F_n(x)
+    is wider than that).  Each of these six roundings is off by at most
+    about 2^-bits relative, that of the argument scaled by |S/m| < 5/4,
+    so each moves F^ by at most about 2^-63: about 2^-62 for the
+    conversion of s, exp and sqrt together, and below 2^-60 for all six,
+    the tolerance that the tests pin against the exact series.
+
+That is far inside the 1/2 rounding window.  Rounding F^ and dividing
+F_n(x) exactly by the result remain the proof.
 
 `full_factorization` assembles the whole integer: every cyclotomic piece
 below the top one, then the Aurifeuillian split in place of the top one.
@@ -87,7 +101,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
-from .numthy import NumTheoryContext, _symbols_n_over_odd_k, divisors, make_context
+from .numthy import NumTheoryContext, _symbols_n_over_odd_k, make_context
 from .cyclotomic import phi_moebius
 from .lucas import algorithm_l
 from .poly import _pair_blocks
@@ -186,36 +200,42 @@ class FactorList(NamedTuple):
 def hat_f(n: int, m: int):
     """Floating estimate of the smaller Aurifeuillian factor at x = m^2 * n.
 
-    Returns an mpmath float, computed at bitlength(F_n(x))/2 + 64 bits.
+    Returns an mpmath float, computed at bitlength(F_n(x))/2 + 64 bits:
+    the `hat_F` of `factor_by_rounding`, whose checks it shares.
     """
-    return _estimate(n, m, *_f_value_int(n, m))[0]
+    return factor_by_rounding(n, m).hat_F
 
 
 def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
     """Recover F- by rounding `hat_f` and F+ by exact division.
 
-    Integer m only.  F_n(x) is evaluated once and serves the estimate,
-    its working precision and the division.  Raises `RoundingFailed` when
-    the rounded value does not divide F_n(x), which the underlying bound
-    rules out for sound inputs.
+    Integer m >= 1 only: another type raises `TypeError`, m < 1
+    `ValueError`.  Raises `RoundingFailed` when the rounded value does
+    not divide F_n(x), which the underlying bound rules out for sound
+    inputs.
     """
     if not isinstance(m, int):
         raise TypeError(
             f"factor_by_rounding needs an integer m, got {m!r}; "
             "use factor_by_polynomials for rational m"
         )
-    return _rounding_split(n, m, *_f_value_int(n, m))
+    if m < 1:
+        raise ValueError(f"need a positive integer m, got {m!r}")
+    return _rounding_split(make_context(n), m)
 
 
-def _rounding_split(
-    n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]
-) -> AurifeuilleResult:
-    """`factor_by_rounding` from F_n(x) = f_val, lambda = lam and the
-    primes of n (`_f_value`), which `full_factorization` takes from its
-    own check of n."""
+def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
+    """`factor_by_rounding` for the context of n and a checked m.
+
+    F_n(x) = Phi_n'(x) at x = m^2 * n is evaluated once, and serves the
+    estimate, its working precision and the division; `full_factorization`
+    passes the context of its own check of n.
+    """
     import mpmath  # loaded only by the routes that round
 
-    hat, bits = _estimate(n, m, f_val, lam, primes)
+    n, x = ctx.n, m * m * ctx.n
+    f_val = phi_moebius(ctx.n_prime).evaluate_homogeneous(x, 1)
+    hat, bits = _estimate(ctx, m, f_val)
     # The rounding must run at full precision too: mpmath rounds every
     # operation to the *current* working precision, not the operands'.
     with mpmath.workprec(bits):
@@ -223,15 +243,14 @@ def _rounding_split(
         f_plus, rest = divmod(f_val, max(f_minus, 1))
         if f_minus < 1 or rest:
             raise RoundingFailed(
-                f"rounded estimate {f_minus} does not divide "
-                f"F_{n}({m * m * n})"
+                f"rounded estimate {f_minus} does not divide F_{n}({x})"
             )
         residual = float(abs(hat - f_minus))
     return AurifeuilleResult(
         n=n,
         m_num=m,
         m_den=1,
-        x=Fraction(m * m * n),
+        x=Fraction(x),
         F_minus=f_minus,
         F_plus=f_plus,
         int_minus=f_minus,
@@ -321,7 +340,7 @@ def full_factorization(
     # x^n -+ 1 = prod Phi_e(x), the product check below also rejects a
     # split that does not multiply to it.
     if m.denominator == 1:
-        split = _rounding_split(n, m.numerator, *_f_value(ctx, big_x))
+        split = _rounding_split(ctx, m.numerator)
     else:
         split = factor_by_polynomials(n, m)
     pieces += [(split.int_minus, ctx.n_prime), (split.int_plus, ctx.n_prime)]
@@ -380,13 +399,22 @@ def _cyclotomic_indices(ctx: NumTheoryContext) -> list[int]:
     """The indices e with x^n -+ 1 = prod Phi_e(x), ascending, so that
     the top piece F_n(x) = Phi_n'(x) comes last.
 
-    For n' = n, which is n = 1 (mod 4), the number is x^n - 1 and e runs
-    over the divisors of n.  Otherwise n' = 2n, the number is
+    They are c * d over the divisors d of the odd part h of n, with
+    c = n'/h.  For n = 1 (mod 4), c = 1: the number is x^n - 1 and e runs
+    over the divisors of n' = n.  Otherwise it is
     x^n + 1 = (x^(2n) - 1) / (x^n - 1), and e runs over the divisors of
-    2n that do not divide n.
+    n' = 2n that do not divide n: those are 2d for odd n (c = 2) and 4d
+    for even n = 2h (c = 4).  The divisors d are built from the primes
+    of n as products of subsets, as `numthy._ramanujan_classes` builds
+    its divisors.
     """
-    n, top = ctx.n, ctx.n_prime
-    return [e for e in divisors(top) if top == n or n % e]
+    odd = [1]
+    for p in ctx.primes:
+        if p != 2:
+            odd += [d * p for d in odd]
+    # The last divisor built is the product of every odd prime, h.
+    c = ctx.n_prime // odd[-1]
+    return sorted(c * d for d in odd)
 
 
 def _accumulate_factors(
@@ -645,19 +673,20 @@ def _odd_sieve(limit: int) -> bytearray:
     return sieve
 
 
-def _estimate(n: int, m: int, f_val: int, lam: int, primes: tuple[int, ...]):
-    """`hat_f` from F_n(x) = f_val with lambda = lam terms, n having the
-    given primes, and the working precision it used.
+def _estimate(ctx: NumTheoryContext, m: int, f_val: int):
+    """`hat_f` from F_n(x) = f_val at x = m^2 * n, for the context of n,
+    and the working precision it used, bits = bitlength(f_val)/2 + 64.
 
-    The series is summed by `_lambda_sum` as one exact fraction and
-    floored once at P = bits + 64 fraction bits, so s is within 1 of 2^P
-    times the sum (module docstring).
+    The series of lambda = `ctx.d_lucas` terms is summed by `_lambda_sum`
+    as one exact fraction and floored once at P = bits + 64 fraction
+    bits; s, the square root and exp are then each rounded to bits bits,
+    which moves the estimate by about 2^-62 (module docstring).
     """
     import mpmath  # loaded only by the routes that round
 
     bits = f_val.bit_length() // 2 + 64
     frac_bits = bits + 64
-    s = _lambda_sum(primes, m * m * n, lam, frac_bits)
+    s = _lambda_sum(ctx.primes, m * m * ctx.n, ctx.d_lucas, frac_bits)
     with mpmath.workprec(bits):
         root = mpmath.sqrt(mpmath.mpf(f_val))
         expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))
@@ -686,24 +715,6 @@ def _lambda_sum(primes: tuple[int, ...], x: int, lam: int, frac_bits: int) -> in
     # S * x^(lam-1) = T / D, the terms' homogeneous value at (1, x).
     top, den, x_lam = _pair_blocks(lam, leaf, 1, x)
     return (top * x << frac_bits) // (den * x_lam)
-
-
-def _f_value_int(n: int, m: int) -> tuple[int, int, tuple[int, ...]]:
-    """`_f_value` at x = m^2 * n, from one check of n."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"need a positive integer m, got {m!r}")
-    return _f_value(make_context(n), m * m * n)
-
-
-def _f_value(ctx: NumTheoryContext, x: int) -> tuple[int, int, tuple[int, ...]]:
-    """F_n(x) at the integer x, lambda = deg F_n / 2 and the primes of n,
-    from the context of n: F_n is Phi_n' (`cyclotomic.f_poly`), built
-    once, and lambda = phi(n')/2 is the context's d_lucas."""
-    return (
-        phi_moebius(ctx.n_prime).evaluate_homogeneous(x, 1),
-        ctx.d_lucas,
-        ctx.primes,
-    )
 
 
 def _as_int_if_possible(value: Fraction):

@@ -79,22 +79,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """Ascending list of the positive divisors of n >= 1."""
-    if n < 1:
-        raise ValueError(f"divisors expects n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
-
-
 def is_squarefree(n: int) -> bool:
     """True when n >= 1 has no repeated prime factor."""
     return all(e == 1 for _, e in factorize(n))
@@ -104,7 +88,9 @@ def jacobi(m: int, k: int) -> int:
     """Jacobi symbol (m|k) for odd k >= 1, zero whenever gcd(m, k) > 1.
 
     Computed by the usual quadratic-reciprocity reduction; m may be any
-    integer, including negative.
+    integer, including negative.  The series oracle calls it, so that its
+    characters stay independent of the residue tables that the
+    recurrences and the class-number sum read.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"jacobi needs an odd modulus k >= 1, got k={k}")
@@ -406,14 +392,16 @@ def class_number_neg(n: int) -> ClassNumberData:
 
     For n > 3 the sum sigma = sum (j|n)*j over 0 < j < n equals -n*h(-n);
     n = 3 is the one case with extra units (w = 6), where sigma = -1 and
-    h = 1.
+    h = 1.  The symbols (j|n) come from the primes that checking n gives,
+    by the residue tables of `_symbols_k_over_n`.
     """
-    _require_squarefree(n, minimum=3)
+    primes = _require_squarefree(n, minimum=3)
     if n % 4 != 3:
         raise BadResidueClass(
             f"class_number_neg needs n = 3 (mod 4), got n={n}"
         )
-    sigma = sum(jacobi(j, n) * j for j in range(1, n))
+    # (0|n) = 0, so j = 0 adds nothing.
+    sigma = sum(map(mul, _symbols_k_over_n(primes, n), range(n)))
     if n == 3:
         if sigma != -1:
             raise InternalInconsistency(f"sigma({n}) = {sigma}, expected -1")
@@ -475,7 +463,6 @@ __all__ = [
     "NumTheoryContext",
     "PellUnit",
     "class_number_neg",
-    "divisors",
     "factorize",
     "fundamental_unit",
     "is_squarefree",

@@ -27,7 +27,9 @@ prime-at-a-time recursion through exact long division, Newton's
 identities on the Ramanujan sums, the defining substitution for F_n,
 and the Moebius product of x^d - 1 evaluated modulo a prime.  They raise `ArithmeticError` where an exact
 step fails.  The Moebius function and Euler's totient they use are here
-as well, since nothing in the library calls them.
+as well, since nothing in the library calls them, and so is a
+trial-division list of divisors, the reference for the factorizer's
+cyclotomic indices, which it builds from the primes of n.
 
 So are the paper's side claims, which the library's results never
 depend on: the growth bound on |Phi_n| on a circle (`phi_bound`) and
@@ -67,6 +69,20 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         result -= result // p
     return result
+
+
+def divisors(n: int) -> list[int]:
+    """Ascending list of the positive divisors of n >= 1, by trial
+    division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def squarefree_range(lo, hi, parity=None):

@@ -31,6 +31,7 @@ from aurifeuille.factorizer import (
 
 from _counting import count_calls
 from _oracles import (
+    divisors,
     horner,
     lambda_sum_fixed_point,
     pm1_stage2_prime_by_prime,
@@ -96,6 +97,10 @@ def test_hat_input_validation():
         hat_f(5, 0)
     with pytest.raises(ValueError):
         hat_f(5, -2)
+    # hat_f checks m as factor_by_rounding does: an integral Fraction is
+    # still not an int.
+    with pytest.raises(TypeError):
+        hat_f(5, Fraction(2))
 
 
 # --- rounding route -----------------------------------------------------
@@ -348,6 +353,15 @@ def test_full_factorization_classical_examples():
     assert flist.target == 25**7 + 28**7
     assert flist.factors == ((29, 1), (43, 1), (53, 1), (296507, 1))
     assert flist.complete and flist.product() == flist.target
+
+
+def test_cyclotomic_indices_are_the_divisors_of_n_prime_below_2000():
+    # Built from the primes of n, they are the divisors of n' for
+    # n = 1 (mod 4), else those of 2n that do not divide n.
+    for n in squarefree_range(2, 1999):
+        n_prime = n if n % 4 == 1 else 2 * n
+        expected = [e for e in divisors(n_prime) if n_prime == n or n % e]
+        assert factorizer._cyclotomic_indices(numthy.make_context(n)) == expected, n
 
 
 def test_full_factorization_factors_each_index_once(monkeypatch):

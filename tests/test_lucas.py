@@ -9,11 +9,12 @@ from aurifeuille import lucas, numthy
 from aurifeuille.cyclotomic import f_poly
 from aurifeuille.errors import NotSquareFree, NTooSmall
 from aurifeuille.lucas import algorithm_l, verify_lucas
-from aurifeuille.numthy import divisors, jacobi, make_context
+from aurifeuille.numthy import jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
 from _counting import count_calls
 from _oracles import (
+    divisors,
     euler_phi,
     expand_classes,
     horner,

@@ -18,6 +18,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+LAMBDA_SUM_ACROSS_LEAVES = (
+    "tests/test_factorizer.py::test_lambda_sum_is_the_floor_of_the_exact_sum_across_leaves"
+)
+
 MUTANTS = {
     "four-point-width-one-byte-short": (
         "poly.py",
@@ -36,6 +40,26 @@ MUTANTS = {
         "(even - re) >> (2 * quarter + 1)",
         "(even - re) >> (2 * quarter)",
         ["tests/test_poly.py::test_kronecker_binary_branch_matches_schoolbook"],
+    ),
+    "pair-blocks-trailing-block-full-span": (
+        "poly.py",
+        "last = y ** (count - _EVAL_LEAF * (len(blocks) - 1))",
+        "last = y ** _EVAL_LEAF",
+        [LAMBDA_SUM_ACROSS_LEAVES],
+    ),
+    "pair-blocks-denominators-swapped": (
+        "poly.py",
+        "tops[i] * (dens[i + 1] * (last if i + 1 == end else yspan))\n"
+        "            + tops[i + 1] * (dens[i] * xspan)",
+        "tops[i] * (dens[i] * (last if i + 1 == end else yspan))\n"
+        "            + tops[i + 1] * (dens[i + 1] * xspan)",
+        [LAMBDA_SUM_ACROSS_LEAVES],
+    ),
+    "cyclotomic-indices-even-n-times-two": (
+        "factorizer.py",
+        "c = ctx.n_prime // odd[-1]",
+        "c = min(ctx.n_prime // odd[-1], 2)",
+        ["tests/test_factorizer.py::test_cyclotomic_indices_are_the_divisors_of_n_prime_below_2000"],
     ),
 }
 
