@@ -30,7 +30,7 @@ from .numthy import (
 )
 from .poly import IntPolynomial
 from .cyclotomic import f_poly, phi_moebius
-from .gauss import GaussPair, algorithm_d, verify_gauss
+from .gauss import GaussPair, algorithm_d
 from .lucas import LucasPair, algorithm_l, verify_lucas
 from .series_oracle import (
     RationalSeries,

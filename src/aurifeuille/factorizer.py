@@ -155,18 +155,16 @@ _PM1_STAGE2_PRODUCTS = 80_000
 
 
 class AurifeuilleResult(NamedTuple):
-    """One Aurifeuillian split F_n(x) = F- * F+ at x = (m_num/m_den)^2 * n.
+    """One Aurifeuillian split F_n(x) = F- * F+ at x = m^2 * n.
 
-    `F_minus`, `F_plus` are exact (integers when m is an integer), and
-    their product is F_n(x); `int_minus`/`int_plus` are the
-    denominator-cleared integer factors (equal to F_minus/F_plus for
-    integer m).  `hat_F` and `residual` = |hat_F - F_minus| are only set
-    on the rounding route.
+    `x` is that point, a `Fraction`.  `F_minus`, `F_plus` are exact
+    (integers when m is an integer), and their product is F_n(x);
+    `int_minus`/`int_plus` are the denominator-cleared integer factors
+    (equal to F_minus/F_plus for integer m).  `hat_F` and
+    `residual` = |hat_F - F_minus| are only set on the rounding route.
     """
 
     n: int
-    m_num: int
-    m_den: int
     x: Fraction
     F_minus: Fraction | int
     F_plus: Fraction | int
@@ -189,12 +187,6 @@ class FactorList(NamedTuple):
     factors: tuple[tuple[int, int], ...]
     complete: bool
     probable: tuple[int, ...] = ()
-
-    def product(self) -> int:
-        out = 1
-        for base, e in self.factors:
-            out *= base**e
-        return out
 
 
 def hat_f(n: int, m: int):
@@ -248,8 +240,6 @@ def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
         residual = float(abs(hat - f_minus))
     return AurifeuilleResult(
         n=n,
-        m_num=m,
-        m_den=1,
         x=Fraction(x),
         F_minus=f_minus,
         F_plus=f_plus,
@@ -263,15 +253,14 @@ def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
 def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     """The Aurifeuillian pair by exact evaluation of C_n and D_n.
 
-    Accepts any rational m = p/q > 0.  C_n, D_n and F_n are evaluated
-    homogeneously in integers at X = p^2 * n, Y = q^2, which gives the
-    integer factors int-+ = C_h -+ p*n*q * D_h of p^(2n) * n^n +- q^(2n);
-    their product must equal F_h = Y^(2d) * F_n(x).  The exact rational
-    factors F-+ = C_n(x) -+ (p*n/q) * D_n(x) are int-+ / q^(2d).
+    Accepts any rational m = p/q > 0 given as an `int` or a `Fraction`
+    (`_rational_m`).  C_n, D_n and F_n are evaluated homogeneously in
+    integers at X = p^2 * n, Y = q^2, which gives the integer factors
+    int-+ = C_h -+ p*n*q * D_h of p^(2n) * n^n +- q^(2n); their product
+    must equal F_h = Y^(2d) * F_n(x).  The exact rational factors
+    F-+ = C_n(x) -+ (p*n/q) * D_n(x) are int-+ / q^(2d).
     """
-    m = Fraction(m)
-    if m <= 0:
-        raise ValueError(f"need m > 0, got {m}")
+    m = _rational_m(m)
     p, q = m.numerator, m.denominator
     pair = algorithm_l(n)
     int_minus, int_plus = pair.split_at(p, q)
@@ -284,14 +273,28 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
     scale = q**fn.degree  # q^(2d)
     return AurifeuilleResult(
         n=n,
-        m_num=p,
-        m_den=q,
         x=m * m * n,
         F_minus=_as_int_if_possible(Fraction(int_minus, scale)),
         F_plus=_as_int_if_possible(Fraction(int_plus, scale)),
         int_minus=int_minus,
         int_plus=int_plus,
     )
+
+
+def _rational_m(m: Fraction | int) -> Fraction:
+    """m as a `Fraction`, for an `int` or a `Fraction` m > 0.
+
+    Another type raises `TypeError`: a float or a `Decimal` would stand
+    for the binary or decimal fraction it holds, not for the number the
+    caller wrote (0.1 is 3602879701896397/2^55).  m <= 0 raises
+    `ValueError`.
+    """
+    if not isinstance(m, (int, Fraction)):
+        raise TypeError(f"need an int or a Fraction m, got {m!r}")
+    m = Fraction(m)
+    if m <= 0:
+        raise ValueError(f"need m > 0, got {m}")
+    return m
 
 
 def _target(n: int, m: Fraction) -> int:
@@ -323,11 +326,10 @@ def full_factorization(
     docstring describes: the primes of 2n, then rho.  The halves come from
     `factor_by_rounding` for integer m and from `factor_by_polynomials`
     for rational m.  Returns the split and the combined factor list; a
-    composite left by rho leaves `complete` False.
+    composite left by rho leaves `complete` False.  m is checked as in
+    `factor_by_polynomials`.
     """
-    m = Fraction(m)
-    if m <= 0:
-        raise ValueError(f"need m > 0, got {m}")
+    m = _rational_m(m)
     ctx = make_context(n)
     target = _target(n, m)
     big_x, big_y = m.numerator**2 * n, m.denominator**2
@@ -677,7 +679,7 @@ def _estimate(ctx: NumTheoryContext, m: int, f_val: int):
     """`hat_f` from F_n(x) = f_val at x = m^2 * n, for the context of n,
     and the working precision it used, bits = bitlength(f_val)/2 + 64.
 
-    The series of lambda = `ctx.d_lucas` terms is summed by `_lambda_sum`
+    The series of lambda = `ctx.d` terms is summed by `_lambda_sum`
     as one exact fraction and floored once at P = bits + 64 fraction
     bits; s, the square root and exp are then each rounded to bits bits,
     which moves the estimate by about 2^-62 (module docstring).
@@ -686,7 +688,7 @@ def _estimate(ctx: NumTheoryContext, m: int, f_val: int):
 
     bits = f_val.bit_length() // 2 + 64
     frac_bits = bits + 64
-    s = _lambda_sum(ctx.primes, m * m * ctx.n, ctx.d_lucas, frac_bits)
+    s = _lambda_sum(ctx.primes, m * m * ctx.n, ctx.d, frac_bits)
     with mpmath.workprec(bits):
         root = mpmath.sqrt(mpmath.mpf(f_val))
         expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))

@@ -38,14 +38,15 @@ Ramanujan half by one running residue-class sum per class; for a prime n
 that is one running sum, c_n(k) = -1 for k < n.
 
 The primes of n are found once per pair, by `make_context`, and give
-every class.  The identity check is the pair's own
-`GaussPair.identity_holds`, so a caller holding the pair never recomputes
-it; `verify_gauss(n)` applies it to `algorithm_d(n)`.  The check builds no
-polynomial product: `poly._square_identity_holds` packs A_n, B_n, s*n and
-4*Phi_n once and tests the packed value of A_n^2 - s*n*B_n^2 - 4*Phi_n
-for zero.  For n > 3 the mirror symmetry above makes that test a proof
-at about half the slot width the coefficients of A_n^2 would need; A_3 =
-2x + 1 is not symmetric, and n = 3 takes the full width.
+every class and the degree d = `ctx.d`.  The identity check is the pair's
+own `GaussPair.identity_holds`, so a caller holding the pair never
+recomputes it: `algorithm_d(n).identity_holds()` checks n.  The check
+builds no polynomial product: `poly._square_identity_holds` packs A_n,
+B_n, s*n and 4*Phi_n once and tests the packed value of
+A_n^2 - s*n*B_n^2 - 4*Phi_n for zero.  For n > 3 the mirror symmetry
+above makes that test a proof at about half the slot width the
+coefficients of A_n^2 would need; A_3 = 2x + 1 is not symmetric, and
+n = 3 takes the full width.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class GaussPair(NamedTuple):
 def algorithm_d(n: int) -> GaussPair:
     """Compute the Gauss pair (A_n, B_n) for odd square-free n >= 3."""
     ctx = _odd_context(n)
-    d = ctx.d_gauss
+    d = ctx.d
     direct = max(1, d // 2)
     r = _symbols_k_over_n(ctx.primes, direct + 1)  # r_0 = (0|n) = 0
     q = _ramanujan_classes(ctx.primes, direct)
@@ -106,11 +107,6 @@ def algorithm_d(n: int) -> GaussPair:
     alpha += [sign_a * alpha[d - k] for k in range(direct + 1, d + 1)]
     beta += [sign_b * beta[d - k] for k in range(direct + 1, d + 1)]
     return GaussPair(n=n, s=ctx.s, alpha=tuple(alpha), beta=tuple(beta), d=d)
-
-
-def verify_gauss(n: int) -> bool:
-    """Exact check of 4*Phi_n = A_n^2 - s*n*B_n^2 for odd square-free n."""
-    return algorithm_d(n).identity_holds()
 
 
 def _odd_context(n: int) -> NumTheoryContext:
@@ -123,4 +119,4 @@ def _odd_context(n: int) -> NumTheoryContext:
     raise NotOddSquareFree(f"need odd square-free n >= 3, got {n}")
 
 
-__all__ = ["GaussPair", "algorithm_d", "verify_gauss"]
+__all__ = ["GaussPair", "algorithm_d"]

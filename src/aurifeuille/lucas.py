@@ -112,7 +112,7 @@ class LucasPair(NamedTuple):
 def algorithm_l(n: int) -> LucasPair:
     """Compute the Lucas pair (C_n, D_n) for square-free n >= 2."""
     ctx = make_context(n)
-    d = ctx.d_lucas
+    d = ctx.d
     k_u = d // 2
     # p_i = q_{2i-1} = (n|2i-1); r_0 = p_1 = q_1 = 1 gives delta_k its gamma_k.
     p = [0] + _symbols_n_over_odd_k(ctx.primes, k_u + 1)

@@ -11,19 +11,20 @@ n >= 2 by `make_context`:
 
     n'  = n when n = 1 (mod 4), else 2n
     s   = -1 when n = 3 (mod 4), else +1
+    d   = phi(n')/2
 
-The Gauss pair (A_n, B_n) has degree d_gauss = phi(n)/2 (odd n); the Lucas
-pair (C_n, D_n) has degree d_lucas = phi(n')/2, which equals
-lambda = phi(2n)/2 for every square-free n.  Both come from the primes of
-n, found once by `make_context`, and from the power sums that drive both
-recurrences, which are one kernel, `_newton_pair`.  Half of those power
-sums are Jacobi characters, lists of 0 and +-1, built from the primes of
-n as products of per-prime tables of quadratic residues
-(`_symbols_k_over_n`, `_symbols_n_over_odd_k`).  The other half are
-Ramanujan sums c_N(k) = mu(N/g) * phi(g), g = gcd(k, N), times a sign in
-the Lucas case, and the kernel takes them as residue classes: c_N(k) is
-the sum of e * mu(N/e) over the divisors e of N that divide k
-(`_ramanujan_classes`).
+d is the degree of the Lucas pair (C_n, D_n), and equals
+lambda = phi(2n)/2 for every square-free n.  For odd n, phi(n') = phi(n),
+so d is the degree of the Gauss pair (A_n, B_n) too: one number for both.
+Both pairs come from the primes of n, found once by `make_context`, and
+from the power sums that drive both recurrences, which are one kernel,
+`_newton_pair`.  Half of those power sums are Jacobi characters, lists
+of 0 and +-1, built from the primes of n as products of per-prime tables
+of quadratic residues (`_symbols_k_over_n`, `_symbols_n_over_odd_k`).
+The other half are Ramanujan sums c_N(k) = mu(N/g) * phi(g),
+g = gcd(k, N), times a sign in the Lucas case, and the kernel takes them
+as residue classes: c_N(k) is the sum of e * mu(N/e) over the divisors e
+of N that divide k (`_ramanujan_classes`).
 
 The kernel's Newton sums are online convolutions: step k needs every
 coefficient before it.  The kernel sums the Ramanujan half by one
@@ -345,16 +346,15 @@ def _feed(ub, vb, pb, odd, first, last):
 class NumTheoryContext(NamedTuple):
     """The bundle of derived quantities attached to a square-free n >= 2.
 
-    `primes` are the primes of n, ascending.  `d_gauss` only makes sense
-    for odd n and is None otherwise.
+    `primes` are the primes of n, ascending.  `d` = phi(n')/2 is the
+    degree of the Lucas pair, and of the Gauss pair for odd n.
     """
 
     n: int
     primes: tuple[int, ...]
     n_prime: int
     s: int
-    d_gauss: int | None
-    d_lucas: int
+    d: int
 
 
 def make_context(n: int) -> NumTheoryContext:
@@ -368,8 +368,7 @@ def make_context(n: int) -> NumTheoryContext:
         primes=primes,
         n_prime=n if n % 4 == 1 else 2 * n,
         s=-1 if n % 4 == 3 else 1,
-        d_gauss=phi_n // 2 if n % 2 else None,
-        d_lucas=phi_n // 2 if n % 2 else phi_n,
+        d=phi_n // 2 if n % 2 else phi_n,
     )
 
 

@@ -242,11 +242,6 @@ class IntPolynomial:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
 
-    @property
-    def leading(self) -> int:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return self._coeffs[-1] if self._coeffs else 0
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -257,12 +252,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(("IntPolynomial", self._coeffs))
-
-    def coefficient(self, j: int) -> int:
-        """The coefficient of x^j (0 when j exceeds the degree)."""
-        if j < 0:
-            raise IndexError("negative power")
-        return self._coeffs[j] if j < len(self._coeffs) else 0
 
     def evaluate_homogeneous(self, x: int, y: int) -> int:
         """y^degree * P(x/y) on integers: the coefficient of x^j enters

@@ -277,7 +277,7 @@ def gauss_via_series(n: int) -> GaussPair:
             f"gauss_via_series needs odd square-free n > 3, got {n}"
         )
     ctx = _odd_context(n)
-    d = ctx.d_gauss
+    d = ctx.d
     root = series_sqrt(RationalSeries(phi_moebius(n).coeffs, order=d))
     cosh, sinh_over_root = series_exp_like(f_series(n, d), ctx.s * n)
     alpha = _integer_coeffs(2 * (root * cosh), 0, 1, "A", n)
@@ -295,12 +295,10 @@ def lucas_via_series(n: int) -> LucasPair:
     must vanish and all survivors must be integers.
     """
     ctx = make_context(n)
-    d = ctx.d_lucas
+    d = ctx.d
     order = 2 * d
-    fn = f_poly(n)
     spread = [0] * (order + 1)
-    for i in range(d + 1):
-        spread[2 * i] = fn.coefficient(i)
+    spread[::2] = f_poly(n).coeffs[: d + 1]
     root_f = series_sqrt(RationalSeries(spread))
     cosh, sinh_over_root = series_exp_like(2 * g_series(n, order), n)
     c_asc = _integer_coeffs(root_f * cosh, 0, 2, "C", n)

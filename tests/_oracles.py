@@ -40,7 +40,7 @@ the ratio law F+/F- -> exp(2/m) of the Aurifeuillian split
 import cmath
 from fractions import Fraction
 from itertools import islice
-from math import exp, gcd, isqrt
+from math import exp, gcd, isqrt, prod
 from operator import mul
 
 from aurifeuille.errors import BadConstantTerm, NonIntegerStep, NotSquareFree
@@ -83,6 +83,12 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def factor_list_product(flist) -> int:
+    """The product of base^exp over the factors of a `FactorList`, to
+    hold against its target."""
+    return prod(base**e for base, e in flist.factors)
 
 
 def squarefree_range(lo, hi, parity=None):
@@ -381,7 +387,7 @@ def exact_div(num, den):
     if num.degree < den.degree:
         raise ArithmeticError(f"degree {num.degree} < divisor degree {den.degree}")
     rem = list(num.coeffs)
-    lead = den.leading
+    lead = den.coeffs[-1]
     quot = [0] * (num.degree - den.degree + 1)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + den.degree]

@@ -23,7 +23,7 @@ from aurifeuille.factorizer import (
     full_factorization,
     hat_f,
 )
-from aurifeuille.gauss import algorithm_d, verify_gauss
+from aurifeuille.gauss import algorithm_d
 from aurifeuille.lucas import algorithm_l, verify_lucas
 from aurifeuille.numthy import (
     class_number_neg,
@@ -37,6 +37,7 @@ from aurifeuille.series_oracle import gauss_via_series, lucas_via_series
 
 from _oracles import (
     expand_classes,
+    factor_list_product,
     horner,
     phi_bound,
     ratio_estimate,
@@ -136,8 +137,8 @@ def test_criterion_3_identity_suites():
             if not is_squarefree(n):
                 continue
             gauss_checked.append(n)
-            if not verify_gauss(n):
-                failures.append(f"verify_gauss({n}) failed")
+            if not algorithm_d(n).identity_holds():
+                failures.append(f"algorithm_d({n}).identity_holds() failed")
         for n in range(2, 302):
             if not is_squarefree(n):
                 continue
@@ -236,7 +237,7 @@ def test_criterion_6_factorization_reproduction():
                 failures.append(
                     f"factors at n={n}, m={m}: {flist.factors}"
                 )
-            if not flist.complete or flist.product() != target:
+            if not flist.complete or factor_list_product(flist) != target:
                 failures.append(f"product check failed at n={n}, m={m}")
 
     _run(6, "classical factorizations", body)

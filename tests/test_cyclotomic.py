@@ -65,9 +65,9 @@ def test_phi_degree_and_monic():
     for n in range(1, 80):
         p = phi_moebius(n)
         assert p.degree == euler_phi(n)
-        assert p.leading == 1
+        assert p.coeffs[-1] == 1
         if n > 1:
-            assert p.coefficient(0) == 1
+            assert p.coeffs[0] == 1
 
 
 def test_phi_against_complex_roots():
@@ -133,7 +133,7 @@ def _assert_matches_divisor_product(n, p, seed):
 def test_phi_in_place_at_many_primes(n):
     p = phi_moebius(n)
     assert p.degree == euler_phi(n)
-    assert p.leading == 1
+    assert p.coeffs[-1] == 1
     assert symmetry_class(p) == "palindromic"
     _assert_matches_divisor_product(n, p, seed=n)
 

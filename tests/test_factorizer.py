@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +22,6 @@ from aurifeuille.errors import (
 from aurifeuille.lucas import algorithm_l
 from aurifeuille.numthy import factorize, jacobi
 from aurifeuille.factorizer import (
-    FactorList,
     factor_by_polynomials,
     factor_by_rounding,
     full_factorization,
@@ -32,6 +32,7 @@ from aurifeuille.factorizer import (
 from _counting import count_calls
 from _oracles import (
     divisors,
+    factor_list_product,
     horner,
     lambda_sum_fixed_point,
     pm1_stage2_prime_by_prime,
@@ -119,7 +120,7 @@ def test_rounding_reproduces_classical_splits():
         assert res.F_minus <= res.F_plus
         assert res.residual is not None and res.residual < 0.5
         assert res.int_minus == lo and res.int_plus == hi
-        assert res.m_den == 1 and res.x == m * m * n
+        assert res.x == m * m * n and res.x.denominator == 1
         assert res.hat_F == hat_f(n, m)
 
 
@@ -254,7 +255,7 @@ def test_polynomials_rational_point():
     assert res.F_minus == Fraction(1247, 15625)
     assert res.F_plus == Fraction(296507, 15625)
     assert (res.int_minus, res.int_plus) == (1247, 296507)
-    assert res.m_num == 2 and res.m_den == 5
+    assert res.x == Fraction(4, 25) * 7
     assert res.int_minus * res.int_plus == (25**7 + 28**7) // 53
 
 
@@ -328,7 +329,7 @@ def test_full_factorization_classical_examples():
     split, flist = full_factorization(2, 32)
     assert flist.target == 2**22 + 1
     assert flist.factors == ((5, 1), (397, 1), (2113, 1))
-    assert flist.complete and flist.product() == flist.target
+    assert flist.complete and factor_list_product(flist) == flist.target
     assert (split.int_minus, split.int_plus) == (1985, 2113)
 
     split, flist = full_factorization(15, 1)
@@ -341,7 +342,7 @@ def test_full_factorization_classical_examples():
         (19231, 1),
         (142111, 1),
     )
-    assert flist.complete and flist.product() == flist.target
+    assert flist.complete and factor_list_product(flist) == flist.target
 
     split, flist = full_factorization(5, 1)
     assert flist.target == 5**5 - 1
@@ -352,7 +353,7 @@ def test_full_factorization_classical_examples():
     split, flist = full_factorization(7, Fraction(2, 5))
     assert flist.target == 25**7 + 28**7
     assert flist.factors == ((29, 1), (43, 1), (53, 1), (296507, 1))
-    assert flist.complete and flist.product() == flist.target
+    assert flist.complete and factor_list_product(flist) == flist.target
 
 
 def test_cyclotomic_indices_are_the_divisors_of_n_prime_below_2000():
@@ -378,7 +379,7 @@ def test_full_factorization_product_checks_hold_broadly():
     for n in squarefree_range(2, 22):
         for m in (1, Fraction(3, 2)):
             _split, flist = full_factorization(n, m)
-            assert flist.product() == flist.target
+            assert factor_list_product(flist) == flist.target
             assert flist.target == factorizer._target(n, Fraction(m))
 
 
@@ -389,13 +390,13 @@ def test_full_factorization_incomplete_is_flagged(monkeypatch):
     _split, flist = full_factorization(15, 1)
     assert not flist.complete
     assert (47461, 1) in flist.factors
-    assert flist.product() == flist.target
+    assert factor_list_product(flist) == flist.target
 
 
 def test_full_factorization_rho_finds_primes_past_a_million():
     # F- of 23^46 + 1 holds 1641281 * 1522029233, both past 10^6.
     _split, flist = full_factorization(23, 1)
-    assert flist.complete and flist.product() == flist.target
+    assert flist.complete and factor_list_product(flist) == flist.target
     assert (1641281, 1) in flist.factors
     assert (1522029233, 1) in flist.factors
 
@@ -409,7 +410,7 @@ def test_full_factorization_splits_the_smallest_survivor_first(monkeypatch):
     assert not flist.complete
     assert (173, 1) in flist.factors and (1033, 1) in flist.factors
     assert all(base != 178709 for base, _e in flist.factors)
-    assert flist.product() == flist.target
+    assert factor_list_product(flist) == flist.target
 
 
 def test_rho_budget_is_shared_by_the_survivors_of_a_piece(monkeypatch):
@@ -444,7 +445,7 @@ def test_full_factorization_strips_common_primes_of_rational_m():
     while target % 3 ** (power + 1) == 0:
         power += 1
     _split, flist = full_factorization(15, Fraction(2, 3))
-    assert flist.complete and flist.product() == flist.target
+    assert flist.complete and factor_list_product(flist) == flist.target
     assert (3, power) in flist.factors
     assert all(_prime_by_trial(base) for base, _e in flist.factors)
 
@@ -469,7 +470,7 @@ def test_full_factorization_separates_probable_primes():
 def test_full_factorization_bases_pass_trial_division(n, m):
     _split, flist = full_factorization(n, m)
     assert flist.complete
-    assert flist.product() == flist.target == factorizer._target(n, Fraction(m))
+    assert factor_list_product(flist) == flist.target == factorizer._target(n, Fraction(m))
     for base, _e in flist.factors:
         if base < 10**12:
             assert _prime_by_trial(base), (n, m, base)
@@ -514,9 +515,13 @@ def test_full_factorization_input_validation():
         full_factorization(20, 1)
 
 
-def test_factor_list_product():
-    fl = FactorList(target=360, factors=((2, 3), (3, 2), (5, 1)), complete=True)
-    assert fl.product() == 360
+@pytest.mark.parametrize("route", [factor_by_polynomials, full_factorization])
+@pytest.mark.parametrize("m", [0.1, 0.5, 2.0, Decimal("0.5")])
+def test_rational_routes_take_only_int_or_fraction_m(route, m):
+    # A float or a Decimal is refused, not read as the binary or decimal
+    # fraction it holds: 0.1 would be 3602879701896397/2^55.
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        route(7, m)
 
 
 # --- ratio law ----------------------------------------------------------
@@ -737,7 +742,7 @@ def test_full_factorization_completes_where_rho_alone_ran_out():
         (39, 4, (10753900272961, 4095685046827999327)),
     ):
         _split, flist = full_factorization(n, m)
-        assert flist.complete and flist.product() == flist.target
+        assert flist.complete and factor_list_product(flist) == flist.target
         for p in primes:
             assert (p, 1) in flist.factors
 

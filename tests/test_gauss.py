@@ -7,7 +7,7 @@ import pytest
 from aurifeuille import numthy
 from aurifeuille.cyclotomic import phi_moebius
 from aurifeuille.errors import NotOddSquareFree
-from aurifeuille.gauss import algorithm_d, verify_gauss
+from aurifeuille.gauss import algorithm_d
 from aurifeuille.numthy import factorize, jacobi, make_context
 from aurifeuille.poly import IntPolynomial
 
@@ -49,16 +49,16 @@ def test_shapes():
         assert pair.alpha[0] == 2 and pair.beta[0] == 0
         assert pair.poly_a().degree == d
         assert pair.poly_b().degree == d - 1
-        assert pair.poly_b().leading == 1
+        assert pair.poly_b().coeffs[-1] == 1
 
 
 def test_defining_identity():
     for n in odd_squarefree(3, 152):
-        assert verify_gauss(n)
+        assert algorithm_d(n).identity_holds()
 
 
 def test_defining_identity_at_15015():
-    assert verify_gauss(15015)
+    assert algorithm_d(15015).identity_holds()
 
 
 @pytest.mark.parametrize("n", [1155, 3001])

@@ -48,8 +48,8 @@ def test_shapes_and_palindromes():
         assert pair.gamma[0] == 1 and pair.delta[0] == 1
         assert len(pair.gamma) == d + 1 and len(pair.delta) == d
         c_poly, d_poly = pair.poly_c(), pair.poly_d()
-        assert c_poly.degree == d and c_poly.leading == 1
-        assert d_poly.degree == d - 1 and d_poly.leading == 1
+        assert c_poly.degree == d and c_poly.coeffs[-1] == 1
+        assert d_poly.degree == d - 1 and d_poly.coeffs[-1] == 1
         assert symmetry_class(c_poly) == "palindromic"
         assert symmetry_class(d_poly) == "palindromic"
 

@@ -61,6 +61,48 @@ MUTANTS = {
         "c = min(ctx.n_prime // odd[-1], 2)",
         ["tests/test_factorizer.py::test_cyclotomic_indices_are_the_divisors_of_n_prime_below_2000"],
     ),
+    "base-10-width-one-digit-short": (
+        "poly.py",
+        "self.width = _DECIMAL.create_decimal(2 * bound).adjusted() + 1",
+        "self.width = _DECIMAL.create_decimal(2 * bound).adjusted()",
+        ["tests/test_poly.py::test_mul_at_the_slot_bound_above_the_cutoff"],
+    ),
+    "feed-slot-bound-halved": (
+        "numthy.py",
+        "slots = _layout(size * top * (max(map(abs, pb)) or 1), size)",
+        "slots = _layout(size * top * (max(map(abs, pb)) or 1) // 2, size)",
+        ["tests/test_numthy.py::test_feed_at_its_slot_bound"],
+    ),
+    "feed-slot-bound-takes-only-u": (
+        "numthy.py",
+        "top = max(max(map(abs, ub)), max(map(abs, vb)), 1)",
+        "top = max(max(map(abs, ub)), 1)",
+        ["tests/test_numthy.py::test_feed_bound_takes_the_wider_of_u_and_v"],
+    ),
+    "pm1-stage-1-without-the-l-seed": (
+        "factorizer.py",
+        "a = pow(2, k * _pm1_powers(), n)",
+        "a = pow(2, _pm1_powers(), n)",
+        ["tests/test_factorizer.py::test_pm1_finds_the_prime_whose_p_minus_1_is_b2_smooth"],
+    ),
+    "pm1-without-stage-2": (
+        "factorizer.py",
+        "        (_RHO_LEG, _PM1_STAGE2_PRODUCTS, _pm1_stage2),\n",
+        "",
+        ["tests/test_factorizer.py::test_pm1_splits_31_2_after_one_leg_of_rho"],
+    ),
+    "series-sqrt-scale-one-factor-of-2-short": (
+        "series_oracle.py",
+        "scale = 2  # 2^(2k-1) e^(k-1)",
+        "scale = 1  # 2^(2k-1) e^(k-1)",
+        ["tests/test_series_oracle.py::test_sqrt_of_cyclotomic_15"],
+    ),
+    "fundamental-unit-norm-minus-4-not-squared": (
+        "numthy.py",
+        "u, v = (u * u + n * v * v) // 2, u * v",
+        "pass",
+        ["tests/test_numthy.py::test_fundamental_unit_examples"],
+    ),
 }
 
 

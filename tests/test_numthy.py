@@ -23,7 +23,6 @@ from aurifeuille.numthy import (
     jacobi,
     make_context,
 )
-from aurifeuille.poly import IntPolynomial
 
 from _oracles import (
     euler_phi,
@@ -178,7 +177,7 @@ def test_context_15():
     assert ctx.n_prime == 30
     assert ctx.s == -1
     assert ctx.primes == (3, 5)
-    assert ctx.d_gauss == 4 and ctx.d_lucas == 4
+    assert ctx.d == 4
 
 
 def test_context_5():
@@ -186,7 +185,7 @@ def test_context_5():
     assert ctx.n_prime == 5
     assert ctx.s == 1
     assert ctx.primes == (5,)
-    assert ctx.d_gauss == 2 and ctx.d_lucas == 2
+    assert ctx.d == 2
 
 
 def test_context_2():
@@ -194,18 +193,23 @@ def test_context_2():
     assert ctx.n_prime == 4
     assert ctx.s == 1
     assert ctx.primes == (2,)
-    assert ctx.d_gauss is None
-    assert ctx.d_lucas == 1
+    assert ctx.d == 1
 
 
 def test_context_degree_identity():
+    # One degree d = phi(n')/2 for both pairs: the Lucas pair's C_n for
+    # every n, and the Gauss pair's A_n for odd n, where phi(n') = phi(n).
     for n in squarefree_range(2, 150):
         ctx = make_context(n)
-        assert ctx.d_lucas == euler_phi(ctx.n_prime) // 2 == euler_phi(2 * n) // 2
+        assert ctx.d == euler_phi(ctx.n_prime) // 2 == euler_phi(2 * n) // 2
         assert [p for p, _ in factorize(n)] == list(ctx.primes)
+        lucas_pair = lucas.algorithm_l(n)
+        assert lucas_pair.d == lucas_pair.poly_c().degree == ctx.d
         if n % 2:
-            assert ctx.d_gauss == euler_phi(n) // 2
+            assert ctx.d == euler_phi(n) // 2
             assert (ctx.s * n) % 4 == 1  # s*n is a fundamental discriminant
+            gauss_pair = gauss.algorithm_d(n)
+            assert gauss_pair.d == gauss_pair.poly_a().degree == ctx.d
 
 
 def test_context_rejections():
@@ -293,8 +297,8 @@ def test_newton_pair_equals_the_direct_loop(n, cutoff):
         mp.setattr(numthy, "_layout", record)
         runs = kernel_runs(n)
     if cutoff == 1:
-        # The Lucas kernel makes a feed once its k_u = d_lucas/2 passes a leaf.
-        if make_context(n).d_lucas // 2 >= LEAF:
+        # The Lucas kernel makes a feed once its k_u = d/2 passes a leaf.
+        if make_context(n).d // 2 >= LEAF:
             assert layouts
         assert all(isinstance(layout, poly._Base10) for layout in layouts)
     for args, result in runs:
@@ -308,7 +312,7 @@ def test_newton_pair_equals_the_direct_loop_around_a_leaf(n, offset):
     # The last step k_u sits one short of, at, or one past a leaf's size,
     # or one past two leaves; for n = 193, 197 and 389 the Lucas v stops
     # at k_u - 1.
-    assert make_context(n).d_lucas // 2 == LEAF + offset
+    assert make_context(n).d // 2 == LEAF + offset
     for args, result in kernel_runs(n):
         assert result == newton_pair_direct(*args)
 
@@ -382,12 +386,10 @@ def test_newton_pair_rejects_a_corrupt_power_sum(
 def feed_by_schoolbook(ub, vb, pb, odd, first, last):
     """`numthy._feed` by schoolbook products: slots first..last-1 of V*P
     and first+odd..last-1+odd of U*P."""
-    vp = IntPolynomial(schoolbook_mul(vb, pb))
-    up = IntPolynomial(schoolbook_mul(ub, pb))
-    return (
-        [vp.coefficient(k) for k in range(first, last)],
-        [up.coefficient(k + odd) for k in range(first, last)],
-    )
+    # Zeros past the top coefficient, as the packed product's slots read.
+    vp = schoolbook_mul(vb, pb) + [0] * (last + odd)
+    up = schoolbook_mul(ub, pb) + [0] * (last + odd)
+    return vp[first:last], up[first + odd : last + odd]
 
 
 # The ids are the cases' established names: cpq=1 puts the entries of P
