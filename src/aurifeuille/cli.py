@@ -163,7 +163,7 @@ def _cmd_lucas(args) -> int:
     ok = pair.identity_holds()
     eval_data = None
     if args.eval_m is not None:
-        m = _parse_rational(args.eval_m)
+        m = factorizer._rational_m(Fraction(args.eval_m))
         scale = m.denominator ** (2 * pair.d)
         lo, hi = pair.split_at(m.numerator, m.denominator)
         eval_data = (m, Fraction(lo, scale), Fraction(hi, scale))
@@ -196,8 +196,9 @@ def _cmd_lucas(args) -> int:
 def _cmd_factor(args) -> int:
     if args.rational is not None and args.m is not None:
         raise ValueError("give either a positional integer M or --rational")
+    # `full_factorization` checks m's sign.
     if args.rational is not None:
-        m = _parse_rational(args.rational)
+        m = Fraction(args.rational)
     else:
         m = Fraction(1 if args.m is None else args.m)
     split, factors = factorizer.full_factorization(args.n, m)
@@ -292,13 +293,6 @@ def _cmd_classnum(args) -> int:
 def _report(label: str, ok: bool) -> bool:
     print(f"{label}: {'OK' if ok else 'FAILED'}")
     return ok
-
-
-def _parse_rational(text: str) -> Fraction:
-    value = Fraction(text)
-    if value <= 0:
-        raise ValueError(f"need a positive value, got {text}")
-    return value
 
 
 if __name__ == "__main__":

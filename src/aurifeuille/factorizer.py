@@ -67,10 +67,11 @@ piece is factored by:
      over y -> y^L + c (Brent & Pollard, 1981).  A prime p = 1 (mod L)
      closes the cycle after about sqrt(p/L) steps;
   3. Pollard's p-1 method, by a schedule of pauses in that walk.  After
-     510 steps, stage 1 (Pollard 1974) with its exponent E seeded by L,
-     which divides p - 1.  It finds p when p - 1 is L times a product of
-     prime powers up to 2000, however large p is, at the cost of about
-     300 rho steps, and hands its power 2^E on to stage 2;
+     510 steps, stage 1 (Pollard 1974) with the exponent
+     E = L * lcm(1, ..., 2000), seeded by L, which divides p - 1.  It
+     finds p when p - 1 is L times a divisor of lcm(1, ..., 2000),
+     however large p is, at the cost of about 300 rho steps, and hands
+     its power 2^E on to stage 2;
   4. after 8190 steps, stage 2 (Montgomery 1987), which finds p when
      p - 1 needs one more prime s up to 10^6.  Baby and giant steps pair
      the primes s = v*D -+ u (D = 2310), so one modular product covers
@@ -96,7 +97,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -157,14 +158,14 @@ _PM1_STAGE2_PRODUCTS = 80_000
 class AurifeuilleResult(NamedTuple):
     """One Aurifeuillian split F_n(x) = F- * F+ at x = m^2 * n.
 
-    `x` is that point, a `Fraction`.  `F_minus`, `F_plus` are exact
-    (integers when m is an integer), and their product is F_n(x);
+    `x` is that point, a `Fraction`; n is the caller's own, and the
+    record does not repeat it.  `F_minus`, `F_plus` are exact (integers
+    when m is an integer), and their product is F_n(x);
     `int_minus`/`int_plus` are the denominator-cleared integer factors
     (equal to F_minus/F_plus for integer m).  `hat_F` and
     `residual` = |hat_F - F_minus| are only set on the rounding route.
     """
 
-    n: int
     x: Fraction
     F_minus: Fraction | int
     F_plus: Fraction | int
@@ -202,18 +203,16 @@ def factor_by_rounding(n: int, m: int) -> AurifeuilleResult:
     """Recover F- by rounding `hat_f` and F+ by exact division.
 
     Integer m >= 1 only: another type raises `TypeError`, m < 1
-    `ValueError`.  Raises `RoundingFailed` when the rounded value does
-    not divide F_n(x), which the underlying bound rules out for sound
-    inputs.
+    `ValueError` (`_rational_m`).  Raises `RoundingFailed` when the
+    rounded value does not divide F_n(x), which the underlying bound
+    rules out for sound inputs.
     """
     if not isinstance(m, int):
         raise TypeError(
             f"factor_by_rounding needs an integer m, got {m!r}; "
             "use factor_by_polynomials for rational m"
         )
-    if m < 1:
-        raise ValueError(f"need a positive integer m, got {m!r}")
-    return _rounding_split(make_context(n), m)
+    return _rounding_split(make_context(n), _rational_m(m).numerator)
 
 
 def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
@@ -239,7 +238,6 @@ def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
             )
         residual = float(abs(hat - f_minus))
     return AurifeuilleResult(
-        n=n,
         x=Fraction(x),
         F_minus=f_minus,
         F_plus=f_plus,
@@ -272,7 +270,6 @@ def factor_by_polynomials(n: int, m: Fraction | int) -> AurifeuilleResult:
         )
     scale = q**fn.degree  # q^(2d)
     return AurifeuilleResult(
-        n=n,
         x=m * m * n,
         F_minus=_as_int_if_possible(Fraction(int_minus, scale)),
         F_plus=_as_int_if_possible(Fraction(int_plus, scale)),
@@ -287,7 +284,8 @@ def _rational_m(m: Fraction | int) -> Fraction:
     Another type raises `TypeError`: a float or a `Decimal` would stand
     for the binary or decimal fraction it holds, not for the number the
     caller wrote (0.1 is 3602879701896397/2^55).  m <= 0 raises
-    `ValueError`.
+    `ValueError`: the one check of m's sign, for both routes,
+    `full_factorization` and the CLI.
     """
     if not isinstance(m, (int, Fraction)):
         raise TypeError(f"need an int or a Fraction m, got {m!r}")
@@ -542,9 +540,9 @@ def _pm1_stage1(n: int, k: int) -> tuple[int | None, int | None]:
     a = 2^E mod n it hands on to stage 2, or None when stage 2 has
     nothing to find.
 
-    Every prime p of n is 1 (mod k), so k divides p - 1.  E is k times
-    every prime power up to `_PM1_B1`, and the stage finds p when the
-    order of 2 modulo p divides E.  A gcd of n, every prime found at
+    Every prime p of n is 1 (mod k), so k divides p - 1.  E is
+    k * lcm(1, ..., `_PM1_B1`), and the stage finds p when the order of
+    2 modulo p divides E.  A gcd of n, every prime found at
     once, is a failure, and one that stage 2 cannot mend.
     """
     a = pow(2, k * _pm1_powers(), n)
@@ -639,15 +637,9 @@ def _pm1_plan() -> tuple[tuple[int, ...], int, tuple[bytes, ...]]:
 
 @cache
 def _pm1_powers() -> int:
-    """Every prime power up to `_PM1_B1`, multiplied together: stage 1's
-    exponent over k."""
-    powers = 1 << (_PM1_B1.bit_length() - 1)
-    for s in _odd_primes(_PM1_B1):
-        power = s
-        while power * s <= _PM1_B1:
-            power *= s
-        powers *= power
-    return powers
+    """lcm(1, ..., `_PM1_B1`), the product of every prime power up to
+    `_PM1_B1`: stage 1's exponent E = k * lcm(1..B1) over k."""
+    return lcm(*range(1, _PM1_B1 + 1))
 
 
 def _rho_steps(products: int, k: int) -> int:
@@ -656,11 +648,6 @@ def _rho_steps(products: int, k: int) -> int:
     multiplications of binary powering) and one into the running
     product."""
     return -(-products // (k.bit_length() + k.bit_count() - 1))
-
-
-def _odd_primes(limit: int):
-    """The odd primes up to `limit`, in order."""
-    return compress(range(1, limit + 1, 2), _odd_sieve(limit))
 
 
 def _odd_sieve(limit: int) -> bytearray:

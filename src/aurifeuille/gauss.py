@@ -69,14 +69,14 @@ class GaussPair(NamedTuple):
     """A_n and B_n held as descending coefficient tuples.
 
     ``alpha[j]`` multiplies x^(d-j) in A_n; ``beta[j]`` likewise in B_n
-    (so beta[0] = 0 and B_n has degree d - 1).
+    (so beta[0] = 0 and B_n has degree d - 1).  The degree
+    d = phi(n)/2 is len(alpha) - 1, and `make_context(n).d`.
     """
 
     n: int
     s: int
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
-    d: int
 
     def poly_a(self) -> IntPolynomial:
         return IntPolynomial.from_descending(self.alpha)
@@ -106,7 +106,7 @@ def algorithm_d(n: int) -> GaussPair:
     sign_b = -1 if (n % 4 == 3 and len(ctx.primes) > 1) else 1
     alpha += [sign_a * alpha[d - k] for k in range(direct + 1, d + 1)]
     beta += [sign_b * beta[d - k] for k in range(direct + 1, d + 1)]
-    return GaussPair(n=n, s=ctx.s, alpha=tuple(alpha), beta=tuple(beta), d=d)
+    return GaussPair(n=n, s=ctx.s, alpha=tuple(alpha), beta=tuple(beta))
 
 
 def _odd_context(n: int) -> NumTheoryContext:

@@ -377,10 +377,10 @@ class ClassNumberData(NamedTuple):
 
     `sigma` is the weighted character sum over a period,
     sigma = sum_{j=1}^{n-1} (j|n) * j, from which h = -sigma/n for n > 3.
-    `w` counts the units in the field: 6 for n = 3, else 2 here.
+    `w` counts the units in the field: 6 for n = 3, else 2 here.  n is
+    the caller's own, and the record does not repeat it.
     """
 
-    n: int
     sigma: int
     h: int
     w: int
@@ -404,7 +404,7 @@ def class_number_neg(n: int) -> ClassNumberData:
     if n == 3:
         if sigma != -1:
             raise InternalInconsistency(f"sigma({n}) = {sigma}, expected -1")
-        return ClassNumberData(n=n, sigma=sigma, h=1, w=6)
+        return ClassNumberData(sigma=sigma, h=1, w=6)
     if sigma % n:
         raise InternalInconsistency(
             f"sigma({n}) = {sigma} is not divisible by n"
@@ -412,14 +412,14 @@ def class_number_neg(n: int) -> ClassNumberData:
     h = -sigma // n
     if h < 1:
         raise InternalInconsistency(f"h(-{n}) computed as {h} < 1")
-    return ClassNumberData(n=n, sigma=sigma, h=h, w=2)
+    return ClassNumberData(sigma=sigma, h=h, w=2)
 
 
 class PellUnit(NamedTuple):
     """The least unit (u + v*sqrt(n))/2 of norm +1, u^2 - n*v^2 = 4 with
-    u, v > 0: the real field's fundamental unit eps, or eps^2."""
+    u, v > 0: the real field's fundamental unit eps, or eps^2.  n is the
+    caller's own, and the record does not repeat it."""
 
-    n: int
     u: int
     v: int
 
@@ -454,7 +454,7 @@ def fundamental_unit(n: int) -> PellUnit:
     u, v = 2 * p - q, q
     if u * u - n * v * v == -4:
         u, v = (u * u + n * v * v) // 2, u * v
-    return PellUnit(n=n, u=u, v=v)
+    return PellUnit(u=u, v=v)
 
 
 __all__ = [

@@ -282,7 +282,7 @@ def gauss_via_series(n: int) -> GaussPair:
     cosh, sinh_over_root = series_exp_like(f_series(n, d), ctx.s * n)
     alpha = _integer_coeffs(2 * (root * cosh), 0, 1, "A", n)
     beta = _integer_coeffs(2 * (root * sinh_over_root), 0, 1, "B", n)
-    return GaussPair(n=n, s=ctx.s, alpha=alpha, beta=beta, d=d)
+    return GaussPair(n=n, s=ctx.s, alpha=alpha, beta=beta)
 
 
 def lucas_via_series(n: int) -> LucasPair:

@@ -17,8 +17,11 @@ pairs, and the per-k formulas for the power sums (`moebius_phi`,
 in their place; the fixed-point loop of the rounding route's lambda sum is the
 reference for its exact sum by pairing, the prime-by-prime stage 2
 of Pollard's p-1 method is the reference for the factorizer's stage 2 by
-baby and giant steps, and the search over v = 1, 2, ... is the reference
-for the real-quadratic unit by continued fractions.
+baby and giant steps, the product of the prime powers up to B1 is the
+reference for stage 1's lcm(1..B1), both over a plain sieve of every
+integer in place of the factorizer's odd-only one, and the search over
+v = 1, 2, ... is the reference for the real-quadratic unit by continued
+fractions.
 The per-coefficient `Fraction` loops for the series product, square
 root and `series_exp_like` are the reference for the library's integer
 numerators over one denominator.  The reference routes to Phi_n live
@@ -39,7 +42,7 @@ the ratio law F+/F- -> exp(2/m) of the Aurifeuillian split
 
 import cmath
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import exp, gcd, isqrt, prod
 from operator import mul
 
@@ -309,6 +312,29 @@ def lambda_sum_fixed_point(n, x, lam, frac_bits):
     return s
 
 
+def primes_up_to(limit):
+    """The primes up to `limit`, in order, by a sieve of Eratosthenes over
+    every integer."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
+
+
+def pm1_powers_by_prime_powers(b1):
+    """Every prime power up to b1, multiplied together: for each prime s,
+    the largest power of s that is at most b1."""
+    powers = 1
+    for s in primes_up_to(b1):
+        power = s
+        while power * s <= b1:
+            power *= s
+        powers *= power
+    return powers
+
+
 def pm1_stage2_prime_by_prime(n, a):
     """Stage 2 of Pollard's p-1 method one prime at a time, from stage 1's
     power a = 2^E mod n: a proper divisor of n, or None.
@@ -319,7 +345,7 @@ def pm1_stage2_prime_by_prime(n, a):
     and a gcd of n is a failure.
     """
     b1, b2 = factorizer._PM1_B1, factorizer._PM1_B2
-    primes = (t for t in factorizer._odd_primes(b2) if t > b1)
+    primes = (t for t in primes_up_to(b2) if t > b1)
     # gaps[i] = a^(2i); s is odd and at most the first prime past B1.
     s = b1 | 1
     gaps = [1, a * a % n]

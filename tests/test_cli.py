@@ -138,6 +138,15 @@ def test_factor_rational_excludes_positional_m(capsys):
     assert "error: ValueError" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("lucas", "7", "--eval", "0"), ("factor", "7", "--rational", "0/1")]
+)
+def test_m_below_one_is_refused_with_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: ValueError: need m > 0" in err
+
+
 def test_factor_incomplete_sets_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(factorizer, "RHO_STEP_LIMIT", 0)
     code, out, _ = run(capsys, "factor", "15")

@@ -35,7 +35,9 @@ from _oracles import (
     factor_list_product,
     horner,
     lambda_sum_fixed_point,
+    pm1_powers_by_prime_powers,
     pm1_stage2_prime_by_prime,
+    primes_up_to,
     ratio_estimate,
     squarefree_range,
 )
@@ -515,6 +517,15 @@ def test_full_factorization_input_validation():
         full_factorization(20, 1)
 
 
+@pytest.mark.parametrize(
+    "route", [factor_by_rounding, factor_by_polynomials, full_factorization]
+)
+@pytest.mark.parametrize("m", [0, -2])
+def test_every_route_checks_the_sign_of_m_alike(route, m):
+    with pytest.raises(ValueError, match=f"need m > 0, got {m}$"):
+        route(7, m)
+
+
 @pytest.mark.parametrize("route", [factor_by_polynomials, full_factorization])
 @pytest.mark.parametrize("m", [0.1, 0.5, 2.0, Decimal("0.5")])
 def test_rational_routes_take_only_int_or_fraction_m(route, m):
@@ -607,7 +618,7 @@ _PRIMES_BELOW_B1 = [p for p in range(2, factorizer._PM1_B1) if is_probable_prime
 
 # The primes in (B1, B2] that stage 2 covers.
 _STAGE_2_PRIMES = [
-    p for p in factorizer._odd_primes(factorizer._PM1_B2) if p > factorizer._PM1_B1
+    p for p in primes_up_to(factorizer._PM1_B2) if p > factorizer._PM1_B1
 ]
 
 
@@ -714,6 +725,13 @@ def test_pm1_stage_2_matches_the_prime_by_prime_reference(modulus, b, seed):
     assert divisor is None
     assert factorizer._pm1_stage2(p * q, power)[0] == p
     assert pm1_stage2_prime_by_prime(p * q, power) == p
+
+
+def test_pm1_powers_is_lcm_of_one_to_b1():
+    # Stage 1's exponent over k, lcm(1..B1), is the product of the largest
+    # power of each prime up to B1.
+    assert pm1_powers_by_prime_powers(10) == 2520
+    assert factorizer._pm1_powers() == pm1_powers_by_prime_powers(factorizer._PM1_B1)
 
 
 def test_pm1_plan_pairs_every_prime_of_stage_2_once():

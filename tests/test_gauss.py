@@ -43,7 +43,7 @@ def test_shapes():
     for n in odd_squarefree(3, 100):
         pair = algorithm_d(n)
         d = euler_phi(n) // 2
-        assert pair.d == d
+        assert len(pair.alpha) - 1 == d
         assert pair.s == (1 if n % 4 == 1 else -1)
         assert len(pair.alpha) == d + 1 and len(pair.beta) == d + 1
         assert pair.alpha[0] == 2 and pair.beta[0] == 0
@@ -93,7 +93,7 @@ def test_identity_expanded_by_hand_for_15():
 def test_mirror_structure():
     for n in odd_squarefree(5, 120):
         pair = algorithm_d(n)
-        d = pair.d
+        d = len(pair.alpha) - 1
         sign_a = -1 if d % 2 else 1
         composite = len(factorize(n)) > 1
         sign_b = -1 if (n % 4 == 3 and composite) else 1

@@ -3,9 +3,10 @@ when the argument's bound is broken.
 
 Each mutant is one textual edit to `src/aurifeuille`, applied to a copy of
 `src/` in a temporary directory.  The ids that must catch it run against
-that copy in a fresh interpreter: they pass on the unmutated copy and fail
-on the mutant.  A mutant whose text no longer occurs in the source fails
-here too, so that a change to the code cannot retire its check silently.
+that copy in a fresh interpreter and fail there.  Every id passes on an
+unmutated copy, checked once for the module in one run of all of them.
+A mutant whose text no longer occurs in the source fails here too, so
+that a change to the code cannot retire its check silently.
 """
 
 import os
@@ -97,6 +98,12 @@ MUTANTS = {
         "scale = 1  # 2^(2k-1) e^(k-1)",
         ["tests/test_series_oracle.py::test_sqrt_of_cyclotomic_15"],
     ),
+    "odd-sieve-leaves-prime-squares": (
+        "factorizer.py",
+        "start = p * p // 2",
+        "start = p * p // 2 + p",
+        ["tests/test_factorizer.py::test_pm1_plan_pairs_every_prime_of_stage_2_once"],
+    ),
     "fundamental-unit-norm-minus-4-not-squared": (
         "numthy.py",
         "u, v = (u * u + n * v * v) // 2, u * v",
@@ -104,6 +111,11 @@ MUTANTS = {
         ["tests/test_numthy.py::test_fundamental_unit_examples"],
     ),
 }
+
+
+def _copy_src(dest: Path) -> Path:
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return dest
 
 
 def _run(src: Path, ids: list[str]) -> subprocess.CompletedProcess:
@@ -121,14 +133,19 @@ def _run(src: Path, ids: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_mutant_is_caught(tmp_path, name):
-    module, before, after, ids = MUTANTS[name]
-    src = tmp_path / "src"
-    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+@pytest.fixture(scope="module")
+def catching_ids_pass(tmp_path_factory):
+    """Every id that catches a mutant, run once on an unmutated copy."""
+    src = _copy_src(tmp_path_factory.mktemp("unmutated") / "src")
+    ids = sorted({i for *_, catching in MUTANTS.values() for i in catching})
     done = _run(src, ids)
     assert done.returncode == 0, done.stdout + done.stderr
 
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(tmp_path, catching_ids_pass, name):
+    module, before, after, ids = MUTANTS[name]
+    src = _copy_src(tmp_path / "src")
     path = src / "aurifeuille" / module
     text = path.read_text()
     assert text.count(before) == 1, f"{name}: {before!r} is not in {module} once"
