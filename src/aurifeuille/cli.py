@@ -218,9 +218,7 @@ def _cmd_factor(args) -> int:
         print(f"n = {args.n}, m = {m}, x = {split.x}")
         print(f"target = {factors.target}")
         if split.hat_F is not None:
-            import mpmath  # loaded only where an estimate is printed
-
-            print(f"F_hat = {mpmath.nstr(split.hat_F, 20)}")
+            print(f"F_hat = {split.hat_F}")
         print(f"F_minus = {split.int_minus}")
         print(f"F_plus = {split.int_plus}")
         rendered = " * ".join(

@@ -13,7 +13,7 @@ Two independent routes to the pair are provided, both over the integers:
     rational m = p/q too, giving integer factors C_h -+ p*n*q * D_h of
     p^(2n) * n^n +- q^(2n) whose product must be F_h = Y^(2d) * F_n(x));
   * `factor_by_rounding` — skip the polynomials entirely: a short
-    truncated series gives a floating-point estimate F^ of F- that is
+    truncated series gives a fixed-point estimate F^ of F- that is
     provably within 1/2 of it, so F- is recovered by rounding and F+ by
     exact division.  Integer m only.
 
@@ -25,31 +25,56 @@ The estimate is
 
     F^ = sqrt(F_n(x)) * exp( -(1/m) * sum_{j=0}^{lambda-1} (n|2j+1) / ((2j+1) x^j) ),
 
-with lambda = deg F_n / 2 = phi(2n)/2, computed with mpmath at a working
-precision of bits = bitlength(F_n(x))/2 + 64, derived from the one
-evaluation of F_n(x) that also serves the exact division.  The sum
-S = sum_{j<lambda} (n|2j+1) / ((2j+1) x^j) is taken exactly, as one
-fraction: S * x^(lambda-1) = sum_j (n|2j+1)/(2j+1) * x^(lambda-1-j) is a
-homogeneous sum at the point (1, x), and `poly._pair_blocks` sums it by
-binary splitting, each block carrying the product of its odd
-denominators.  That costs O(M(N) log lambda) for the N-bit result, in
-place of lambda sequential divisions of a number as wide as the result.
-One division then gives s = floor(2^P * S) with P = bits + 64 fraction
-bits, so |s - 2^P * S| < 1, and -s / (m * 2^P) goes to mpmath's exp.
+with lambda = deg F_n / 2 = phi(2n)/2, computed in integer fixed point
+from the one evaluation of F_n(x) that also serves the exact division.
+With bits = bitlength(F_n(x))/2 + 64, so sqrt(F_n(x)) < 2^(bits - 63),
+the exponential carries w = bits + guard fraction bits (`_estimate`):
 
-The error budget, with S > 0, so F^ < sqrt(F_n(x)) < 2^(bits - 63),
-and |S| < 5/4:
+  * S = sum_{j<lambda} (n|2j+1) / ((2j+1) x^j) is taken exactly, as one
+    fraction: S * x^(lambda-1) = sum_j (n|2j+1)/(2j+1) * x^(lambda-1-j)
+    is a homogeneous sum at the point (1, x), and `poly._pair_blocks`
+    sums it by binary splitting, each block carrying the product of its
+    odd denominators.  That costs O(M(N) log lambda) for the N-bit
+    result, in place of lambda sequential divisions of a number as wide
+    as the result.  One division then gives s = floor(2^w * S), and one
+    division by the small m the argument a = floor(s / m), y = a / 2^w;
+  * E = 2^w * exp(-y) comes from `fixedpoint._exp_neg`: y is halved h
+    times, the cosh of z = y / 2^h is summed by its Taylor series, the
+    sinh is isqrt(cosh^2 - 1), and cosh z - sinh z is squared h times;
+  * R = isqrt(F_n(x) << 2f) = floor(2^f * sqrt(F_n(x))) at
+    f = guard + 64 fraction bits, and F^ = man / 2^f with
+    man = floor(R * E / 2^w), so R, E and man all have about w bits;
+  * F- = floor(F^ + 1/2) = (man + 2^(f-1)) >> f, and the residual
+    |F^ - F-| is one int true division, correctly rounded to a float.
 
-  * the floor moves the argument of exp by less than 2^-P, and F^ by
-    less than 2^-127;
-  * mpmath.mpf(-s) rounds s to bits bits, dropping the 64 extra
-    fraction bits, and the division by m, exp, sqrt and the final
-    product round to bits bits as well (so does mpf(F_n(x)) once F_n(x)
-    is wider than that).  Each of these six roundings is off by at most
-    about 2^-bits relative, that of the argument scaled by |S/m| < 5/4,
-    so each moves F^ by at most about 2^-63: about 2^-62 for the
-    conversion of s, exp and sqrt together, and below 2^-60 for all six,
-    the tolerance that the tests pin against the exact series.
+The error budget.  As x >= 2, 2/3 <= S <= 4/3, so y lies within
+2/(3m) - 2^(1-w) and 4/(3m); with k = bitlength(m) - 1 and
+h = max(0, r - k), r = floor(0.2 * sqrt(bits)) >= 1, z <= 2/3.  In units
+of 2^-w:
+
+  * the argument: each of the two floors moves y by less than one unit,
+    so exp(-y) exceeds exp(-S/m) by less than 2;
+  * the series: each term is off by less than 4 (each truncating shift
+    and floor division adds less than one, and the products by powers of
+    z^2 <= 4/9 shrink what is carried), and the loop stops at the first
+    term that truncates to 0, so the tail it drops is below one unit;
+    there are fewer than w/3 + u + 1 terms, and cosh is off by
+    delta < 4w;
+  * the isqrt floor: sinh is off by less than delta * coth(z) + 1
+    < delta * (1 + 1/z) + 1, so cosh - sinh by delta * (2 + 1/z) + 1;
+  * the squarings: each doubles the error and its truncating shift adds
+    less than one, so E is off by eps < 2^h * (delta * (2 + 1/z) + 2);
+  * the guard: 1/z <= 2^h / (2/(3m) - 2^(1-w)) < 3 * 2^(h+k);
+    F_n(x) >= x^2 >= m^4 keeps k, and so the guard, below bits/2, so
+    w < 1.5 * 2^bitlength(bits); and h + k >= r >= 1.  So eps + 2 is
+    below 25 * 2^(2h + k + bitlength(bits)) < 2^guard for
+    guard = 2h + k + bitlength(bits) + 5;
+  * the isqrt floor of R and the final shift: R and man are each off by
+    less than one unit of 2^-f.
+
+So F^ is off by less than sqrt(F_n(x)) * (eps + 2) / 2^w + 2^(1-f)
+< 2^-63 + 2^(-63 - guard) < 2^-62, inside the 2^-60 that the tests pin
+against an mpmath evaluation of the exact series at bits + 64 bits.
 
 That is far inside the 1/2 rounding window.  Rounding F^ and dividing
 F_n(x) exactly by the result remain the proof.
@@ -102,6 +127,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, NegativeTarget, RoundingFailed
+from .fixedpoint import _exp_neg, _FixedPoint
 from .numthy import NumTheoryContext, _symbols_n_over_odd_k, make_context
 from .cyclotomic import phi_moebius
 from .lucas import algorithm_l
@@ -154,6 +180,13 @@ _PM1_GCD_EVERY = 1024
 # (shared 2-core Xeon, Python 3.11).
 _PM1_STAGE2_PRODUCTS = 80_000
 
+# The rounding route's exp halves its argument y = S/m until it is below
+# about 2^-r, r = floor(_EXP_HALVINGS * sqrt(bits)) (`_estimate`).  On the
+# 10 rounding splits at n = 1001..3001, m = 1 and 7, and at n = 15015,
+# the estimate took about as long at 0.15, 0.2 and 0.25, and 5-10 %
+# longer at 0.1 and 0.3 (Python 3.11, shared 2-core Xeon).
+_EXP_HALVINGS = 0.2
+
 
 class AurifeuilleResult(NamedTuple):
     """One Aurifeuillian split F_n(x) = F- * F+ at x = m^2 * n.
@@ -171,7 +204,7 @@ class AurifeuilleResult(NamedTuple):
     F_plus: Fraction | int
     int_minus: int
     int_plus: int
-    hat_F: object | None = None
+    hat_F: _FixedPoint | None = None
     residual: float | None = None
 
 
@@ -190,11 +223,12 @@ class FactorList(NamedTuple):
     probable: tuple[int, ...] = ()
 
 
-def hat_f(n: int, m: int):
-    """Floating estimate of the smaller Aurifeuillian factor at x = m^2 * n.
+def hat_f(n: int, m: int) -> _FixedPoint:
+    """Fixed-point estimate of the smaller Aurifeuillian factor at x = m^2 * n.
 
-    Returns an mpmath float, computed at bitlength(F_n(x))/2 + 64 bits:
-    the `hat_F` of `factor_by_rounding`, whose checks it shares.
+    Returns a binary fixed-point value (`man_exp`, `float`, and 20
+    digits by `str`) within 2^-62 of the estimate's exact value: the
+    `hat_F` of `factor_by_rounding`, whose checks it shares.
     """
     return factor_by_rounding(n, m).hat_F
 
@@ -222,21 +256,17 @@ def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
     estimate, its working precision and the division; `full_factorization`
     passes the context of its own check of n.
     """
-    import mpmath  # loaded only by the routes that round
-
     n, x = ctx.n, m * m * ctx.n
     f_val = phi_moebius(ctx.n_prime).evaluate_homogeneous(x, 1)
-    hat, bits = _estimate(ctx, m, f_val)
-    # The rounding must run at full precision too: mpmath rounds every
-    # operation to the *current* working precision, not the operands'.
-    with mpmath.workprec(bits):
-        f_minus = int(mpmath.floor(hat + mpmath.mpf(1) / 2))
-        f_plus, rest = divmod(f_val, max(f_minus, 1))
-        if f_minus < 1 or rest:
-            raise RoundingFailed(
-                f"rounded estimate {f_minus} does not divide F_{n}({x})"
-            )
-        residual = float(abs(hat - f_minus))
+    hat = _estimate(ctx, m, f_val)
+    # F- = floor(F^ + 1/2) from the f = -hat.exp fraction bits of F^.
+    frac = -hat.exp
+    f_minus = (hat.man + (1 << (frac - 1))) >> frac
+    f_plus, rest = divmod(f_val, max(f_minus, 1))
+    if f_minus < 1 or rest:
+        raise RoundingFailed(
+            f"rounded estimate {f_minus} does not divide F_{n}({x})"
+        )
     return AurifeuilleResult(
         x=Fraction(x),
         F_minus=f_minus,
@@ -244,7 +274,7 @@ def _rounding_split(ctx: NumTheoryContext, m: int) -> AurifeuilleResult:
         int_minus=f_minus,
         int_plus=f_plus,
         hat_F=hat,
-        residual=residual,
+        residual=abs(hat.man - (f_minus << frac)) / (1 << frac),
     )
 
 
@@ -662,24 +692,26 @@ def _odd_sieve(limit: int) -> bytearray:
     return sieve
 
 
-def _estimate(ctx: NumTheoryContext, m: int, f_val: int):
+def _estimate(ctx: NumTheoryContext, m: int, f_val: int) -> _FixedPoint:
     """`hat_f` from F_n(x) = f_val at x = m^2 * n, for the context of n,
-    and the working precision it used, bits = bitlength(f_val)/2 + 64.
+    with bits = bitlength(f_val)/2 + 64.
 
-    The series of lambda = `ctx.d` terms is summed by `_lambda_sum`
-    as one exact fraction and floored once at P = bits + 64 fraction
-    bits; s, the square root and exp are then each rounded to bits bits,
-    which moves the estimate by about 2^-62 (module docstring).
+    The series of lambda = `ctx.d` terms is summed by `_lambda_sum` as
+    one exact fraction and floored once at w = bits + guard fraction
+    bits; exp comes from `fixedpoint._exp_neg` after h halvings of the
+    argument, and the square root from one `isqrt`.  The guard covers the
+    error that the halvings and the sinh of `_exp_neg` amplify (module
+    docstring).
     """
-    import mpmath  # loaded only by the routes that round
-
     bits = f_val.bit_length() // 2 + 64
-    frac_bits = bits + 64
-    s = _lambda_sum(ctx.primes, m * m * ctx.n, ctx.d, frac_bits)
-    with mpmath.workprec(bits):
-        root = mpmath.sqrt(mpmath.mpf(f_val))
-        expo = mpmath.exp(mpmath.ldexp(mpmath.mpf(-s) / m, -frac_bits))
-        return root * expo, bits
+    k = m.bit_length() - 1
+    h = max(0, int(_EXP_HALVINGS * bits**0.5) - k)
+    guard = 2 * h + k + bits.bit_length() + 5
+    w = bits + guard
+    s = _lambda_sum(ctx.primes, m * m * ctx.n, ctx.d, w)
+    e = _exp_neg(s // m, w, h)
+    frac = guard + 64
+    return _FixedPoint(isqrt(f_val << 2 * frac) * e >> w, -frac)
 
 
 def _lambda_sum(primes: tuple[int, ...], x: int, lam: int, frac_bits: int) -> int:

@@ -284,18 +284,30 @@ def run_fresh(*statements):
     return done.returncode, done.stderr
 
 
-def test_mpmath_is_loaded_only_by_the_rounding_route():
-    # A fresh interpreter: importing the package and verifying identities
-    # never touch mpmath; factoring at integer m rounds, and loads it.
+def test_no_command_loads_mpmath():
+    # A fresh interpreter: the rounding route computes its estimate in
+    # integer fixed point, so factoring at integer m, as text or JSON,
+    # loads mpmath no more than verifying identities does.
     code, err = run_fresh(
         "import sys",
-        "import aurifeuille",
-        "assert 'mpmath' not in sys.modules",
         "from aurifeuille.cli import main",
         "assert main(['verify', '15']) == 0",
-        "assert 'mpmath' not in sys.modules",
+        "assert main(['factor', '7', '2', '--json']) == 0",
         "assert main(['factor', '7', '2']) == 0",
-        "assert 'mpmath' in sys.modules",
+        "assert 'mpmath' not in sys.modules",
+    )
+    assert code == 0, err
+
+
+def test_estimate_prints_under_the_default_digit_cap():
+    # F- at n = 3001 has 17326 bits, far past Python's default cap of
+    # 4300 digits for int <-> str; str(hat_F) reads only 20 digits.
+    code, err = run_fresh(
+        "import sys",
+        "from aurifeuille.factorizer import factor_by_rounding",
+        "assert getattr(sys, 'get_int_max_str_digits', lambda: 4300)() == 4300",
+        "text = str(factor_by_rounding(3001, 1).hat_F)",
+        "assert text == '2.9155653298823591164e+5215', text",
     )
     assert code == 0, err
 

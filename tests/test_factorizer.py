@@ -73,24 +73,64 @@ def test_hat_degenerate_small_points():
         assert res.F_minus * res.F_plus == f_val
 
 
+def _exact_estimate(n, m):
+    """mpmath's sqrt(F_n(x)) * exp(-S/m) at bits + 64 bits, for
+    bits = bitlength(F_n(x))/2 + 64, with S summed over one common
+    denominator: S = N / (L * x^(lambda-1)), L the lcm of the odd numbers
+    below 2 * lambda and N = sum_j (n|2j+1) * L/(2j+1) * x^(lambda-1-j)
+    by Horner's rule."""
+    fn = cyclotomic.f_poly(n)
+    x = m * m * n
+    f_val, lam = horner(fn.coeffs, x), fn.degree // 2
+    odd_lcm = math.lcm(*range(1, 2 * lam, 2))
+    num = 0
+    for j in range(lam):
+        num = num * x + jacobi(n, 2 * j + 1) * (odd_lcm // (2 * j + 1))
+    with mpmath.workprec(f_val.bit_length() // 2 + 128):
+        arg = -mpmath.mpf(num) / (m * odd_lcm * mpmath.mpf(x) ** (lam - 1))
+        return mpmath.sqrt(f_val) * mpmath.exp(arg)
+
+
 def test_hat_matches_the_exact_series_sum():
-    # The fixed-point sum is short of the exact one by less than
-    # lambda * 2^-P; the estimate stays within 2^-60 of the same formula
-    # summed in Fractions, well inside the 1/2 rounding window.
-    for n, m in ((2, 1), (5, 3), (15, 1), (30, 2), (101, 7), (1001, 1)):
-        fn = cyclotomic.f_poly(n)
-        x = m * m * n
-        f_val, lam = horner(fn.coeffs, x), fn.degree // 2
-        arg = -Fraction(1, m) * sum(
-            Fraction(jacobi(n, 2 * j + 1), (2 * j + 1) * x**j)
-            for j in range(lam)
-        )
-        bits = f_val.bit_length() // 2 + 64
-        with mpmath.workprec(bits + 64):
-            exact = mpmath.sqrt(f_val) * mpmath.exp(
-                mpmath.mpf(arg.numerator) / arg.denominator
-            )
-            assert abs(hat_f(n, m) - exact) < mpmath.mpf(2) ** -60
+    # The fixed-point estimate stays within 2^-62 of the exact series
+    # (the module docstring's budget); the test holds it to 2^-60, well
+    # inside the 1/2 rounding window.
+    cases = ((2, 1), (5, 3), (15, 1), (30, 2), (101, 7), (1001, 1), (3001, 1), (3001, 7), (15015, 1))
+    for n, m in cases:
+        exact = _exact_estimate(n, m)
+        man, exp = hat_f(n, m).man_exp
+        # Both operands are exact; mpmath rounds their difference to 53 bits.
+        assert abs(mpmath.ldexp(man, exp) - exact) < mpmath.mpf(2) ** -60, (n, m)
+
+
+def test_estimate_guard_covers_the_exp_bound(monkeypatch):
+    # The estimate is within 2^-62 when 2^guard exceeds eps + 2, eps the
+    # bound of `fixedpoint._exp_neg` at the smallest z that S >= 2/3 allows (module
+    # docstring).  The sweep takes bits at both ends of their bit length,
+    # and m from 1 up to the widest that F_n(x) of that size admits.
+    calls = []
+    true_exp_neg = factorizer._exp_neg
+
+    def recorded(a, w, h):
+        calls.append((w, h))
+        return true_exp_neg(a, w, h)
+
+    monkeypatch.setattr(factorizer, "_exp_neg", recorded)
+    ctx = numthy.make_context(2)
+    for length in range(7, 15):
+        for bits in (2 ** (length - 1), 2**length - 1):
+            # F_n(x) >= x^2 >= m^4 bounds the bit length of m.
+            widest = (bits - 64) // 2 + 1
+            for m in {1, 2, 3, 7, 2**10 - 1, 2**widest - 1}:
+                if m >= 2**widest:
+                    continue
+                f_val = 1 << 2 * (bits - 64)
+                factorizer._estimate(ctx, m, f_val)
+                w, h = calls.pop()
+                guard = w - bits
+                inv_z = 2**h / (Fraction(2, 3 * m) - Fraction(2, 2**w))
+                eps = 2**h * (4 * w * (2 + inv_z) + 2)
+                assert eps + 2 < 2**guard, (bits, m)
 
 
 def test_hat_input_validation():
@@ -127,7 +167,8 @@ def test_rounding_reproduces_classical_splits():
 
 
 def _frac_bits(n, m):
-    """The fraction bits `_estimate` sums the series with at x = m^2 * n."""
+    """Fraction bits of the size `_estimate` sums the series with at
+    x = m^2 * n: bits = bitlength(F_n(x))/2 + 64, and 64 more."""
     f_val = cyclotomic.f_poly(n).evaluate_homogeneous(m * m * n, 1)
     return f_val.bit_length() // 2 + 128
 
@@ -195,8 +236,8 @@ def test_rounding_guard_detects_corrupted_estimate(monkeypatch):
     true_estimate = factorizer._estimate
 
     def corrupted(*args):
-        hat, bits = true_estimate(*args)
-        return hat + 10, bits
+        hat = true_estimate(*args)
+        return hat._replace(man=hat.man + (10 << -hat.exp))
 
     monkeypatch.setattr(factorizer, "_estimate", corrupted)
     with pytest.raises(RoundingFailed):

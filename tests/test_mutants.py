@@ -104,6 +104,24 @@ MUTANTS = {
         "start = p * p // 2 + p",
         ["tests/test_factorizer.py::test_pm1_plan_pairs_every_prime_of_stage_2_once"],
     ),
+    "estimate-guard-one-bit-short": (
+        "factorizer.py",
+        "guard = 2 * h + k + bits.bit_length() + 5",
+        "guard = 2 * h - 1 + k + bits.bit_length() + 5",
+        ["tests/test_factorizer.py::test_estimate_guard_covers_the_exp_bound"],
+    ),
+    "exp-one-squaring-fewer-after-the-halvings": (
+        "fixedpoint.py",
+        "    for _ in range(h):\n        v = v * v >> w",
+        "    for _ in range(h - 1):\n        v = v * v >> w",
+        ["tests/test_fixedpoint.py::test_exp_neg_within_its_error_bound"],
+    ),
+    "rounding-floor-in-place-of-half-up": (
+        "factorizer.py",
+        "f_minus = (hat.man + (1 << (frac - 1))) >> frac",
+        "f_minus = hat.man >> frac",
+        ["tests/test_factorizer.py::test_rounding_reproduces_classical_splits"],
+    ),
     "fundamental-unit-norm-minus-4-not-squared": (
         "numthy.py",
         "u, v = (u * u + n * v * v) // 2, u * v",
