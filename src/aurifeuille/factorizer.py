@@ -111,8 +111,11 @@ All survivors of a piece share one budget of `RHO_STEP_LIMIT` rho
 steps, and each stage of p-1 is charged its modular products as the rho
 steps that take as long (`_rho_steps`).
 
-A base below 3.3 * 10^24 that passes the strong-pseudoprime test is
-proven prime; a larger one is only a probable prime and is listed in
+A base passes the strong-pseudoprime test by the first k prime bases
+once it lies below psi_k, the least strong pseudoprime to them
+(Jaeschke, Math. Comp. 61, 1993; Sorenson & Webster, Math. Comp. 86,
+2017).  So a base below psi_13 = 3.3 * 10^24 that passes is proven
+prime; a larger one is only a probable prime and is listed in
 `FactorList.probable`.
 """
 
@@ -122,7 +125,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -142,11 +145,17 @@ leaves the factorization incomplete.  Spending the whole cap with
 L = 62 took 3.6 s on a 41-digit survivor and 7.5 s on an 81-digit one,
 on a shared 2-core Xeon with Python 3.11."""
 
-# Strong-pseudoprime witnesses: the first 13 primes.  The smallest
-# composite passing all of them is psi_13 = 3317044064679887385961981,
-# so the test is a proof below it and a probable-prime verdict above.
+# Strong-pseudoprime witnesses, the first 13 primes, and their product.
+# psi_k is the least composite that passes the first k (Jaeschke 1993 to
+# k = 8, Jiang & Deng 2014 to 11, Sorenson & Webster 2017 to 13).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3317044064679887385961981
+_MR_WITNESS_PRODUCT = prod(_MR_WITNESSES)
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 # Steps of rho between two gcds.
 _RHO_BATCH = 128
@@ -165,8 +174,10 @@ _PM1_B1 = 2000
 _PM1_B2 = 10**6
 
 # Stage 2's giant step: each prime in (B1, B2] is v*_PM1_D -+ u with u one
-# of the 240 odd u < _PM1_D/2 prime to it (`_pm1_plan`).
+# of the 240 odd u < _PM1_D/2 prime to it (`_pm1_plan`), whose sieve
+# holds _PM1_WINDOW giant steps at a time.
 _PM1_D = 2310
+_PM1_WINDOW = 32
 
 # Stage 2 takes a gcd after every _PM1_GCD_EVERY products, of the 63466
 # that cover the 78195 primes in (B1, B2].
@@ -399,29 +410,35 @@ def full_factorization(
 
 
 def is_probable_prime(n: int) -> bool:
-    """Strong-pseudoprime test; a proof of primality below 3.3e24."""
+    """Strong-pseudoprime test; a proof of primality below psi_13 = 3.3e24.
+
+    One gcd with the witnesses' product stands for trial division by
+    each: n with such a factor is prime only as a witness, and n < 43^2
+    without one is prime.  Otherwise n is proven prime by the first k
+    witnesses once n < psi_k (`_MR_PSI`; Jaeschke, Math. Comp. 61, 1993;
+    Sorenson & Webster, Math. Comp. 86, 2017), and past psi_13 passing
+    all 13 makes it a probable prime.
+    """
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if gcd(n, _MR_WITNESS_PRODUCT) > 1:
+        return n in _MR_WITNESSES
+    if n < 43 * 43:
+        return True
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for a, psi in zip(_MR_WITNESSES, _MR_PSI):
         y = pow(a, d, n)
-        if y in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            y = y * y % n
-            if y == n - 1:
-                break
-        else:
-            return False
+        if y not in (1, n - 1):
+            for _ in range(r - 1):
+                y = y * y % n
+                if y == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     return True
 
 
@@ -473,7 +490,7 @@ def _accumulate_factors(
             continue
         if is_probable_prime(rem):
             counts[rem] = counts.get(rem, 0) + 1
-            if rem >= _MR_PROVEN_BOUND:
+            if rem >= _MR_PSI[-1]:
                 probable.add(rem)
             continue
         divisor, used = _brent_rho(rem, step, budget)
@@ -643,25 +660,41 @@ def _pm1_plan() -> tuple[tuple[int, ...], int, tuple[bytes, ...]]:
     indices of the baby steps u with v*D - u or v*D + u such a prime.
 
     Every s > 11 is prime to D, so it is v*D -+ u for exactly one such
-    pair.  Row v is read from one odd-only sieve outward from v*D: byte j
+    pair.  Row v is read from an odd-only sieve outward from v*D: byte j
     above v*D stands for v*D + 2j + 1 and byte j below it for v*D - 2j - 1,
     so the two halves OR-ed together flag each u = 2j + 1 that covers a
-    prime.  Rows are `bytes`, as there are fewer than 256 baby steps.
+    prime.  The sieve runs in windows of `_PM1_WINDOW` giant steps, by
+    the primes q up to sqrt(B2 + D), each from q^2 or the window's first
+    odd multiple of q, whichever is later; numbers outside (B1, B2] start
+    cleared.  Rows are `bytes`, as there are fewer than 256 baby steps.
     """
     half = _PM1_D // 2
     babies = tuple(u for u in range(1, half, 2) if gcd(u, _PM1_D) == 1)
     pick = itemgetter(*(u // 2 for u in babies))
     width = babies[-1] // 2 + 1
     first, last = (_PM1_B1 + half) // _PM1_D, (_PM1_B2 + half) // _PM1_D
-    sieve = _odd_sieve(_PM1_B2)
-    sieve[: (_PM1_B1 + 1) // 2] = bytes((_PM1_B1 + 1) // 2)
-    sieve += bytes(last * half + width - len(sieve))
+    primes = [q for q in range(3, isqrt(_PM1_B2 + _PM1_D) + 1, 2) if is_probable_prime(q)]
     rows = []
-    for centre in range(first * half, last * half + 1, half):
-        above = int.from_bytes(sieve[centre : centre + width], "little")
-        below = int.from_bytes(sieve[centre - 1 : centre - 1 - width : -1], "little")
-        flags = pick((above | below).to_bytes(width, "little"))
-        rows.append(bytes(compress(range(len(babies)), flags)))
+    for v in range(first, last + 1, _PM1_WINDOW):
+        # Byte i of the window stands for 2 * (base + i) + 1, from
+        # (v - 1) * D + 1 to past its last giant step's top baby step.
+        base = (v - 1) * half
+        size = (min(_PM1_WINDOW, last + 1 - v) + 1) * half
+        # Bytes below `low` stand for numbers up to B1, those from `high`
+        # on for numbers above B2.
+        low = max((_PM1_B1 + 1) // 2 - base, 0)
+        high = min((_PM1_B2 + 1) // 2 - base, size)
+        window = bytearray([1]) * size
+        window[:low] = bytes(low)
+        window[high:] = bytes(size - high)
+        for q in primes:
+            start = max(q * q // 2, base + (q // 2 - base) % q) - base
+            window[start::q] = bytes(len(range(start, size, q)))
+        for centre in range(half, size - half + 1, half):
+            above = int.from_bytes(window[centre : centre + width], "little")
+            below = int.from_bytes(window[centre - 1 : centre - 1 - width : -1], "little")
+            flags = pick((above | below).to_bytes(width, "little"))
+            rows.append(bytes(compress(range(len(babies)), flags)))
     return babies, first, tuple(rows)
 
 
@@ -678,18 +711,6 @@ def _rho_steps(products: int, k: int) -> int:
     multiplications of binary powering) and one into the running
     product."""
     return -(-products // (k.bit_length() + k.bit_count() - 1))
-
-
-def _odd_sieve(limit: int) -> bytearray:
-    """An odd-only sieve to `limit`: byte i is 1 when 2i + 1 is prime."""
-    sieve = bytearray([1]) * ((limit + 1) // 2)
-    sieve[0] = 0
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    return sieve
 
 
 def _estimate(ctx: NumTheoryContext, m: int, f_val: int) -> _FixedPoint:

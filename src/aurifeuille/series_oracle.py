@@ -31,7 +31,9 @@ enters, never sqrt(t), so every coefficient is rational.  The half-integer
 powers of the C_n/D_n case are handled by working in y = sqrt(x): all
 series there are built to order 2K in y and the x-coefficients read off
 the even (resp. odd) positions, with the complementary positions checked
-to vanish.
+to vanish.  sqrt(F_n(y^2)) is sqrt(F_n) at order K in x, spread to the
+even powers of y, and g_n is odd, so its (U, V) pass sums only its odd
+slopes.
 
 The arithmetic is on integers.  A series is a tuple of integer
 numerators over one positive denominator, and each recurrence runs on
@@ -243,7 +245,8 @@ def series_exp_like(
     With i f_i = G_i / e over the derivative's own denominator (e = 1
     for f_n and 2 g_n) and t = p/q, both run on the integers D U_k and
     D V_k, D = K! (2eq)^K (see the module docstring), so each step is one
-    exact division by 2eqk.  `f` must have zero constant term.
+    exact division by 2eqk; for an odd f, such as 2 g_n, each sum takes
+    only the odd i.  `f` must have zero constant term.
     """
     if f._num[0]:
         raise ValueError("series_exp_like needs a zero constant term")
@@ -255,11 +258,15 @@ def series_exp_like(
     slope = [a // g for a in slope]
     step = 2 * (f._den // g) * bottom
     scale = factorial(order) * step**order
+    # An odd f (as 2 g_n) has slopes at odd i only, so each sum takes
+    # every second term, the first at the largest odd i <= k.
+    stride = 1 if any(slope[::2]) else 2
     u, v = [scale], [0]
     for k in range(1, order + 1):
-        head = slope[k:0:-1]
-        u.append(_exact(top * sum(map(mul, head, v)), step * k, "U", k))
-        v.append(_exact(bottom * sum(map(mul, head, u)), step * k, "V", k))
+        skip = (k + 1) % stride
+        head = slope[k - skip : 0 : -stride]
+        u.append(_exact(top * sum(map(mul, head, v[skip::stride])), step * k, "U", k))
+        v.append(_exact(bottom * sum(map(mul, head, u[skip::stride])), step * k, "V", k))
     return _series(u, scale), _series(v, scale)
 
 
@@ -292,14 +299,16 @@ def lucas_via_series(n: int) -> LucasPair:
     even positions of sqrt(F_n(y^2))*cosh(sqrt(n)*g_n(y)) give C_n, and
     the odd positions of sqrt(F_n(y^2))*sinh(sqrt(n)*g_n(y))/sqrt(n) give
     D_n (shifted by the explicit factor y).  The complementary positions
-    must vanish and all survivors must be integers.
+    must vanish and all survivors must be integers.  The square root of
+    F_n(y^2) is that of F_n in x, at order d, with x = y^2.
     """
     ctx = make_context(n)
     d = ctx.d
     order = 2 * d
+    root = series_sqrt(RationalSeries(f_poly(n).coeffs[: d + 1]))
     spread = [0] * (order + 1)
-    spread[::2] = f_poly(n).coeffs[: d + 1]
-    root_f = series_sqrt(RationalSeries(spread))
+    spread[::2] = root._num
+    root_f = _series(spread, root._den)
     cosh, sinh_over_root = series_exp_like(2 * g_series(n, order), n)
     c_asc = _integer_coeffs(root_f * cosh, 0, 2, "C", n)
     d_asc = _integer_coeffs(root_f * sinh_over_root, 1, 2, "D", n)

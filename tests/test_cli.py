@@ -1,5 +1,6 @@
 """The aurif command-line interface, driven through main(argv)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,30 @@ def test_factor_json_roundtrips_bytewise(capsys):
         ["19231", 1],
         ["142111", 1],
     ]
+
+
+# The `aurif factor N M --json` commands of the benchmark's `factor`
+# workload: every square-free n <= 31 with m = 1, 2, 3, and six rational m.
+FACTOR_ARGVS = [
+    ["factor", str(n), str(m), "--json"]
+    for n in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
+    for m in (1, 2, 3)
+] + [
+    ["factor", str(n), "--rational", m, "--json"]
+    for n, m in ((7, "2/5"), (10, "1/2"), (11, "3/2"), (13, "3/2"), (15, "2/3"), (19, "1/3"))
+]
+
+
+def test_factor_workload_outputs_are_pinned(capsys):
+    # Factor lists, `complete`, `probable` and the exit codes of all 63,
+    # as one sha256 over "label, exit code, stdout" in label order.
+    outputs = []
+    for argv in FACTOR_ARGVS:
+        code, out, _ = run(capsys, *argv)
+        outputs.append(f"aurif {' '.join(argv)}\n{code}\n{out}")
+    assert len(outputs) == 63
+    digest = hashlib.sha256("".join(sorted(outputs)).encode()).hexdigest()
+    assert digest == "42b2685a802de37607a8f8993bf3fbede4ea61eee1dc757fbe8ca4452edfe917"
 
 
 def test_factor_rational(capsys):

@@ -624,8 +624,45 @@ def test_probable_prime_known_cases():
 
 
 def test_probable_prime_agrees_with_trial_division_small():
-    for k in range(0, 2000):
+    # Past psi_1 = 2047, below which the witness 2 alone decides.
+    for k in range(0, 2100):
         assert is_probable_prime(k) == _prime_by_trial(k)
+
+
+def _strong_probable_prime(n, a):
+    """n passes the strong test to base a: with n - 1 = d * 2^r, d odd,
+    a^d = 1 or a^(d * 2^s) = -1 (mod n) for some s < r."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << s, n) == n - 1 for s in range(r))
+
+
+def test_each_psi_k_passes_the_first_k_witnesses_and_is_composite():
+    # psi_k, the least strong pseudoprime to the first k witnesses, lets
+    # the test stop after k of them below it; psi_k itself passes those k
+    # and must still be called composite by a later witness.  A base it
+    # fails proves it composite.  psi_13 passes all 13: it is the first
+    # number that the test calls only a probable prime.
+    witnesses, table = factorizer._MR_WITNESSES, factorizer._MR_PSI
+    assert len(table) == len(witnesses) == 13
+    for k, psi in enumerate(table, 1):
+        assert all(_strong_probable_prime(psi, a) for a in witnesses[:k]), k
+        assert not all(_strong_probable_prime(psi, a) for a in _PRIMES_BELOW_B1), k
+        assert is_probable_prime(psi) == (k == 13), k
+
+
+@settings(max_examples=100)
+@given(start=st.integers(0, 10**10))
+@example(start=2047 - 10)
+@example(start=1373653 - 10)
+@example(start=25326001 - 10)
+@example(start=3215031751 - 10)
+def test_probable_prime_agrees_with_trial_division_below_10_10(start):
+    # Runs of 20, so that every draw meets primes and numbers prime to
+    # all 13 witnesses; the examples cross psi_1 .. psi_4.
+    for k in range(start, start + 20):
+        assert is_probable_prime(k) == _prime_by_trial(k), k
 
 
 # --- Brent's rho --------------------------------------------------------

@@ -100,9 +100,15 @@ MUTANTS = {
     ),
     "odd-sieve-leaves-prime-squares": (
         "factorizer.py",
-        "start = p * p // 2",
-        "start = p * p // 2 + p",
+        "start = max(q * q // 2, base + (q // 2 - base) % q) - base",
+        "start = max(q * q // 2 + q, base + (q // 2 - base) % q) - base",
         ["tests/test_factorizer.py::test_pm1_plan_pairs_every_prime_of_stage_2_once"],
+    ),
+    "psi-bound-admits-psi-itself": (
+        "factorizer.py",
+        "if n < psi:",
+        "if n <= psi:",
+        ["tests/test_factorizer.py::test_each_psi_k_passes_the_first_k_witnesses_and_is_composite"],
     ),
     "estimate-guard-one-bit-short": (
         "factorizer.py",
